@@ -40,6 +40,9 @@ int main() {
     const hv::Injection inj =
         fault::InjectionExperiment::draw_activated_injection(
             rng, probe.trace, golden.microvisor().program);
+    // The checkpoint reads the faulty machine, which the experiment only
+    // syncs inside run_one: align it with the golden pre-run state first.
+    faulty.restore(golden.snapshot());
     recovery.checkpoint(act);  // the VM-exit-side copy
     const auto result = exp.run_one(act, inj);
     if (result.record.detected) {
@@ -50,8 +53,6 @@ int main() {
       t.exact +=
           hv::Machine::diff_persistent_state(golden, faulty).empty() ? 1 : 0;
     }
-    // Re-align and continue the stream.
-    faulty.restore(golden.snapshot());
     exp.advance(gen.next());
   }
 

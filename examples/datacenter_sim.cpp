@@ -81,8 +81,6 @@ int main(int argc, char** argv) {
       } else {
         ++benign;
       }
-      // Recovery: re-align the host with the golden machine.
-      host.restore(golden.snapshot());
     }
     std::printf("t=%ds  %8zu activations  %2zu faults detected\n", s + 1,
                 per_second, sec_detected);

@@ -34,16 +34,6 @@ hv::Injection InjectionExperiment::draw_injection(
 
 void InjectionExperiment::advance(const hv::Activation& activation) {
   golden_.run(activation);
-  golden_.snapshot_into(sync_snap_);
-  faulty_.restore(sync_snap_);
-}
-
-std::uint64_t InjectionExperiment::measure_golden_steps(
-    const hv::Activation& activation) {
-  golden_.snapshot_into(sync_snap_);
-  const hv::RunResult res = golden_.run(activation);
-  golden_.restore(sync_snap_);
-  return res.steps;
 }
 
 InjectionExperiment::GoldenProbe InjectionExperiment::probe_golden(
@@ -124,7 +114,6 @@ InjectionExperiment::Result InjectionExperiment::run_faulted(
   out.golden_ok = probe.reached_vm_entry;
   out.golden_features =
       FeatureVector::from(activation.reason, probe.counters);
-  last_golden_steps_ = probe.steps;
 
   // Faulted run under Xentry interception.
   fault_trace_.clear();

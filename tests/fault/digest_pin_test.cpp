@@ -1,0 +1,93 @@
+// Absolute determinism pins.  Every other determinism test compares two
+// runs of the current build with each other; these compare one run with a
+// fixed value, so a change that moves every run the same way (a new draw,
+// a reordered diff, a sync that leaks state into the faulted run) fails
+// here.  The configurations mirror `bench/micro_campaign N S SEED [flags]`,
+// whose `records_digest` field prints the same value.
+//
+// Rule: changing a pin needs a CHANGES.md line that names the cause.
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "analysis/artifacts.hpp"
+#include "fault/campaign.hpp"
+#include "fault/record_io.hpp"
+#include "hv/microvisor.hpp"
+
+namespace xentry::fault {
+namespace {
+
+/// micro_campaign's configuration for `injections shards seed`.
+CampaignConfig micro_campaign_cfg(int injections, int shards) {
+  CampaignConfig cfg;
+  cfg.injections = injections;
+  cfg.shards = shards;
+  cfg.seed = 7;
+  cfg.collect_dataset = true;
+  cfg.xentry.transition_detection = true;
+  return cfg;
+}
+
+TEST(DigestPinTest, UniformOneShard) {
+  const auto res = run_campaign(micro_campaign_cfg(2000, 1));
+  ASSERT_EQ(res.records.size(), 2000u);
+  EXPECT_EQ(records_digest(res.records), 0xea90685bedc71d1bull);
+}
+
+TEST(DigestPinTest, UniformFourShards) {
+  const auto res = run_campaign(micro_campaign_cfg(2000, 4));
+  ASSERT_EQ(res.records.size(), 2000u);
+  EXPECT_EQ(records_digest(res.records), 0x93cbe61a5fef0188ull);
+}
+
+TEST(DigestPinTest, ImportanceSampled) {
+  // `micro_campaign 2000 1 7 --sampling`.
+  CampaignConfig cfg = micro_campaign_cfg(2000, 1);
+  cfg.sampling.importance = true;
+  cfg.analysis = std::make_shared<const analysis::AnalysisArtifacts>(
+      analysis::analyze_program(hv::build_microvisor(cfg.machine).program));
+  const auto res = run_campaign(cfg);
+  ASSERT_EQ(res.records.size(), 2000u);
+  EXPECT_EQ(records_digest(res.records), 0x1a2dc40e709dc7b3ull);
+}
+
+TEST(DigestPinTest, JsonlStreamedWithCheckpoint) {
+  // `micro_campaign 2000 1 7 --records-out R --checkpoint R.ckpt`: a
+  // checkpointed run trades away the dataset and transition detection.
+  const std::string dir = ::testing::TempDir() + "digest_pin_jsonl";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  CampaignConfig cfg = micro_campaign_cfg(2000, 1);
+  cfg.collect_dataset = false;
+  cfg.xentry.transition_detection = false;
+  cfg.obs.metrics = true;
+  cfg.streaming.records_path = dir + "/records";
+  cfg.streaming.records_format = obs::RecordFormat::kJsonl;
+  cfg.streaming.checkpoint_path = dir + "/records.ckpt";
+  const auto res = run_campaign(cfg);
+  ASSERT_FALSE(res.resumed);
+  ASSERT_EQ(res.records_streamed, 2000u);
+  constexpr std::uint64_t kPin = 0x6b4f35cc7be7acb9ull;
+  EXPECT_EQ(records_digest(res.records), kPin);
+
+  // The persisted stream decodes to the same pinned answer.
+  std::ifstream in(obs::ShardedFileSink::shard_path(
+                       cfg.streaming.records_path, cfg.streaming.records_format,
+                       0),
+                   std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::vector<InjectionRecord> decoded;
+  ASSERT_TRUE(decode_records(bytes, cfg.streaming.records_format, decoded));
+  EXPECT_EQ(records_digest(decoded), kPin);
+  std::filesystem::remove_all(dir);
+}
+
+}  // namespace
+}  // namespace xentry::fault

@@ -108,11 +108,67 @@ TEST(ExperimentTest, ActivatedDrawWithEmptyTraceIsWellFormed) {
 }
 
 TEST(ExperimentTest, AdvanceKeepsMachinesInLockstep) {
+  // advance() runs only the golden machine; the faulty machine is synced
+  // on use.  A stream with the lazy sync must yield the same records as
+  // the same stream with an explicit eager sync after every advance.
+  Rig lazy, eager;
+  const auto& reasons = hv::all_exit_reasons();
+  std::mt19937_64 rng_a(11), rng_b(11);
+  InjectionExperiment::GoldenProbe pa, pb;
+  for (int i = 0; i < 40; ++i) {
+    const auto gap = lazy.golden.make_activation(
+        reasons[static_cast<std::size_t>(3 * i + 1) % reasons.size()],
+        200 + i);
+    lazy.exp.advance(gap);
+    eager.exp.advance(gap);
+    eager.faulty.restore(eager.golden.snapshot());
+
+    const auto act = lazy.golden.make_activation(
+        reasons[static_cast<std::size_t>(i) % reasons.size()], 100 + i);
+    lazy.exp.probe_golden_advance(act, pa);
+    eager.exp.probe_golden_advance(act, pb);
+    ASSERT_EQ(pa.steps, pb.steps);
+    if (pa.steps == 0) {
+      lazy.golden.restore(pa.pre);
+      eager.golden.restore(pb.pre);
+      continue;
+    }
+    const auto ia = InjectionExperiment::draw_activated_injection(
+        rng_a, pa.trace, lazy.golden.microvisor().program);
+    const auto ib = InjectionExperiment::draw_activated_injection(
+        rng_b, pb.trace, eager.golden.microvisor().program);
+    const auto a = lazy.exp.run_one(act, ia, pa);
+    const auto b = eager.exp.run_one(act, ib, pb);
+    EXPECT_EQ(a.golden_ok, b.golden_ok);
+    EXPECT_EQ(a.golden_features.as_array(), b.golden_features.as_array());
+    EXPECT_EQ(a.record.injection.at_step, b.record.injection.at_step);
+    EXPECT_EQ(a.record.injection.reg, b.record.injection.reg);
+    EXPECT_EQ(a.record.injection.bit, b.record.injection.bit);
+    EXPECT_EQ(a.record.injected, b.record.injected);
+    EXPECT_EQ(a.record.activated, b.record.activated);
+    EXPECT_EQ(a.record.consequence, b.record.consequence);
+    EXPECT_EQ(a.record.detected, b.record.detected);
+    EXPECT_EQ(a.record.technique, b.record.technique);
+    EXPECT_EQ(a.record.latency, b.record.latency);
+    EXPECT_EQ(a.record.trap, b.record.trap);
+    EXPECT_EQ(a.record.assert_id, b.record.assert_id);
+    EXPECT_EQ(a.record.trace_diverged, b.record.trace_diverged);
+    EXPECT_EQ(a.record.undetected, b.record.undetected);
+    EXPECT_EQ(a.record.features.as_array(), b.record.features.as_array());
+  }
+  EXPECT_EQ(lazy.golden.memory().snapshot(), eager.golden.memory().snapshot());
+
+  // A non-activated injection after a run of advances leaves no diff: the
+  // stale faulty machine was re-synced before its run.
   Rig rig;
   for (int i = 0; i < 5; ++i) {
     rig.exp.advance(rig.golden.make_activation(
         hv::ExitReason::apic(hv::ApicInterrupt::timer), 100 + i));
   }
+  const auto act = rig.golden.make_activation(
+      hv::ExitReason::apic(hv::ApicInterrupt::spurious), 9, 0);
+  const auto r = rig.exp.run_one(act, hv::Injection{1, sim::Reg::rdx, 30});
+  ASSERT_FALSE(r.record.activated);
   EXPECT_TRUE(hv::Machine::diff_persistent_state(rig.golden, rig.faulty)
                   .empty());
 }
