@@ -3,6 +3,8 @@
 // off its tail, or carries an unregistered assertion id.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "hv/microvisor.hpp"
 #include "sim/verifier.hpp"
 
@@ -15,12 +17,18 @@ sim::VerifierOptions strict() {
   return opt;
 }
 
+// gtest names each case by a hex dump of the whole struct, so every byte
+// must be initialised: a padding byte would make the case names change from
+// run to run. `name_tag` fills what used to be padding and holds the values
+// the recorded case names carry; it plays no part in the check itself.
 struct ConfigCase {
   int domains;
   int vcpus;
   bool assertions;
   bool time_checks;
+  std::uint16_t name_tag;
 };
+static_assert(sizeof(ConfigCase) == 12, "ConfigCase must have no padding");
 
 class MicrovisorVerify : public ::testing::TestWithParam<ConfigCase> {};
 
@@ -46,13 +54,13 @@ TEST_P(MicrovisorVerify, ProgramVerifiesClean) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, MicrovisorVerify,
-    ::testing::Values(ConfigCase{3, 1, true, false},
-                      ConfigCase{3, 1, true, true},
-                      ConfigCase{3, 1, false, false},
-                      ConfigCase{2, 1, true, false},
-                      ConfigCase{4, 2, true, true},
-                      ConfigCase{8, 1, true, false},
-                      ConfigCase{1, 1, true, false}));
+    ::testing::Values(ConfigCase{3, 1, true, false, 0x56F9},
+                      ConfigCase{3, 1, true, true, 0},
+                      ConfigCase{3, 1, false, false, 0},
+                      ConfigCase{2, 1, true, false, 0xFFFF},
+                      ConfigCase{4, 2, true, true, 0xE691},
+                      ConfigCase{8, 1, true, false, 0},
+                      ConfigCase{1, 1, true, false, 0xE691}));
 
 }  // namespace
 }  // namespace xentry::hv
