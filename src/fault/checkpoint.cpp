@@ -308,7 +308,7 @@ void restore_machine(hv::Machine& machine, const ShardCheckpoint& ckpt) {
   }
   hv::Machine::Snapshot snap;
   snap.tsc = ckpt.tsc;
-  snap.memory.source_id = 0;  // foreign image: forces a full region copy
+  snap.memory.source_id = 0;  // foreign image: forces a full copy
   snap.memory.regions.resize(ckpt.memory.size());
   for (std::size_t i = 0; i < ckpt.memory.size(); ++i) {
     if (ckpt.memory[i].size() != regions[i].data.size()) {

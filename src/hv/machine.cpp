@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -757,30 +758,40 @@ void Machine::restore(const Snapshot& snap) {
 std::vector<StateDiff> Machine::diff_persistent_state(const Machine& golden,
                                                       const Machine& faulty) {
   std::vector<StateDiff> diffs;
-  const auto& gr = golden.memory().regions();
-  const auto& fr = faulty.memory().regions();
+  const sim::Memory& gm = golden.memory();
+  const sim::Memory& fm = faulty.memory();
+  const auto& gr = gm.regions();
+  const auto& fr = fm.regions();
   assert(gr.size() == fr.size());
   const int nd = golden.num_domains();
   const int nv = golden.num_vcpus() + 1;  // include the idle vcpu
   const int vpd = golden.mv_.options.vcpus_per_domain;
   for (std::size_t r = 0; r < gr.size(); ++r) {
     if (gr[r].name == "stack") continue;  // scratch, not persistent state
-    if (gr[r].data == fr[r].data) continue;  // memcmp gate: no diffs here
-    for (Addr off = 0; off < gr[r].size; ++off) {
-      const Word g = gr[r].data[off];
-      const Word f = fr[r].data[off];
-      if (g == f) continue;
-      StateDiff d;
-      d.addr = gr[r].base + off;
-      d.golden = g;
-      d.faulty = f;
-      if (!L::classify_address(d.addr, nd, nv, d.cls, d.domain)) continue;
-      if (d.domain <= -2) {
-        // VCPU sentinel: translate the vcpu index to its domain.
-        const int vcpu = -2 - d.domain;
-        d.domain = vcpu >= golden.num_vcpus() ? 0 : vcpu / vpd;
+    for (std::size_t p = 0; p < gr[r].pages(); ++p) {
+      // Pages neither machine wrote since the faulty one was synced to
+      // the golden pre-state are provably equal; the rest pass a memcmp
+      // gate before the word loop.
+      if (fm.page_synced_with(gm, r, p)) continue;
+      const Addr lo = static_cast<Addr>(p) << sim::Memory::kPageShift;
+      const Addr n = gr[r].page_words(p);
+      const Word* g = gr[r].data.data() + lo;
+      const Word* f = fr[r].data.data() + lo;
+      if (std::memcmp(g, f, n * sizeof(Word)) == 0) continue;
+      for (Addr off = 0; off < n; ++off) {
+        if (g[off] == f[off]) continue;
+        StateDiff d;
+        d.addr = gr[r].base + lo + off;
+        d.golden = g[off];
+        d.faulty = f[off];
+        if (!L::classify_address(d.addr, nd, nv, d.cls, d.domain)) continue;
+        if (d.domain <= -2) {
+          // VCPU sentinel: translate the vcpu index to its domain.
+          const int vcpu = -2 - d.domain;
+          d.domain = vcpu >= golden.num_vcpus() ? 0 : vcpu / vpd;
+        }
+        diffs.push_back(d);
       }
-      diffs.push_back(d);
     }
   }
   return diffs;

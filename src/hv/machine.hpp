@@ -112,7 +112,7 @@ class Machine {
     sim::Word tsc = 0;
   };
   Snapshot snapshot() const;
-  /// Like snapshot(), but reuses `out`'s buffers; regions unchanged since
+  /// Like snapshot(), but reuses `out`'s buffers; pages unchanged since
   /// the last capture into `out` are skipped (see Memory::snapshot_into).
   /// The campaign hot path re-captures one Snapshot per injection.
   void snapshot_into(Snapshot& out) const;

@@ -121,13 +121,13 @@ StepInfo Cpu::run_jit_loop(std::uint64_t max_steps, bool& deopted,
   Trap tr;
 
   // Two-entry software TLB: flat {base, read size, write size, data}
-  // views of the last-hit regions, held in locals so a hit is one
+  // views of the last-hit pages, held in locals so a hit is one
   // compare plus one load — the region-vector walk inside Memory is a
   // dependent-load chain that would otherwise dominate every memory op
   // now that dispatch is cheap.  Entry 0 is the most recent; refills
   // rotate 0 into 1.  A read-install leaves the write size 0, so the
-  // first write through that region re-installs it and bumps the
-  // region's mutation generation exactly once before any raw store
+  // first write through that page re-installs it and bumps the page's
+  // mutation generation exactly once before any raw store
   // (Memory::DirectSpan documents why that preserves the generation
   // contract).  Two entries cover the stack/data alternation of handler
   // code; shadow-stack mirror accesses go through Memory's own hinted
@@ -222,7 +222,7 @@ StepInfo Cpu::run_jit_loop(std::uint64_t max_steps, bool& deopted,
 
 // Reads the word at `a` into `out`.  Sets `tr` only when the address is
 // unmapped (`tr` is always kind None while the loop runs: every path
-// that makes it truthy exits).  The miss path installs the region's
+// that makes it truthy exits).  The miss path installs the page's
 // direct view for next time; mem.read on a genuinely unmapped address
 // produces the exact architectural trap.
 #define XJ_READ(a, out)                                               \
@@ -246,7 +246,7 @@ StepInfo Cpu::run_jit_loop(std::uint64_t max_steps, bool& deopted,
   } while (0)
 
 // Writes `v` at `a`; sets `tr` when unmapped or read-only.  A write
-// install bumps the region generation once, before the first raw store.
+// install bumps the page generation once, before the first raw store.
 #define XJ_WRITE(a, v)                                                \
   do {                                                                \
     const Addr xw_a = (a);                                            \

@@ -23,6 +23,7 @@ Memory::Memory() : id_(next_memory_id()) {}
 Memory::Memory(const Memory& other)
     : regions_(other.regions_),
       sync_(other.sync_),
+      sync_source_(other.sync_source_),
       id_(next_memory_id()),
       hint_(other.hint_),
       hint2_(other.hint2_) {}
@@ -31,6 +32,7 @@ Memory& Memory::operator=(const Memory& other) {
   if (this != &other) {
     regions_ = other.regions_;
     sync_ = other.sync_;
+    sync_source_ = other.sync_source_;
     hint_ = other.hint_;
     hint2_ = other.hint2_;
     // Fresh identity: snapshots captured from the old contents must not
@@ -55,12 +57,15 @@ std::size_t Memory::map(Addr base, Addr size, Perm perm, std::string name) {
   region.perm = perm;
   region.name = std::move(name);
   region.data.assign(size, 0);
+  region.gens.assign((size + kPageWords - 1) >> kPageShift, 0);
+  const std::size_t pages = region.gens.size();
   auto it = std::upper_bound(
       regions_.begin(), regions_.end(), base,
       [](Addr b, const Region& r) { return b < r.base; });
   it = regions_.insert(it, std::move(region));
   const std::size_t idx = static_cast<std::size_t>(it - regions_.begin());
-  sync_.insert(sync_.begin() + static_cast<std::ptrdiff_t>(idx), SyncState{});
+  sync_.insert(sync_.begin() + static_cast<std::ptrdiff_t>(idx),
+               std::vector<SyncState>(pages));
   hint_ = idx;
   return idx;
 }
@@ -68,12 +73,7 @@ std::size_t Memory::map(Addr base, Addr size, Perm perm, std::string name) {
 const Memory::Region* Memory::find(Addr a) const {
   // Straight-line code hits the same region on almost every access; try
   // the two last-hit regions before falling back to the binary search.
-  if (hint_ < regions_.size() && regions_[hint_].contains(a)) {
-    return &regions_[hint_];
-  }
-  if (hint2_ < regions_.size() && regions_[hint2_].contains(a)) {
-    return &regions_[hint2_];
-  }
+  if (const Region* r = hinted(a)) return r;
   // Regions are sorted by base; find the last region with base <= a.
   auto it = std::upper_bound(
       regions_.begin(), regions_.end(), a,
@@ -103,8 +103,7 @@ Trap Memory::write_slow(Addr a, Word v) {
   if (r->perm != Perm::ReadWrite) {
     return Trap{TrapKind::GeneralProtection, a, 0};
   }
-  r->data[a - r->base] = v;
-  ++r->gen;
+  store(*r, a - r->base, v);
   return {};
 }
 
@@ -119,26 +118,30 @@ void Memory::poke_slow(Addr a, Word v) {
   Region* r = find(a);
   assert(r != nullptr && "poke of unmapped address");
   if (r == nullptr) std::abort();
-  r->data[a - r->base] = v;
-  ++r->gen;
+  store(*r, a - r->base, v);
 }
 
 Word* Memory::poke_span(Addr a, Addr len) {
   Region* r = find(a);
   assert(r != nullptr && "poke_span of unmapped address");
   if (r == nullptr || len == 0 || a - r->base + len > r->size) std::abort();
-  ++r->gen;
-  return &r->data[a - r->base];
+  const Addr off = a - r->base;
+  for (Addr p = off >> kPageShift; p <= (off + len - 1) >> kPageShift; ++p) {
+    ++r->gens[p];
+  }
+  return &r->data[off];
 }
 
 Memory::DirectSpan Memory::direct_span(Addr a) {
   Region* r = find(a);
   DirectSpan s;
   if (r == nullptr) return s;
-  s.base = r->base;
-  s.size = r->size;
-  s.data = r->data.data();
-  s.gen = &r->gen;
+  const std::size_t page = (a - r->base) >> kPageShift;
+  const Addr lo = static_cast<Addr>(page) << kPageShift;
+  s.base = r->base + lo;
+  s.size = r->page_words(page);
+  s.data = r->data.data() + lo;
+  s.gen = &r->gens[page];
   s.writable = r->perm == Perm::ReadWrite;
   return s;
 }
@@ -152,42 +155,54 @@ Memory::Snapshot Memory::snapshot() const {
 void Memory::snapshot_into(Snapshot& out) const {
   const bool fresh =
       out.source_id != id_ || out.regions.size() != regions_.size();
-  if (fresh) {
-    out.regions.clear();
-    out.regions.resize(regions_.size());
-  }
+  if (fresh) out.regions.resize(regions_.size());
   for (std::size_t i = 0; i < regions_.size(); ++i) {
+    const Region& r = regions_[i];
     Snapshot::RegionImage& img = out.regions[i];
-    if (!fresh && img.gen == regions_[i].gen &&
-        img.data.size() == regions_[i].data.size()) {
-      continue;  // unchanged since the last capture into `out`
+    if (fresh || img.gens.size() != r.gens.size() ||
+        img.data.size() != r.data.size()) {
+      img.data = r.data;  // assign reuses existing capacity
+      img.gens = r.gens;
+      continue;
     }
-    img.data = regions_[i].data;  // assign reuses existing capacity
-    img.gen = regions_[i].gen;
+    for (std::size_t p = 0; p < r.pages(); ++p) {
+      if (img.gens[p] == r.gens[p]) continue;  // unchanged since capture
+      const Addr lo = static_cast<Addr>(p) << kPageShift;
+      std::copy_n(r.data.begin() + lo, r.page_words(p), img.data.begin() + lo);
+      img.gens[p] = r.gens[p];
+    }
   }
   out.source_id = id_;
 }
 
 void Memory::restore(const Snapshot& snap) {
   assert(snap.regions.size() == regions_.size());
+  // Only an image carrying every page generation can prove a page in
+  // sync; anything else is foreign and copied in full.
+  bool tracked = snap.source_id != 0;
+  for (std::size_t i = 0; tracked && i < regions_.size(); ++i) {
+    tracked = snap.regions[i].gens.size() == regions_[i].pages();
+  }
+  const bool same_source = tracked && snap.source_id == sync_source_;
   for (std::size_t i = 0; i < regions_.size(); ++i) {
     Region& r = regions_[i];
-    SyncState& s = sync_[i];
-    assert(snap.regions[i].data.size() == r.data.size());
-    const bool in_sync = s.source_id != 0 &&
-                         s.source_id == snap.source_id &&
-                         s.source_gen == snap.regions[i].gen &&
-                         s.own_gen == r.gen;
-    if (!in_sync) {
-      // std::copy into the existing buffer: no reallocation.
-      std::copy(snap.regions[i].data.begin(), snap.regions[i].data.end(),
-                r.data.begin());
-      ++r.gen;
+    const Snapshot::RegionImage& img = snap.regions[i];
+    std::vector<SyncState>& sync = sync_[i];
+    assert(img.data.size() == r.data.size());
+    for (std::size_t p = 0; p < r.pages(); ++p) {
+      const std::uint64_t source_gen = tracked ? img.gens[p] : 0;
+      SyncState& s = sync[p];
+      if (same_source && s.source_gen == source_gen &&
+          s.own_gen == r.gens[p]) {
+        continue;  // untouched on both sides since the last sync
+      }
+      const Addr lo = static_cast<Addr>(p) << kPageShift;
+      std::copy_n(img.data.begin() + lo, r.page_words(p), r.data.begin() + lo);
+      s.source_gen = source_gen;
+      s.own_gen = ++r.gens[p];
     }
-    s.source_id = snap.source_id;
-    s.source_gen = snap.regions[i].gen;
-    s.own_gen = r.gen;
   }
+  sync_source_ = tracked ? snap.source_id : 0;
 }
 
 std::size_t Memory::diff_spans(const Memory& other,
@@ -218,7 +233,7 @@ bool Memory::differs_from(const Memory& other) const {
 void Memory::clear() {
   for (Region& r : regions_) {
     std::fill(r.data.begin(), r.data.end(), 0);
-    ++r.gen;
+    for (std::uint64_t& g : r.gens) ++g;
   }
 }
 

@@ -57,10 +57,13 @@ TEST(DigestPinTest, ImportanceSampled) {
   EXPECT_EQ(records_digest(res.records), 0x1a2dc40e709dc7b3ull);
 }
 
-TEST(DigestPinTest, JsonlStreamedWithCheckpoint) {
-  // `micro_campaign 2000 1 7 --records-out R --checkpoint R.ckpt`: a
-  // checkpointed run trades away the dataset and transition detection.
-  const std::string dir = ::testing::TempDir() + "digest_pin_jsonl";
+/// `micro_campaign 2000 1 7 --records-out R --records-format F
+/// --checkpoint R.ckpt`: a checkpointed run trades away the dataset and
+/// transition detection.  Pins both the in-memory records and the ones
+/// decoded back from the persisted shard file.
+void expect_streamed_pin(obs::RecordFormat format, const std::string& tag,
+                         std::uint64_t pin) {
+  const std::string dir = ::testing::TempDir() + "digest_pin_" + tag;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   CampaignConfig cfg = micro_campaign_cfg(2000, 1);
@@ -68,15 +71,13 @@ TEST(DigestPinTest, JsonlStreamedWithCheckpoint) {
   cfg.xentry.transition_detection = false;
   cfg.obs.metrics = true;
   cfg.streaming.records_path = dir + "/records";
-  cfg.streaming.records_format = obs::RecordFormat::kJsonl;
+  cfg.streaming.records_format = format;
   cfg.streaming.checkpoint_path = dir + "/records.ckpt";
   const auto res = run_campaign(cfg);
   ASSERT_FALSE(res.resumed);
   ASSERT_EQ(res.records_streamed, 2000u);
-  constexpr std::uint64_t kPin = 0x6b4f35cc7be7acb9ull;
-  EXPECT_EQ(records_digest(res.records), kPin);
+  EXPECT_EQ(records_digest(res.records), pin);
 
-  // The persisted stream decodes to the same pinned answer.
   std::ifstream in(obs::ShardedFileSink::shard_path(
                        cfg.streaming.records_path, cfg.streaming.records_format,
                        0),
@@ -85,8 +86,21 @@ TEST(DigestPinTest, JsonlStreamedWithCheckpoint) {
                           std::istreambuf_iterator<char>());
   std::vector<InjectionRecord> decoded;
   ASSERT_TRUE(decode_records(bytes, cfg.streaming.records_format, decoded));
-  EXPECT_EQ(records_digest(decoded), kPin);
+  ASSERT_EQ(decoded.size(), 2000u);
+  EXPECT_EQ(records_digest(decoded), pin);
   std::filesystem::remove_all(dir);
+}
+
+TEST(DigestPinTest, JsonlStreamedWithCheckpoint) {
+  expect_streamed_pin(obs::RecordFormat::kJsonl, "jsonl",
+                      0x6b4f35cc7be7acb9ull);
+}
+
+TEST(DigestPinTest, BinaryStreamedWithCheckpoint) {
+  // Same campaign through the binary wire format (`--records-format bin`);
+  // the digest covers records, not bytes, so the pin equals the JSONL one.
+  expect_streamed_pin(obs::RecordFormat::kBinary, "binary",
+                      0x6b4f35cc7be7acb9ull);
 }
 
 }  // namespace

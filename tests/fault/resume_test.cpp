@@ -18,6 +18,7 @@
 #include "fault/campaign.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/record_io.hpp"
+#include "hv/machine.hpp"
 #include "hv/microvisor.hpp"
 #include "obs/snapshot.hpp"
 
@@ -139,6 +140,59 @@ TEST_F(ResumeTest, KillBetweenCheckpointsSingleShard) {
   // never durable and must be re-executed identically.
   expect_resume_matches_reference(make_cfg("ref", 1, false),
                                   make_cfg("victim", 1, false), 21);
+}
+
+TEST_F(ResumeTest, ForeignImageRestoreCopiesEveryPageThenSyncsIncrementally) {
+  // restore_machine rebuilds the golden machine from a journal image with
+  // no source identity and no page generations: it must copy every page,
+  // and the incremental syncs that follow must match full copies.
+  const auto& reasons = hv::all_exit_reasons();
+  hv::Machine source, machine, mirror;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    source.run(source.make_activation(reasons[i], i));
+  }
+  ShardCheckpoint ck;
+  capture_machine(source, ck);
+  machine.run(machine.make_activation(reasons[7], 3));
+  mirror.restore(machine.snapshot());  // machine now has sync history
+
+  const auto page_gens = [](const hv::Machine& m) {
+    std::vector<std::uint64_t> gens;
+    for (const sim::Memory::Region& r : m.memory().regions()) {
+      gens.insert(gens.end(), r.gens.begin(), r.gens.end());
+    }
+    return gens;
+  };
+  for (int round = 0; round < 2; ++round) {
+    const std::vector<std::uint64_t> before = page_gens(machine);
+    restore_machine(machine, ck);
+    const std::vector<std::uint64_t> after = page_gens(machine);
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t p = 0; p < after.size(); ++p) {
+      EXPECT_EQ(after[p], before[p] + 1) << "page " << p << " not copied";
+    }
+    EXPECT_EQ(machine.memory().snapshot(), source.memory().snapshot());
+  }
+
+  hv::Machine::Snapshot snap;
+  for (std::uint64_t round = 0; round < 8; ++round) {
+    const hv::ExitReason& r = reasons[round % reasons.size()];
+    machine.run(machine.make_activation(r, 100 + round));
+    machine.snapshot_into(snap);
+    EXPECT_EQ(snap.memory, machine.memory().snapshot()) << "round " << round;
+    mirror.restore(snap);
+    EXPECT_EQ(mirror.memory().snapshot(), snap.memory) << "round " << round;
+    mirror.run(mirror.make_activation(r, 200 + round));
+    machine.run(machine.make_activation(r, 300 + round));
+    machine.restore(snap);
+    EXPECT_EQ(machine.memory().snapshot(), snap.memory) << "round " << round;
+  }
+
+  // Campaign level: killed after several checkpoints, the resumed golden
+  // machine starts from such an image and must still reproduce the
+  // uninterrupted stream.
+  expect_resume_matches_reference(make_cfg("ref", 1, false),
+                                  make_cfg("victim", 1, false), 150);
 }
 
 TEST_F(ResumeTest, KillExactlyAtCheckpointBoundary) {

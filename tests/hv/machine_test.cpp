@@ -323,6 +323,48 @@ TEST(MachineTest, PersistentDiffClassifiesGuestControl) {
   EXPECT_EQ(diffs[0].domain, 2);
 }
 
+TEST(MachineTest, PersistentDiffAfterSyncMatchesFullComparison) {
+  // The campaign's pattern: the faulty machine is synced to a snapshot of
+  // the golden pre-state, then both run.  Pages neither side wrote are
+  // skipped unread; the result must equal a word-by-word comparison.
+  Machine golden, faulty;
+  Machine::Snapshot pre;
+  std::size_t total = 0;
+  std::uint64_t seed = 0;
+  for (const ExitReason& r : all_exit_reasons()) {
+    ++seed;
+    golden.snapshot_into(pre);
+    faulty.restore(pre);
+    golden.run(golden.make_activation(r, seed));
+    faulty.run(faulty.make_activation(r, seed + 1000));
+    faulty.memory().poke(L::shared_info_addr(1) + L::kShSystemTime, seed);
+
+    const auto diffs = Machine::diff_persistent_state(golden, faulty);
+    std::vector<sim::WordDiff> words;
+    golden.memory().diff_spans(faulty.memory(), words);
+    std::vector<StateDiff> want;
+    for (const sim::WordDiff& w : words) {
+      if (golden.memory().region_at(w.addr)->name == "stack") continue;
+      StateDiff d;
+      d.addr = w.addr;
+      if (!L::classify_address(d.addr, golden.num_domains(),
+                               golden.num_vcpus() + 1, d.cls, d.domain)) {
+        continue;
+      }
+      want.push_back(d);
+    }
+    ASSERT_EQ(diffs.size(), want.size()) << handler_symbol(r);
+    for (std::size_t i = 0; i < diffs.size(); ++i) {
+      EXPECT_EQ(diffs[i].addr, want[i].addr) << handler_symbol(r);
+      EXPECT_EQ(diffs[i].golden, golden.memory().peek(diffs[i].addr));
+      EXPECT_EQ(diffs[i].faulty, faulty.memory().peek(diffs[i].addr));
+      EXPECT_EQ(diffs[i].cls, want[i].cls);
+    }
+    total += diffs.size();
+  }
+  EXPECT_GT(total, 0u);
+}
+
 TEST(MachineTest, StackIsExcludedFromPersistentDiff) {
   Machine a, b;
   b.memory().poke(L::kStackBase + 5, 77);

@@ -92,7 +92,10 @@ TEST(MemoryRecordSinkTest, DiscardThrowsAwayBufferedBytes) {
 
 class ShardedFileSinkTest : public ::testing::Test {
  protected:
-  std::string base_ = ::testing::TempDir() + "record_sink_test";
+  // One path per test: ctest runs the fixture's tests in parallel.
+  std::string base_ =
+      ::testing::TempDir() + "record_sink_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
 
   std::string sink_path(std::size_t shard,
                         RecordFormat f = RecordFormat::kJsonl) const {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <vector>
+
 namespace xentry::sim {
 namespace {
 
@@ -204,6 +208,223 @@ TEST(MemoryTest, ClearCountsAsMutationForIncrementalRestore) {
   mem.clear();
   mem.restore(snap);
   EXPECT_EQ(mem.peek(0x1), 5u);
+}
+
+TEST(MemoryTest, DirectSpanIsOnePageWindow) {
+  Memory mem;
+  mem.map(0x1000, 130, Perm::ReadWrite, "rw");
+  mem.map(0x2000, 8, Perm::Read, "ro");
+  Memory::DirectSpan s = mem.direct_span(0x1000 + 70);
+  EXPECT_EQ(s.base, 0x1000u + Memory::kPageWords);
+  EXPECT_EQ(s.size, Memory::kPageWords);
+  EXPECT_TRUE(s.writable);
+  s = mem.direct_span(0x1000 + 129);  // partial last page
+  EXPECT_EQ(s.base, 0x1000u + 2 * Memory::kPageWords);
+  EXPECT_EQ(s.size, 2u);
+  EXPECT_EQ(s.gen, &mem.regions()[0].gens[2]);
+  EXPECT_FALSE(mem.direct_span(0x2003).writable);
+  EXPECT_EQ(mem.direct_span(0x3000).size, 0u);
+}
+
+TEST(MemoryTest, PokeSpanBumpsEveryPageItCovers) {
+  Memory mem;
+  mem.map(0x0, 200, Perm::ReadWrite, "r");
+  const std::vector<std::uint64_t> before = mem.regions()[0].gens;
+  Word* w = mem.poke_span(60, 80);  // words 60..139: pages 0, 1 and 2
+  w[79] = 5;
+  const std::vector<std::uint64_t>& after = mem.regions()[0].gens;
+  for (std::size_t p = 0; p < after.size(); ++p) {
+    EXPECT_EQ(after[p], before[p] + (p <= 2 ? 1 : 0)) << "page " << p;
+  }
+  EXPECT_EQ(mem.peek(139), 5u);
+}
+
+TEST(MemoryTest, PageSyncedWithFollowsWritesClearsCopiesAndSources) {
+  Memory golden, faulty, other;
+  for (Memory* m : {&golden, &faulty, &other}) {
+    m->map(0x0, 130, Perm::ReadWrite, "r");
+  }
+  golden.poke(0x5, 1);
+  golden.poke(0x45, 2);
+  other.poke(0x5, 3);
+  const auto synced = [&](const Memory& src, std::size_t page) {
+    return faulty.page_synced_with(src, 0, page);
+  };
+  EXPECT_FALSE(synced(golden, 0));  // never restored
+
+  faulty.restore(golden.snapshot());
+  for (std::size_t p = 0; p < 3; ++p) EXPECT_TRUE(synced(golden, p));
+  EXPECT_FALSE(synced(other, 0));
+
+  golden.poke(0x6, 9);           // golden writes page 0
+  ASSERT_FALSE(faulty.write(0x46, 9));  // faulty writes page 1
+  EXPECT_FALSE(synced(golden, 0));
+  EXPECT_FALSE(synced(golden, 1));
+  EXPECT_TRUE(synced(golden, 2));
+
+  faulty.restore(golden.snapshot());
+  golden.clear();
+  for (std::size_t p = 0; p < 3; ++p) EXPECT_FALSE(synced(golden, p));
+
+  faulty.restore(golden.snapshot());
+  faulty.clear();
+  for (std::size_t p = 0; p < 3; ++p) EXPECT_FALSE(synced(golden, p));
+
+  // Restoring from a different source moves the proof to that source.
+  faulty.restore(golden.snapshot());
+  faulty.restore(other.snapshot());
+  for (std::size_t p = 0; p < 3; ++p) {
+    EXPECT_FALSE(synced(golden, p));
+    EXPECT_TRUE(synced(other, p));
+  }
+  EXPECT_EQ(faulty.peek(0x5), 3u);
+
+  // Copy-assignment gives the target a fresh identity.
+  golden = other;
+  for (std::size_t p = 0; p < 3; ++p) EXPECT_FALSE(synced(golden, p));
+}
+
+/// Seeded differential test of the page-generation machinery against a
+/// naive model that copies every word on every snapshot and restore.
+TEST(MemoryTest, RandomizedOpsMatchFullCopyModel) {
+  using Image = std::vector<std::vector<Word>>;
+  struct Slot {
+    Memory::Snapshot snap;
+    Image model;
+  };
+  // Region sizes cover a one-word region, a region one word short of a
+  // page and regions with a partial last page; "ro" is read-only.
+  const struct {
+    Addr base, size;
+    Perm perm;
+  } layout[] = {{0x0, 1, Perm::ReadWrite},
+                {0x100, 63, Perm::ReadWrite},
+                {0x200, 65, Perm::ReadWrite},
+                {0x400, 130, Perm::ReadWrite},
+                {0x800, 65, Perm::Read}};
+  constexpr std::size_t kMems = 3;
+  constexpr std::size_t kSlots = 4;
+  std::vector<Memory> mems(kMems);
+  std::vector<Image> models(kMems);
+  for (std::size_t m = 0; m < kMems; ++m) {
+    for (const auto& r : layout) {
+      mems[m].map(r.base, r.size, r.perm, "r");
+      models[m].emplace_back(r.size, 0);
+    }
+  }
+  std::vector<Slot> slots(kSlots);
+  std::mt19937_64 rng(20140901);
+  const auto below = [&](std::uint64_t n) {
+    return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(rng);
+  };
+  const std::size_t num_regions = std::size(layout);
+  std::uint64_t proven = 0;  // page pairs the query claimed in sync
+
+  for (int op = 0; op < 6000; ++op) {
+    const std::size_t m = below(kMems);
+    Memory& mem = mems[m];
+    Image& model = models[m];
+    const std::size_t ri = below(num_regions);
+    const Addr off = below(layout[ri].size);
+    const Addr a = layout[ri].base + off;
+    const Word v = rng();
+    const bool rw = layout[ri].perm == Perm::ReadWrite;
+    const std::uint64_t kind = below(9);
+    switch (kind) {
+      case 0: {
+        const Trap t = mem.write(a, v);
+        ASSERT_EQ(t.kind, rw ? TrapKind::None : TrapKind::GeneralProtection);
+        if (rw) model[ri][off] = v;
+        break;
+      }
+      case 1:
+        mem.poke(a, v);
+        model[ri][off] = v;
+        break;
+      case 2: {  // often crosses one or more page boundaries
+        const Addr len = 1 + below(layout[ri].size - off);
+        Word* w = mem.poke_span(a, len);
+        for (Addr i = 0; i < len; ++i) {
+          w[i] = v + i;
+          model[ri][off + i] = v + i;
+        }
+        break;
+      }
+      case 3: {  // the jit's path: one generation bump per write-install
+        const Memory::DirectSpan s = mem.direct_span(a);
+        ASSERT_NE(s.size, 0u);
+        ASSERT_LE(s.size, Memory::kPageWords);
+        if (s.writable) {
+          ++*s.gen;
+          s.data[a - s.base] = v;
+          model[ri][off] = v;
+        }
+        break;
+      }
+      case 4:
+        if (below(20) == 0) {
+          mem.clear();
+          for (auto& r : model) std::fill(r.begin(), r.end(), 0);
+        }
+        break;
+      case 5: {
+        Slot& slot = slots[below(kSlots)];
+        if (below(8) == 0) {
+          slot.snap = mem.snapshot();
+        } else {
+          mem.snapshot_into(slot.snap);
+        }
+        slot.model = model;
+        break;
+      }
+      case 6:
+      case 7: {
+        const Slot& slot = slots[below(kSlots)];
+        if (slot.snap.empty()) break;
+        mem.restore(slot.snap);
+        model = slot.model;
+        break;
+      }
+      case 8:
+        if (below(10) == 0) {
+          const std::size_t src = below(kMems);
+          mems[m] = mems[src];  // fresh identity for the target
+          models[m] = models[src];
+        }
+        break;
+    }
+
+    for (std::size_t i = 0; i < kMems; ++i) {
+      for (std::size_t r = 0; r < num_regions; ++r) {
+        ASSERT_EQ(mems[i].regions()[r].data, models[i][r])
+            << "op " << op << " kind " << kind << " memory " << i;
+      }
+    }
+    for (const Slot& slot : slots) {
+      for (std::size_t r = 0; r < slot.snap.regions.size(); ++r) {
+        ASSERT_EQ(slot.snap.regions[r].data, slot.model[r]) << "op " << op;
+      }
+    }
+    // Soundness of the page query: "in sync" must imply equal words.
+    for (std::size_t i = 0; i < kMems; ++i) {
+      for (std::size_t j = 0; j < kMems; ++j) {
+        for (std::size_t r = 0; r < num_regions; ++r) {
+          const Memory::Region& ri_reg = mems[i].regions()[r];
+          for (std::size_t p = 0; p < ri_reg.pages(); ++p) {
+            if (!mems[i].page_synced_with(mems[j], r, p)) continue;
+            ++proven;
+            const Addr lo = static_cast<Addr>(p) * Memory::kPageWords;
+            for (Addr w = lo; w < lo + ri_reg.page_words(p); ++w) {
+              ASSERT_EQ(ri_reg.data[w], mems[j].regions()[r].data[w])
+                  << "op " << op << ": memory " << i << " claims page " << p
+                  << " of region " << r << " in sync with memory " << j;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(proven, 10000u) << "the query never had anything to prove";
 }
 
 TEST(MemoryTest, BitFlippedPointerLandsOutsideRegions) {
