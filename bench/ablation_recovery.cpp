@@ -32,19 +32,23 @@ int main() {
   };
   std::map<Technique, Tally> by_technique;
 
+  fault::InjectionExperiment::GoldenProbe probe;
   const int trials = bench::scaled(12000);
   for (int i = 0; i < trials; ++i) {
     const hv::Activation act = gen.next();
-    const auto probe = exp.probe_golden(act);
-    if (probe.steps == 0) continue;
+    exp.probe_golden_advance(act, probe);
+    if (probe.steps == 0) {
+      golden.restore(probe.pre);
+      continue;
+    }
     const hv::Injection inj =
         fault::InjectionExperiment::draw_activated_injection(
             rng, probe.trace, golden.microvisor().program);
     // The checkpoint reads the faulty machine, which the experiment only
     // syncs inside run_one: align it with the golden pre-run state first.
-    faulty.restore(golden.snapshot());
+    faulty.restore(probe.pre);
     recovery.checkpoint(act);  // the VM-exit-side copy
-    const auto result = exp.run_one(act, inj);
+    const auto result = exp.run_one(act, inj, probe);
     if (result.record.detected) {
       Tally& t = by_technique[result.record.technique];
       ++t.detections;

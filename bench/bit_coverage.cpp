@@ -12,6 +12,12 @@
 // the run is indistinguishable from golden (consequence Masked, no
 // detection, no trap, no control-flow divergence).
 //
+// run_one resolves provably unactivated flips from the golden trace
+// without executing them, so the record alone would check the map
+// against that scan.  Every tested flip therefore also executes on the
+// faulty machine, and any disagreement between that run and the record
+// (activation, trap, trace) counts as a violation.
+//
 // Output is one JSON object with a per-config breakdown; the process
 // exits non-zero when any configuration's empirical masked fraction
 // falls below 99.9% (the map is *proof*-based, so the expected violation
@@ -52,6 +58,8 @@ struct ConfigScore {
   std::uint64_t tested = 0;
   std::uint64_t masked = 0;
   std::uint64_t violations = 0;
+  std::uint64_t trace_resolved = 0;  ///< records built without a run
+  std::uint64_t disagreements = 0;   ///< executed run vs record
 };
 
 ConfigScore run_config(const hv::MicrovisorOptions& opt, int samples,
@@ -75,6 +83,7 @@ ConfigScore run_config(const hv::MicrovisorOptions& opt, int samples,
 
   sim::SplitMix64 sm(seed ^ 0xbf58476d1ce4e5b9ull);
   fault::InjectionExperiment::GoldenProbe probe;
+  std::vector<sim::Addr> trace;
   for (int a = 0; a < activations; ++a) {
     const hv::Activation act = gen.next();
     experiment.probe_golden_advance(act, probe);
@@ -101,8 +110,31 @@ ConfigScore run_config(const hv::MicrovisorOptions& opt, int samples,
       const fault::InjectionExperiment::Result r =
           experiment.run_one(act, inj, probe);
       ++score.tested;
+      score.trace_resolved += r.executed ? 0 : 1;
       const fault::InjectionRecord& rec = r.record;
-      const bool benign = rec.consequence == fault::Consequence::Masked &&
+
+      faulty.restore(probe.pre);
+      trace.clear();
+      hv::RunOptions opts;
+      opts.injection = &inj;
+      opts.trace = &trace;
+      const hv::RunResult run = faulty.run(act, opts);
+      const bool agrees = run.activated == rec.activated &&
+                          run.trap.kind == rec.trap &&
+                          (trace != probe.trace) == rec.trace_diverged;
+      if (!agrees && ++score.disagreements <= 8) {
+        std::fprintf(stderr,
+                     "[bit_coverage] DISAGREEMENT %s: step=%llu reg=%d "
+                     "bit=%d executed activated=%d trap=%d, record "
+                     "activated=%d trap=%d\n",
+                     score.name.c_str(),
+                     static_cast<unsigned long long>(inj.at_step),
+                     static_cast<int>(inj.reg), inj.bit,
+                     run.activated ? 1 : 0, static_cast<int>(run.trap.kind),
+                     rec.activated ? 1 : 0, static_cast<int>(rec.trap));
+      }
+      const bool benign = agrees &&
+                          rec.consequence == fault::Consequence::Masked &&
                           !rec.detected && !rec.trace_diverged &&
                           rec.trap == sim::TrapKind::None;
       if (benign) {
@@ -143,17 +175,20 @@ int main(int argc, char** argv) {
   };
 
   std::vector<ConfigScore> scores;
-  std::uint64_t total_tested = 0, total_masked = 0;
+  std::uint64_t total_tested = 0, total_masked = 0, total_resolved = 0,
+                total_disagreements = 0;
   bool pass = true;
   for (const hv::MicrovisorOptions& o : configs) {
     ConfigScore s = run_config(o, samples, activations, seed);
     total_tested += s.tested;
     total_masked += s.masked;
+    total_resolved += s.trace_resolved;
+    total_disagreements += s.disagreements;
     const double frac =
         s.tested > 0 ? static_cast<double>(s.masked) /
                            static_cast<double>(s.tested)
                      : 1.0;
-    if (frac < 0.999 || s.tested == 0) pass = false;
+    if (frac < 0.999 || s.tested == 0 || s.disagreements > 0) pass = false;
     scores.push_back(std::move(s));
   }
 
@@ -163,22 +198,30 @@ int main(int argc, char** argv) {
     std::printf(
         "    {\"config\": \"%s\", \"predicted_masked_fraction\": %.4f, "
         "\"tested\": %llu, \"empirically_masked\": %llu, "
-        "\"violations\": %llu}%s\n",
+        "\"violations\": %llu, \"trace_resolved\": %llu, "
+        "\"executed_disagreements\": %llu}%s\n",
         s.name.c_str(), s.masked_fraction,
         static_cast<unsigned long long>(s.tested),
         static_cast<unsigned long long>(s.masked),
         static_cast<unsigned long long>(s.violations),
+        static_cast<unsigned long long>(s.trace_resolved),
+        static_cast<unsigned long long>(s.disagreements),
         i + 1 < scores.size() ? "," : "");
   }
   std::printf(
       "  ],\n  \"total_tested\": %llu,\n  \"total_masked\": %llu,\n"
-      "  \"pass\": %s\n}\n",
+      "  \"total_trace_resolved\": %llu,\n"
+      "  \"total_executed_disagreements\": %llu,\n  \"pass\": %s\n}\n",
       static_cast<unsigned long long>(total_tested),
-      static_cast<unsigned long long>(total_masked), pass ? "true" : "false");
+      static_cast<unsigned long long>(total_masked),
+      static_cast<unsigned long long>(total_resolved),
+      static_cast<unsigned long long>(total_disagreements),
+      pass ? "true" : "false");
   if (!pass) {
     std::fprintf(stderr,
                  "[bit_coverage] FAIL: empirical masked fraction below "
-                 "99.9%% (or no samples) in at least one config\n");
+                 "99.9%% (or no samples, or an executed run disagreeing "
+                 "with its record) in at least one config\n");
     return 1;
   }
   std::fprintf(stderr, "[bit_coverage] OK: %llu/%llu predicted-benign "

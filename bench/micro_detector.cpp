@@ -81,12 +81,13 @@ void BM_InjectionExperiment(benchmark::State& state) {
   const auto act = golden.make_activation(
       hv::ExitReason::hypercall(hv::Hypercall::grant_table_op), 3);
   std::mt19937_64 rng(5);
+  fault::InjectionExperiment::GoldenProbe probe;
   for (auto _ : state) {
-    auto probe = exp.probe_golden(act);
+    exp.probe_golden_advance(act, probe);
     const hv::Injection inj = fault::InjectionExperiment::
         draw_activated_injection(rng, probe.trace,
                                  golden.microvisor().program);
-    benchmark::DoNotOptimize(exp.run_one(act, inj));
+    benchmark::DoNotOptimize(exp.run_one(act, inj, probe));
   }
 }
 BENCHMARK(BM_InjectionExperiment);

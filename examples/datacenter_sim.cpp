@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
               faults_per_million);
 
   std::size_t total = 0, faults = 0, detected = 0, escaped = 0, benign = 0;
+  fault::InjectionExperiment::GoldenProbe probe;
   for (int s = 0; s < seconds; ++s) {
     // Scale the second down so the demo stays interactive: simulate
     // rate/100 activations per wall second.
@@ -67,12 +68,15 @@ int main(int argc, char** argv) {
         continue;
       }
       ++faults;
-      const auto probe = experiment.probe_golden(act);
-      if (probe.steps == 0) continue;
+      experiment.probe_golden_advance(act, probe);
+      if (probe.steps == 0) {
+        golden.restore(probe.pre);
+        continue;
+      }
       const hv::Injection inj =
           fault::InjectionExperiment::draw_activated_injection(
               rng, probe.trace, golden.microvisor().program);
-      const auto result = experiment.run_one(act, inj);
+      const auto result = experiment.run_one(act, inj, probe);
       if (result.record.detected) {
         ++detected;
         ++sec_detected;

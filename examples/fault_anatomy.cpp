@@ -29,8 +29,9 @@ void show_case(const char* title, hv::Machine& golden, hv::Machine& faulty,
               (unsigned long)inj.at_step);
 
   fault::InjectionExperiment exp(golden, faulty, xentry);
-  const auto probe = exp.probe_golden(act);
-  const auto result = exp.run_one(act, inj);
+  fault::InjectionExperiment::GoldenProbe probe;
+  exp.probe_golden_advance(act, probe);
+  const auto result = exp.run_one(act, inj, probe);
   const auto& rec = result.record;
 
   std::printf("golden:  %lu instructions\n", (unsigned long)probe.steps);

@@ -242,6 +242,8 @@ struct CampaignMetricHandles {
   obs::Counter* blackbox_dumps = nullptr;
   /// Importance sampling only: slots resolved without a faulted run.
   obs::Counter* analytic_slots = nullptr;
+  /// Faulted runs resolved from the golden trace (provably unactivated).
+  obs::Counter* unactivated_resolved = nullptr;
   // Forensics (null unless obs.forensics && obs.metrics).
   obs::Counter* forensics_replays = nullptr;
   obs::Counter* forensics_replay_steps = nullptr;
@@ -328,7 +330,7 @@ CampaignResult run_shard(
     faulty.set_execution_engine(cfg.xentry.engine, compiled);
   }
   // Rewind the golden machine to the checkpointed image before telemetry
-  // attaches (the faulty machine realigns from the golden probe every
+  // attaches (the faulty machine realigns from the golden probe on every
   // injection, so only golden state is journaled).
   if (resume != nullptr) restore_machine(golden, *resume);
 
@@ -368,6 +370,8 @@ CampaignResult run_shard(
     cm.detected = &result.metrics.counter("campaign.detected");
     cm.golden_steps = &result.metrics.counter("campaign.golden_steps");
     cm.blackbox_dumps = &result.metrics.counter("campaign.blackbox_dumps");
+    cm.unactivated_resolved =
+        &result.metrics.counter("campaign.unactivated_resolved");
     if (cfg.sampling.importance) {
       cm.analytic_slots = &result.metrics.counter("campaign.analytic_slots");
     }
@@ -565,6 +569,9 @@ CampaignResult run_shard(
           obs::TraceRecorder::Span span(tr, "phase:faulted_run", tid);
           span.arg("at_step", inj.at_step);
           r = experiment.run_one(act, inj, probe);
+        }
+        if (!r.executed && cm.unactivated_resolved != nullptr) {
+          cm.unactivated_resolved->inc();
         }
         if (sampler != nullptr) {
           r.record.weight = prop.live_mass;

@@ -85,20 +85,23 @@ hv::Injection InjectionExperiment::draw_activated_injection(
   return inj;
 }
 
-InjectionExperiment::Result InjectionExperiment::run_one(
-    const hv::Activation& activation, const hv::Injection& injection) {
-  // Two-run convenience path: execute the golden run here, then reuse it.
-  probe_golden_advance(activation, scratch_probe_);
-  return run_faulted(activation, injection, scratch_probe_);
+bool InjectionExperiment::unread_on_golden_path(
+    const sim::Program& program, const GoldenProbe& probe,
+    const hv::Injection& injection) {
+  if (injection.reg == sim::Reg::rip || !probe.reached_vm_entry ||
+      injection.at_step >= probe.trace.size()) {
+    return false;
+  }
+  const std::uint32_t target = sim::reg_bit(injection.reg);
+  for (std::size_t i = injection.at_step; i < probe.trace.size(); ++i) {
+    const sim::Instruction& insn = program.at(probe.trace[i]);
+    if (sim::regs_read(insn) & target) return false;
+    if (sim::regs_written(insn) & target) return true;
+  }
+  return true;
 }
 
 InjectionExperiment::Result InjectionExperiment::run_one(
-    const hv::Activation& activation, const hv::Injection& injection,
-    const GoldenProbe& probe) {
-  return run_faulted(activation, injection, probe);
-}
-
-InjectionExperiment::Result InjectionExperiment::run_faulted(
     const hv::Activation& activation, const hv::Injection& injection,
     const GoldenProbe& probe) {
   Result out;
@@ -107,13 +110,31 @@ InjectionExperiment::Result InjectionExperiment::run_faulted(
   rec.activation_seed = activation.seed;
   rec.vcpu = activation.vcpu;
   rec.injection = injection;
+  out.golden_ok = probe.reached_vm_entry;
+  out.golden_features =
+      FeatureVector::from(activation.reason, probe.counters);
+
+  if (unread_on_golden_path(golden_.microvisor().program, probe,
+                            injection)) {
+    // Non-activated faults never affect correctness (Section V-B), and
+    // the faulted run would retire exactly the golden instructions: take
+    // its observables from the probe instead of executing it.
+    hv::RunResult run;
+    run.reached_vm_entry = true;
+    run.steps = probe.steps;
+    run.injected = true;
+    if (xentry_.arms_counters()) run.counters = probe.counters;
+    faulty_.record_flight_frame(activation, run);
+    rec.injected = true;
+    rec.features = FeatureVector::from(activation.reason, run.counters);
+    rec.consequence = Consequence::Masked;
+    return out;
+  }
 
   // The golden run already happened (probe); the golden machine sits at
   // its post-run state.  Align the faulted machine with the pre-run state.
   faulty_.restore(probe.pre);
-  out.golden_ok = probe.reached_vm_entry;
-  out.golden_features =
-      FeatureVector::from(activation.reason, probe.counters);
+  out.executed = true;
 
   // Faulted run under Xentry interception.
   fault_trace_.clear();

@@ -71,6 +71,11 @@ class InjectionExperiment {
     InjectionRecord record;
     FeatureVector golden_features;  ///< a labelled-correct training sample
     bool golden_ok = false;  ///< golden run reached VM entry (sanity)
+    /// The faulted run executed on the faulty machine.  False when the
+    /// golden trace proved the flip unactivated (unread_on_golden_path)
+    /// and the record was built without a run; the faulty machine's state
+    /// after run_one is defined only when this is true.
+    bool executed = false;
   };
 
   /// Everything one clean execution of an activation yields: dynamic
@@ -87,28 +92,37 @@ class InjectionExperiment {
     hv::Machine::Snapshot pre;
   };
 
-  /// Runs one experiment from the golden machine's current state.  The
-  /// faulty machine is synced on use: whatever state it holds is replaced
-  /// by the golden pre-run state before the faulted run.  Both machines
-  /// end in their respective post-run states, so a stream of calls
-  /// naturally advances along the golden path.
-  Result run_one(const hv::Activation& activation,
-                 const hv::Injection& injection);
-
-  /// Golden-run-reuse fast path: runs only the faulted machine (synced
-  /// from `probe.pre` first), taking the golden run's trace/counters/steps
-  /// from `probe` (which must come from probe_golden_advance with the
-  /// same activation — its run IS this experiment's golden run, and the
-  /// golden machine is already at its post-run state).  Halves golden
-  /// executions per injection versus probe_golden + run_one, with
-  /// bit-identical results.
+  /// Runs one experiment.  `probe` must come from probe_golden_advance
+  /// with the same activation: its run IS this experiment's golden run,
+  /// and the golden machine already sits at its post-run state.  When
+  /// the golden trace proves the flip unactivated (unread_on_golden_path)
+  /// the record is built from `probe` alone: Masked, features from the
+  /// golden counters (when Xentry arms them), the flight frame the run
+  /// would have appended.  Otherwise the faulty machine is synced on
+  /// execution (restored to `probe.pre`) and runs the activation under
+  /// Xentry interception.  Either way the record is bit-identical to the
+  /// executed one.
   Result run_one(const hv::Activation& activation,
                  const hv::Injection& injection, const GoldenProbe& probe);
 
+  /// Whether `probe`'s golden trace alone proves `injection` unactivated
+  /// (paper Section V-B: a flip is activated only if the register is read
+  /// before it is overwritten).  Walks the trace from `at_step` with the
+  /// static masks the watch window of Machine::run uses (sim::regs_read,
+  /// then sim::regs_written; a read takes precedence) and answers true
+  /// when the register is overwritten before any read or never touched
+  /// again.  Never true for rip, for a golden run that did not reach VM
+  /// entry, or for a flip past the end of the trace.  Until the flip is
+  /// read the faulted run retires exactly the golden instructions, so the
+  /// verdict equals the executed run's `activated`.
+  static bool unread_on_golden_path(const sim::Program& program,
+                                    const GoldenProbe& probe,
+                                    const hv::Injection& injection);
+
   /// Runs the activation fault-free on the golden machine only (a stream
   /// gap between experiments).  The faulty machine is left stale: every
-  /// run_one re-syncs it from the golden pre-run state first, so syncing
-  /// it here would be dead work.
+  /// executed run_one re-syncs it from the golden pre-run state first, so
+  /// syncing it here would be dead work.
   void advance(const hv::Activation& activation);
 
   /// Attaches the shard's VM-exit ring: when an injection's outcome is
@@ -142,18 +156,15 @@ class InjectionExperiment {
   /// draws).  Restores the golden machine to its pre-run state afterwards.
   GoldenProbe probe_golden(const hv::Activation& activation);
 
-  /// Campaign fast path: like probe_golden, but the golden machine is
-  /// LEFT AT ITS POST-RUN STATE (the probe run is the golden run) and
-  /// `probe`'s buffers are reused.  Pair with run_one(act, inj, probe);
+  /// Like probe_golden, but the golden machine is LEFT AT ITS POST-RUN
+  /// STATE (the probe run is the golden run) and `probe`'s buffers are
+  /// reused.  Pair with run_one(act, inj, probe);
   /// to abandon the probe instead (e.g. a degenerate zero-step
   /// activation), rewind with `machine.restore(probe.pre)`.
   void probe_golden_advance(const hv::Activation& activation,
                             GoldenProbe& probe);
 
  private:
-  Result run_faulted(const hv::Activation& activation,
-                     const hv::Injection& injection,
-                     const GoldenProbe& probe);
   std::vector<hv::StateDiff> consumed_diffs(
       const std::vector<hv::StateDiff>& diffs, const hv::Activation& act,
       const hv::Injection& inj) const;
@@ -177,7 +188,6 @@ class InjectionExperiment {
 
   // Scratch buffers reused across injections (allocation hygiene: the
   // campaign loop must not reallocate traces/snapshots per run).
-  GoldenProbe scratch_probe_;          ///< for the two-run run_one overload
   hv::Machine::Snapshot forensics_post_;  ///< golden post-state across replay
   std::vector<sim::Addr> fault_trace_; ///< faulted run's control-flow trace
 };

@@ -693,22 +693,26 @@ RunResult Machine::run(const Activation& act, const RunOptions& opts) {
   cpu_.set_mask_tracking(true);
 
   if (tracing) span.arg("steps", result.steps);
-  if (telemetry_ != nullptr && telemetry_->flight != nullptr) {
-    obs::FlightFrame frame;
-    frame.exit_code = act.reason.code();
-    frame.steps = result.steps;
-    frame.inst_retired = result.counters.inst_retired;
-    frame.branches = result.counters.branches;
-    frame.loads = result.counters.loads;
-    frame.stores = result.counters.stores;
-    frame.source = telemetry_->flight_source;
-    frame.reached_vm_entry = result.reached_vm_entry;
-    frame.trap_kind = static_cast<std::uint8_t>(result.trap.kind);
-    frame.trap_aux = result.trap.aux;
-    frame.trap_addr = result.trap.fault_addr;
-    telemetry_->flight->append(frame);
-  }
+  record_flight_frame(act, result);
   return result;
+}
+
+void Machine::record_flight_frame(const Activation& act,
+                                  const RunResult& result) const {
+  if (telemetry_ == nullptr || telemetry_->flight == nullptr) return;
+  obs::FlightFrame frame;
+  frame.exit_code = act.reason.code();
+  frame.steps = result.steps;
+  frame.inst_retired = result.counters.inst_retired;
+  frame.branches = result.counters.branches;
+  frame.loads = result.counters.loads;
+  frame.stores = result.counters.stores;
+  frame.source = telemetry_->flight_source;
+  frame.reached_vm_entry = result.reached_vm_entry;
+  frame.trap_kind = static_cast<std::uint8_t>(result.trap.kind);
+  frame.trap_aux = result.trap.aux;
+  frame.trap_addr = result.trap.fault_addr;
+  telemetry_->flight->append(frame);
 }
 
 Machine::Snapshot Machine::snapshot() const {

@@ -166,6 +166,14 @@ class Machine {
     telemetry_ = telemetry;
   }
 
+  /// Appends `result`'s VM-exit frame to the attached flight recorder (a
+  /// no-op without one).  run() calls it at the end of every activation;
+  /// a caller that resolves a run without executing it appends the frame
+  /// that run would have left, so the ring's contents and sequence
+  /// numbers do not depend on which runs were skipped.
+  void record_flight_frame(const Activation& activation,
+                           const RunResult& result) const;
+
  private:
   void map_regions();
   void init_boot_state();

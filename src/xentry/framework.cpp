@@ -54,7 +54,7 @@ Observation Xentry::observe(hv::Machine& machine,
                             const hv::Activation& activation,
                             hv::RunOptions opts) {
   const bool timing = timing_active();
-  opts.arm_counters = cfg_.transition_detection || timing;
+  opts.arm_counters = arms_counters();
   const bool cfi = cfi_active();
   if (cfi && opts.trace == nullptr) {
     // CFI replays the retired-instruction trace; attach a sink when the

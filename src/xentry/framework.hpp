@@ -124,6 +124,13 @@ class Xentry {
   Observation observe(hv::Machine& machine, const hv::Activation& activation,
                       hv::RunOptions opts = {});
 
+  /// Whether observe() arms the performance counters: transition
+  /// detection and timing envelopes read them, nothing else does.  An
+  /// unarmed run reports all-zero counters (and features).
+  bool arms_counters() const {
+    return cfg_.transition_detection || timing_active();
+  }
+
  private:
   void record_detection_metrics(const Observation& obs);
   void check_control_flow(hv::Machine& machine,

@@ -585,6 +585,19 @@ TEST(CampaignTest, MetricsMatchRecordStream) {
   EXPECT_EQ(res.metrics.find_counter("campaign.manifested")->value(),
             manifested);
   EXPECT_EQ(res.metrics.find_counter("campaign.detected")->value(), detected);
+  // Every unactivated flip of this uniform campaign is resolved from the
+  // golden trace; every other one executes under Xentry, whose counters
+  // cover executed runs only.
+  ASSERT_NE(res.metrics.find_counter("campaign.unactivated_resolved"),
+            nullptr);
+  const std::uint64_t resolved =
+      res.metrics.find_counter("campaign.unactivated_resolved")->value();
+  EXPECT_EQ(resolved, res.records.size() - activated);
+  EXPECT_GT(resolved, 0u);
+  ASSERT_NE(res.metrics.find_counter("xentry.observations"), nullptr);
+  EXPECT_EQ(resolved +
+                res.metrics.find_counter("xentry.observations")->value(),
+            res.metrics.find_counter("campaign.injections")->value());
   ASSERT_NE(res.metrics.find_gauge("campaign.shards"), nullptr);
   EXPECT_EQ(res.metrics.find_gauge("campaign.shards")->value(), 2);
   EXPECT_GT(res.metrics.find_gauge("campaign.elapsed_us")->value(), 0);

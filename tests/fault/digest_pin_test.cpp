@@ -103,5 +103,37 @@ TEST(DigestPinTest, BinaryStreamedWithCheckpoint) {
                       0x6b4f35cc7be7acb9ull);
 }
 
+TEST(DigestPinTest, FlightRecorderBlackbox) {
+  // The flight-recorder campaign of CampaignTest: every frame of every
+  // record's blackbox, `seq` included, so a faulted run that skips its
+  // frame (or appends a different one) moves the pin.
+  CampaignConfig cfg;
+  cfg.injections = 600;
+  cfg.seed = 9;
+  cfg.shards = 2;
+  cfg.xentry.transition_detection = false;
+  cfg.obs.flight_recorder = true;
+  cfg.obs.flight_recorder_depth = 8;
+  const auto res = run_campaign(cfg);
+  std::uint64_t h = kDigestBasis;
+  std::size_t frames = 0;
+  for (const InjectionRecord& r : res.records) {
+    for (const obs::FlightFrame& f : r.blackbox) {
+      for (const std::uint64_t v :
+           {f.seq, static_cast<std::uint64_t>(f.exit_code), f.steps,
+            f.inst_retired, f.branches, f.loads, f.stores,
+            static_cast<std::uint64_t>(f.source),
+            static_cast<std::uint64_t>(f.reached_vm_entry),
+            static_cast<std::uint64_t>(f.trap_kind),
+            static_cast<std::uint64_t>(f.trap_aux), f.trap_addr}) {
+        h = fnv1a(h, v);
+      }
+      ++frames;
+    }
+  }
+  ASSERT_GT(frames, 0u);
+  EXPECT_EQ(h, 0x45f60422395ac8eeull) << std::hex << h;
+}
+
 }  // namespace
 }  // namespace xentry::fault

@@ -12,6 +12,15 @@ struct Rig {
   InjectionExperiment exp{golden, faulty, xentry};
 };
 
+/// One experiment from the golden machine's current state: the golden
+/// probe run, then the faulted run (which reuses it).
+InjectionExperiment::Result run_one(Rig& rig, const hv::Activation& act,
+                                    const hv::Injection& inj) {
+  InjectionExperiment::GoldenProbe probe;
+  rig.exp.probe_golden_advance(act, probe);
+  return rig.exp.run_one(act, inj, probe);
+}
+
 TEST(ExperimentTest, GoldenProbeRestoresState) {
   Rig rig;
   const auto act = rig.golden.make_activation(
@@ -44,8 +53,9 @@ TEST(ExperimentTest, GoldenProbeAdvanceLeavesPostRunStateAndFillsProbe) {
 }
 
 TEST(ExperimentTest, ProbeReuseRunOneMatchesTwoRunPath) {
-  // The golden-run-reuse fast path must produce bit-identical results to
-  // the legacy path that re-executes the golden run inside run_one.
+  // Golden-run reuse must produce bit-identical results to executing the
+  // golden run twice: once by the restoring probe_golden, once more as
+  // the experiment's own golden run.
   Rig legacy, fast;
   std::vector<hv::Activation> acts;
   for (int i = 0; i < 20; ++i) {
@@ -60,7 +70,8 @@ TEST(ExperimentTest, ProbeReuseRunOneMatchesTwoRunPath) {
     const auto ref_probe = legacy.exp.probe_golden(act);
     const hv::Injection inj_a = InjectionExperiment::draw_activated_injection(
         rng_a, ref_probe.trace, legacy.golden.microvisor().program);
-    const auto a = legacy.exp.run_one(act, inj_a);
+    legacy.golden.run(act);
+    const auto a = legacy.exp.run_one(act, inj_a, ref_probe);
 
     fast.exp.probe_golden_advance(act, probe);
     const hv::Injection inj_b = InjectionExperiment::draw_activated_injection(
@@ -70,6 +81,7 @@ TEST(ExperimentTest, ProbeReuseRunOneMatchesTwoRunPath) {
     ASSERT_EQ(inj_a.at_step, inj_b.at_step);
     ASSERT_EQ(inj_a.reg, inj_b.reg);
     ASSERT_EQ(inj_a.bit, inj_b.bit);
+    EXPECT_EQ(a.executed, b.executed);
     EXPECT_EQ(a.golden_ok, b.golden_ok);
     EXPECT_EQ(a.golden_features.as_array(), b.golden_features.as_array());
     EXPECT_EQ(a.record.activated, b.record.activated);
@@ -109,7 +121,7 @@ TEST(ExperimentTest, ActivatedDrawWithEmptyTraceIsWellFormed) {
 
 TEST(ExperimentTest, AdvanceKeepsMachinesInLockstep) {
   // advance() runs only the golden machine; the faulty machine is synced
-  // on use.  A stream with the lazy sync must yield the same records as
+  // on execution.  A stream with the lazy sync must yield the same records as
   // the same stream with an explicit eager sync after every advance.
   Rig lazy, eager;
   const auto& reasons = hv::all_exit_reasons();
@@ -158,8 +170,9 @@ TEST(ExperimentTest, AdvanceKeepsMachinesInLockstep) {
   }
   EXPECT_EQ(lazy.golden.memory().snapshot(), eager.golden.memory().snapshot());
 
-  // A non-activated injection after a run of advances leaves no diff: the
-  // stale faulty machine was re-synced before its run.
+  // A non-activated injection the golden trace resolves is never
+  // executed, so the stale faulty machine is not synced and keeps the
+  // state it had before the call.
   Rig rig;
   for (int i = 0; i < 5; ++i) {
     rig.exp.advance(rig.golden.make_activation(
@@ -167,10 +180,11 @@ TEST(ExperimentTest, AdvanceKeepsMachinesInLockstep) {
   }
   const auto act = rig.golden.make_activation(
       hv::ExitReason::apic(hv::ApicInterrupt::spurious), 9, 0);
-  const auto r = rig.exp.run_one(act, hv::Injection{1, sim::Reg::rdx, 30});
+  const auto faulty_before = rig.faulty.memory().snapshot();
+  const auto r = run_one(rig, act, hv::Injection{1, sim::Reg::rdx, 30});
   ASSERT_FALSE(r.record.activated);
-  EXPECT_TRUE(hv::Machine::diff_persistent_state(rig.golden, rig.faulty)
-                  .empty());
+  EXPECT_FALSE(r.executed);
+  EXPECT_EQ(rig.faulty.memory().snapshot(), faulty_before);
 }
 
 TEST(ExperimentTest, NonActivatedFaultIsMasked) {
@@ -179,7 +193,7 @@ TEST(ExperimentTest, NonActivatedFaultIsMasked) {
       hv::ExitReason::apic(hv::ApicInterrupt::spurious), 9, 0);
   // The spurious handler never touches rdx.
   hv::Injection inj{1, sim::Reg::rdx, 30};
-  auto r = rig.exp.run_one(act, inj);
+  auto r = run_one(rig, act, inj);
   EXPECT_TRUE(r.golden_ok);
   EXPECT_TRUE(r.record.injected);
   EXPECT_FALSE(r.record.activated);
@@ -192,7 +206,7 @@ TEST(ExperimentTest, RipFlipIsHypervisorCrashDetectedByHardware) {
   const auto act = rig.golden.make_activation(
       hv::ExitReason::hypercall(hv::Hypercall::console_io), 8, 2);
   hv::Injection inj{3, sim::Reg::rip, 45};
-  auto r = rig.exp.run_one(act, inj);
+  auto r = run_one(rig, act, inj);
   EXPECT_EQ(r.record.consequence, Consequence::HypervisorCrash);
   EXPECT_TRUE(r.record.detected);
   EXPECT_EQ(r.record.technique, Technique::HardwareException);
@@ -205,7 +219,7 @@ TEST(ExperimentTest, GoldenFeaturesAreCorrectSample) {
   const auto act = rig.golden.make_activation(
       hv::ExitReason::hypercall(hv::Hypercall::xen_version), 4);
   hv::Injection inj{0, sim::Reg::rip, 50};
-  auto r = rig.exp.run_one(act, inj);
+  auto r = run_one(rig, act, inj);
   EXPECT_TRUE(r.golden_ok);
   EXPECT_GT(r.golden_features.rt, 0);
   EXPECT_EQ(r.golden_features.vmer, act.reason.code());
@@ -233,7 +247,7 @@ TEST(ExperimentTest, ActivatedDrawPicksReadRegisters) {
   for (int i = 0; i < trials; ++i) {
     hv::Injection inj = InjectionExperiment::draw_activated_injection(
         rng, probe.trace, rig.golden.microvisor().program);
-    auto r = rig.exp.run_one(act, inj);
+    auto r = run_one(rig, act, inj);
     activated += r.record.activated ? 1 : 0;
   }
   // Activation is near-certain by construction (the register is read by

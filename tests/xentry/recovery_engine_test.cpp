@@ -68,7 +68,9 @@ TEST(RecoveryEngineTest, RecoveryAfterDetectedInjectionRestoresGoldenState) {
   rec.checkpoint(act);  // VM-exit side
 
   const hv::Injection inj{1, sim::Reg::rip, 45};  // guaranteed #PF
-  const auto result = exp.run_one(act, inj);
+  fault::InjectionExperiment::GoldenProbe probe;
+  exp.probe_golden_advance(act, probe);
+  const auto result = exp.run_one(act, inj, probe);
   ASSERT_TRUE(result.record.detected);
 
   const hv::RunResult rerun = rec.recover();
