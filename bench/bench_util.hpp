@@ -5,9 +5,13 @@
 // e.g. 0.1 for a quick pass).
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <string>
+#include <system_error>
 
 #include "fault/campaign.hpp"
 #include "fault/record_io.hpp"
@@ -74,6 +78,35 @@ inline fault::CampaignResult run_eval_campaign(const ml::RuleSet& model,
   cfg.model = model;
   cfg.workload = pooled_benchmark_profile();
   return fault::run_campaign(cfg);
+}
+
+/// Strict parse of one command-line number: the whole of `text` must be
+/// one number within [lo, hi].  Integers are plain decimal (no
+/// whitespace, no '+', no '-' for unsigned types); floating-point values
+/// use std::from_chars' general format, and NaN fails the range check.
+/// Anything else, including an out-of-range value, returns nullopt.
+template <typename T>
+std::optional<T> parse_number(const char* text, T lo, T hi) {
+  const char* const end = text + std::strlen(text);
+  T v{};
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end || !(v >= lo && v <= hi)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+/// parse_number for a CLI argument named `what`: on failure prints the
+/// offending value and `usage` to stderr and exits with status 2.
+template <typename T>
+T parse_number_or_exit(const char* prog, const char* what, const char* text,
+                       T lo, T hi, const char* usage) {
+  const std::optional<T> v = parse_number(text, lo, hi);
+  if (!v.has_value()) {
+    std::fprintf(stderr, "%s: bad %s '%s'\n%s", prog, what, text, usage);
+    std::exit(2);
+  }
+  return *v;
 }
 
 inline void print_header(const std::string& title) {

@@ -41,11 +41,14 @@ int main() {
 
     // Measure Xentry's per-activation work over this workload's mix.
     double asserts_sum = 0, cmps_sum = 0;
+    std::vector<sim::Addr> trace;
     for (int i = 0; i < probe_activations; ++i) {
+      trace.clear();
       hv::RunOptions opts;
-      opts.count_assertions = true;
+      opts.trace = &trace;
       const hv::RunResult res = machine.run(gen.next(), opts);
-      asserts_sum += static_cast<double>(res.assertions_executed);
+      asserts_sum +=
+          static_cast<double>(machine.executed_assertions(trace, res));
       int cmps = 0;
       const auto arr =
           FeatureVector::from(hv::ExitReason::softirq(), res.counters)

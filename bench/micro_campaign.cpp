@@ -13,7 +13,7 @@
 // trajectory.  A fourth argument enables the campaign progress heartbeat
 // on stderr (stdout stays pure JSON).
 // Usage:  micro_campaign [injections] [shards] [seed] [heartbeat_sec]
-//                        [--engine fast|reference|jit] [--sampling]
+//                        [--engine fast|reference] [--sampling]
 //                        [--metrics-out FILE] [--forensics-out FILE]
 //                        [--records-out PATH] [--records-format jsonl|bin]
 //                        [--checkpoint PATH] [--help]
@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -125,7 +126,7 @@ CampaignScore time_campaign(int injections, int shards, std::uint64_t seed,
   cfg.xentry.transition_detection = cfg.collect_dataset;
   cfg.xentry.engine = engine;
   cfg.sampling.importance = sampling;
-  if (engine == sim::EngineKind::Jit || sampling) {
+  if (sampling) {
     cfg.analysis = std::make_shared<analysis::AnalysisArtifacts>(
         analysis::analyze_program(hv::build_microvisor(cfg.machine).program));
   }
@@ -225,10 +226,13 @@ SnapshotScore time_snapshot(double budget_sec) {
   return score;
 }
 
+constexpr const char* kUsage =
+    "usage: micro_campaign [injections] [shards] [seed] [heartbeat_sec]\n"
+    "                      [options]\n";
+
 void print_help() {
   std::printf(
-      "usage: micro_campaign [injections] [shards] [seed] [heartbeat_sec]\n"
-      "                      [options]\n"
+      "%s"
       "\n"
       "Positional (all optional):\n"
       "  injections       campaign size (default 2000)\n"
@@ -239,13 +243,12 @@ void print_help() {
       "off)\n"
       "\n"
       "Options:\n"
-      "  --engine fast|reference|jit\n"
+      "  --engine fast|reference\n"
       "                   execution engine for the campaign machines "
       "(default\n"
-      "                   fast; jit runs analyze_program first and compiles "
-      "the\n"
-      "                   threaded stream).  records_digest must be\n"
-      "                   bit-identical across all three — CI asserts it.\n"
+      "                   fast).  records_digest must be bit-identical "
+      "across\n"
+      "                   both — CI asserts it.\n"
       "  --sampling       masking-aware importance sampling: runs\n"
       "                   analyze_program for the vulnerability map and "
       "skips\n"
@@ -276,12 +279,15 @@ void print_help() {
       "  --checkpoint-every N\n"
       "                   shard iterations between checkpoints (default "
       "1024)\n"
-      "  --help           this text\n");
+      "  --help           this text\n",
+      kUsage);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const char* const prog = "micro_campaign";
+  constexpr int kIntMax = std::numeric_limits<int>::max();
   std::string metrics_out, forensics_out;
   sim::EngineKind engine = sim::EngineKind::Fast;
   bool sampling = false;
@@ -303,7 +309,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--checkpoint" && i + 1 < argc) {
       streaming.checkpoint = argv[++i];
     } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-      streaming.checkpoint_every = std::atoi(argv[++i]);
+      streaming.checkpoint_every = bench::parse_number_or_exit(
+          prog, "--checkpoint-every", argv[++i], 1, kIntMax, kUsage);
     } else if (arg == "--records-format" && i + 1 < argc) {
       const auto fmt = obs::record_format_from_name(argv[++i]);
       if (!fmt.has_value()) {
@@ -320,26 +327,43 @@ int main(int argc, char** argv) {
         engine = sim::EngineKind::Fast;
       } else if (name == "reference") {
         engine = sim::EngineKind::Reference;
-      } else if (name == "jit") {
-        engine = sim::EngineKind::Jit;
       } else {
         std::fprintf(stderr,
                      "micro_campaign: unknown --engine '%s' (want "
-                     "fast|reference|jit)\n",
-                     name.c_str());
+                     "fast|reference)\n%s",
+                     name.c_str(), kUsage);
         return 2;
       }
+    } else if (arg.rfind("--", 0) == 0 || positional.size() == 4) {
+      std::fprintf(stderr,
+                   "micro_campaign: unexpected argument '%s' (unknown "
+                   "option, option without its value, or a fifth "
+                   "positional)\n%s",
+                   argv[i], kUsage);
+      return 2;
     } else {
       positional.push_back(argv[i]);
     }
   }
+  const std::size_t n = positional.size();
   const int injections =
-      positional.size() > 0 ? std::atoi(positional[0]) : 2000;
-  const int shards = positional.size() > 1 ? std::atoi(positional[1]) : 1;
+      n > 0 ? bench::parse_number_or_exit(prog, "injections", positional[0],
+                                          0, kIntMax, kUsage)
+            : 2000;
+  const int shards =
+      n > 1 ? bench::parse_number_or_exit(prog, "shards", positional[1], 0,
+                                          kIntMax, kUsage)
+            : 1;
   const std::uint64_t seed =
-      positional.size() > 2 ? std::strtoull(positional[2], nullptr, 10) : 7;
+      n > 2 ? bench::parse_number_or_exit(
+                  prog, "seed", positional[2], std::uint64_t{0},
+                  std::numeric_limits<std::uint64_t>::max(), kUsage)
+            : 7;
   const double heartbeat_sec =
-      positional.size() > 3 ? std::atof(positional[3]) : 0;
+      n > 3 ? bench::parse_number_or_exit(
+                  prog, "heartbeat_sec", positional[3], 0.0,
+                  std::numeric_limits<double>::max(), kUsage)
+            : 0.0;
 
   if (!streaming.checkpoint.empty() && streaming.records_out.empty()) {
     std::fprintf(stderr,

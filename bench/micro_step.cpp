@@ -8,12 +8,10 @@
 //   +trace   run_loop<true, false,false>   (golden probe runs)
 //   +mask    run_loop<false,true, false>   (exit-mask materialization)
 //   +shadow  run_loop<false,false,true>    (shadow-stack redundancy)
-// and, for each mode, all three engines: the threaded-code superblock
-// engine (jit), the specialized interpreter loop (fast), and the
-// single-step reference engine (reference).  The jit/fast ratio is the
-// payoff of leaving switch dispatch behind; fast/reference is the payoff
-// of mode specialization; the per-mode spread is the marginal cost of
-// each feature.
+// and, for each mode, both engines: the specialized interpreter loop
+// (fast) and the single-step reference engine (reference).  The
+// fast/reference ratio is the payoff of mode specialization; the per-mode
+// spread is the marginal cost of each feature.
 //
 // Usage: micro_step [budget_sec_per_cell]
 // Output: JSON on stdout.
@@ -21,15 +19,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/cfg.hpp"
-#include "analysis/superblocks.hpp"
 #include "sim/assembler.hpp"
 #include "sim/cpu.hpp"
-#include "sim/jit/compiled_program.hpp"
 #include "sim/memory.hpp"
 
 namespace {
@@ -86,9 +80,8 @@ struct Cell {
 };
 
 Cell time_cell(const sim::Program& prog, const char* engine, const char* mode,
-               sim::EngineKind kind,
-               const std::shared_ptr<const sim::jit::CompiledProgram>& compiled,
-               bool trace, bool masks, bool shadow, double budget_sec) {
+               sim::EngineKind kind, bool trace, bool masks, bool shadow,
+               double budget_sec) {
   sim::Memory mem;
   mem.map(kDataBase, kDataSize, sim::Perm::ReadWrite, "data");
   mem.map(kStackBase, kStackSize, sim::Perm::ReadWrite, "stack");
@@ -96,7 +89,6 @@ Cell time_cell(const sim::Program& prog, const char* engine, const char* mode,
           sim::Perm::ReadWrite, "shadow_stack");
 
   sim::Cpu cpu(&prog, &mem);
-  cpu.set_compiled(compiled);
   cpu.set_engine(kind);
   std::vector<Addr> trace_buf;
   cpu.set_mask_tracking(masks);
@@ -131,9 +123,6 @@ Cell time_cell(const sim::Program& prog, const char* engine, const char* mode,
 int main(int argc, char** argv) {
   const double budget = argc > 1 ? std::atof(argv[1]) : 0.2;
   const sim::Program prog = build_kernel();
-  const analysis::ControlFlowGraph cfg = analysis::build_cfg(prog);
-  const auto compiled =
-      sim::jit::compile(prog, analysis::form_superblocks(cfg, prog));
 
   const struct {
     const char* mode;
@@ -147,13 +136,11 @@ int main(int argc, char** argv) {
 
   std::vector<Cell> cells;
   for (const auto& m : modes) {
-    cells.push_back(time_cell(prog, "jit", m.mode, sim::EngineKind::Jit,
-                              compiled, m.trace, m.masks, m.shadow, budget));
     cells.push_back(time_cell(prog, "fast", m.mode, sim::EngineKind::Fast,
-                              nullptr, m.trace, m.masks, m.shadow, budget));
+                              m.trace, m.masks, m.shadow, budget));
     cells.push_back(time_cell(prog, "reference", m.mode,
-                              sim::EngineKind::Reference, nullptr, m.trace,
-                              m.masks, m.shadow, budget));
+                              sim::EngineKind::Reference, m.trace, m.masks,
+                              m.shadow, budget));
   }
 
   std::printf("{\n  \"benchmark\": \"micro_step\",\n  \"cells\": [\n");

@@ -55,6 +55,7 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -130,6 +131,14 @@ RunScore run_once(int injections, int shards, std::uint64_t seed,
   return score;
 }
 
+constexpr const char* kUsage =
+    "usage: obs_overhead [injections] [shards] [seed] [reps] "
+    "[--trace-out FILE]\n"
+    "  defaults 20000 1 7 8; injections and reps >= 1, shards 0 = hardware\n"
+    "  concurrency.  Tolerances: XENTRY_OBS_TOL_DISABLED, "
+    "XENTRY_OBS_TOL_ENABLED,\n"
+    "  XENTRY_OBS_TOL_FORENSICS.\n";
+
 double env_tol(const char* name, double fallback) {
   const char* env = std::getenv(name);
   if (env == nullptr) return fallback;
@@ -145,17 +154,43 @@ int main(int argc, char** argv) {
   int injections = 20000, shards = 1, reps = 8;
   std::uint64_t seed = 7;
   std::string trace_out;
+  const char* const prog = "obs_overhead";
+  constexpr int kIntMax = std::numeric_limits<int>::max();
   int pos = 0;
   for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
+      std::printf("%s", kUsage);
+      return 0;
+    }
     if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
       continue;
     }
+    // Rates need records, so injections and reps start at 1; shards 0 is
+    // hardware concurrency.
     switch (pos++) {
-      case 0: injections = std::atoi(argv[i]); break;
-      case 1: shards = std::atoi(argv[i]); break;
-      case 2: seed = std::strtoull(argv[i], nullptr, 10); break;
-      case 3: reps = std::atoi(argv[i]); break;
+      case 0:
+        injections = bench::parse_number_or_exit(prog, "injections", argv[i],
+                                                 1, kIntMax, kUsage);
+        break;
+      case 1:
+        shards = bench::parse_number_or_exit(prog, "shards", argv[i], 0,
+                                             kIntMax, kUsage);
+        break;
+      case 2:
+        seed = bench::parse_number_or_exit(
+            prog, "seed", argv[i], std::uint64_t{0},
+            std::numeric_limits<std::uint64_t>::max(), kUsage);
+        break;
+      case 3:
+        reps = bench::parse_number_or_exit(prog, "reps", argv[i], 1, kIntMax,
+                                           kUsage);
+        break;
+      default:
+        std::fprintf(stderr, "%s: unexpected argument '%s'\n%s", prog,
+                     argv[i], kUsage);
+        return 2;
     }
   }
   const double tol_disabled = env_tol("XENTRY_OBS_TOL_DISABLED", 0.02);

@@ -30,9 +30,8 @@ TargetStatus classify_branch_target(const Program& program, Addr target) {
 }
 
 std::uint64_t program_signature(const Program& program) {
-  // One signature for every layer: the analysis artifacts, the campaign
-  // staleness guards, and the threaded-code CompiledProgram cache all key
-  // off the same sim-level hash.
+  // One signature for every layer: the analysis artifacts and the
+  // campaign staleness guards both key off the same sim-level hash.
   return sim::program_text_signature(program);
 }
 

@@ -1,6 +1,5 @@
 #include "fault/campaign.hpp"
 
-#include "analysis/superblocks.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/record_io.hpp"
 #include "fault/sampler.hpp"
@@ -176,11 +175,6 @@ void validate_campaign_config(const CampaignConfig& cfg) {
            "AnalyzeOptions::bit_liveness enabled");
     }
   }
-  if (cfg.xentry.engine == sim::EngineKind::Jit && cfg.analysis == nullptr) {
-    fail("xentry.engine is Jit but no analysis artifacts are installed — "
-         "threaded-code compilation needs the CFG; set cfg.analysis to "
-         "analyze_program(...) output or select another engine");
-  }
   const CampaignConfig::StreamingConfig& st = cfg.streaming;
   if (!st.records_path.empty() && st.sink_buffer_bytes == 0) {
     fail("streaming.records_path is set with sink_buffer_bytes == 0 (every "
@@ -269,9 +263,8 @@ struct ShardStreaming {
 CampaignResult run_shard(
     const CampaignConfig& cfg, const wl::WorkloadProfile& profile,
     int shard_index, int num_shards,
-    obs::TraceRecorder::Clock::time_point epoch,
-    const std::shared_ptr<const sim::jit::CompiledProgram>& compiled,
-    ShardProgress* progress, const ShardStreaming& streaming) {
+    obs::TraceRecorder::Clock::time_point epoch, ShardProgress* progress,
+    const ShardStreaming& streaming) {
   const int base = cfg.injections / num_shards;
   const int extra = shard_index < cfg.injections % num_shards ? 1 : 0;
   const int quota = base + extra;
@@ -321,14 +314,11 @@ CampaignResult run_shard(
 
   hv::Machine golden(cfg.machine);
   hv::Machine faulty(cfg.machine);
-  if (cfg.xentry.engine != sim::EngineKind::Fast) {
-    // Both machines run the selected engine: the golden probe and the
-    // faulty run must retire identical streams for the diff to mean
-    // anything, and the compiled stream is immutable so sharing the one
-    // shared_ptr across shards is free.
-    golden.set_execution_engine(cfg.xentry.engine, compiled);
-    faulty.set_execution_engine(cfg.xentry.engine, compiled);
-  }
+  // Both machines run the selected engine: the golden probe and the
+  // faulty run must retire identical streams for the diff to mean
+  // anything.
+  golden.set_execution_engine(cfg.xentry.engine);
+  faulty.set_execution_engine(cfg.xentry.engine);
   // Rewind the golden machine to the checkpointed image before telemetry
   // attaches (the faulty machine realigns from the golden probe on every
   // injection, so only golden state is journaled).
@@ -708,14 +698,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     }
   }
 
-  // Compile the threaded stream once, up front: every shard shares the
-  // immutable compilation, and a tiling bug surfaces here as a thrown
-  // config error instead of inside a worker thread.
-  std::shared_ptr<const sim::jit::CompiledProgram> compiled;
-  if (cfg.xentry.engine == sim::EngineKind::Jit) {
-    compiled = analysis::compile_threaded(*cfg.analysis);
-  }
-
   // Fleet mode pins the shard space to the fleet-wide unit count (the
   // same quotas and seeds the single-process run with shards = unit_count
   // uses) and this process executes only its assigned subset.
@@ -925,9 +907,9 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     std::vector<std::jthread> threads;
     threads.reserve(active.size());
     for (const int s : active) {
-      threads.emplace_back([&cfg, &profile, &partials, &progress, &compiled,
-                            &sink, &journal, &journal_state, resuming, s,
-                            shards, epoch] {
+      threads.emplace_back([&cfg, &profile, &partials, &progress, &sink,
+                            &journal, &journal_state, resuming, s, shards,
+                            epoch] {
         ShardStreaming ss;
         ss.sink = sink.get();
         ss.journal = journal.get();
@@ -936,7 +918,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
           if (ck.has_value()) ss.resume = &*ck;
         }
         partials[static_cast<std::size_t>(s)] =
-            run_shard(cfg, profile, s, shards, epoch, compiled,
+            run_shard(cfg, profile, s, shards, epoch,
                       progress ? &progress[s] : nullptr, ss);
       });
     }

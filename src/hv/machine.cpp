@@ -473,13 +473,10 @@ RunResult Machine::run(const Activation& act, const RunOptions& opts) {
   // Register read/write masks are only consumed while watching an
   // injection for activation; skip computing them on clean runs.
   cpu_.set_mask_tracking(inj != nullptr);
-  // Tracing alone no longer forces single-stepping: the specialized run
-  // loops record the trace themselves, so golden/probe runs stay on the
-  // fast engine.  Only injection watching and assertion counting need a
-  // per-instruction view.
-  const bool stepwise = inj != nullptr || opts.count_assertions;
 
-  if (!stepwise) {
+  if (inj == nullptr) {
+    // Clean run: one call into the configured engine, which records the
+    // trace itself.
     const sim::StepInfo info = cpu_.run(opts.max_steps);
     result.steps = cpu_.steps_executed();
     if (info.status == sim::StepInfo::Status::Halted) {
@@ -488,15 +485,16 @@ RunResult Machine::run(const Activation& act, const RunOptions& opts) {
       result.trap = info.trap;
       result.trap_step = result.steps;
     }
-  } else if (inj != nullptr && !opts.count_assertions) {
+  } else {
     // Injection path, batched.  The fault-free prefix before the flip and
     // the suffix after activation resolves run on the configured engine;
     // only the window where the flip must be watched for activation is
     // stepped, and even there the CPU's register watch batches between
     // instructions that statically touch the target register.  Every
-    // observable (result fields, trace, counters, record digests) is
-    // bit-identical to the single-step loop below — the engine
-    // differential tests and the campaign digest tests enforce it.
+    // observable (result fields, trace, counters, record digests) equals
+    // what single-stepping the whole activation with the flip applied
+    // before step `at_step` would give; the fast-vs-reference campaign
+    // test and the digest pins hold it.
     const std::uint32_t target_bit = sim::reg_bit(inj->reg);
     std::uint64_t step = 0;  // instructions retired so far
     bool done = false;
@@ -634,57 +632,6 @@ RunResult Machine::run(const Activation& act, const RunOptions& opts) {
         }
       }
     }
-  } else {
-    const std::uint32_t target_bit =
-        inj != nullptr ? sim::reg_bit(inj->reg) : 0;
-    bool watching = false;
-    for (std::uint64_t step = 0;; ++step) {
-      if (step >= opts.max_steps) {
-        result.trap = sim::Trap{sim::TrapKind::Watchdog,
-                                cpu_.reg(Reg::rip), 0};
-        result.trap_step = step;
-        break;
-      }
-      if (inj != nullptr && !result.injected && step == inj->at_step) {
-        cpu_.flip_bit(inj->reg, inj->bit);
-        result.injected = true;
-        if (inj->reg == Reg::rip) {
-          // The very next fetch consumes the corrupted rip.
-          result.activated = true;
-          result.activation_step = step;
-        } else {
-          watching = true;
-        }
-      }
-      if (opts.count_assertions) {
-        const Addr rip = cpu_.reg(Reg::rip);
-        if (mv_.program.contains(rip) &&
-            sim::is_assertion(mv_.program.at(rip).op)) {
-          ++result.assertions_executed;
-        }
-      }
-      const sim::StepInfo info = cpu_.step();
-      if (watching && !result.activated) {
-        if (info.read_mask & target_bit) {
-          result.activated = true;
-          result.activation_step = step;
-          watching = false;
-        } else if (info.written_mask & target_bit) {
-          watching = false;  // overwritten before any read: never activates
-        }
-      }
-      if (info.status == sim::StepInfo::Status::Halted) {
-        result.reached_vm_entry = true;
-        result.steps = step;
-        break;
-      }
-      if (info.status == sim::StepInfo::Status::Trapped) {
-        result.trap = info.trap;
-        result.trap_step = step;
-        result.steps = step;
-        break;
-      }
-    }
   }
 
   result.counters = opts.arm_counters ? cpu_.counters().disarm()
@@ -695,6 +642,21 @@ RunResult Machine::run(const Activation& act, const RunOptions& opts) {
   if (tracing) span.arg("steps", result.steps);
   record_flight_frame(act, result);
   return result;
+}
+
+std::uint64_t Machine::executed_assertions(const std::vector<Addr>& trace,
+                                           const RunResult& result) const {
+  const sim::Program& program = mv_.program;
+  std::uint64_t n = 0;
+  for (const Addr a : trace) n += sim::is_assertion(program.at(a).op) ? 1 : 0;
+  if (!result.reached_vm_entry &&
+      result.trap.kind != sim::TrapKind::Watchdog) {
+    // The trapping instruction did not retire, so it is not in the trace;
+    // rip still points at it.
+    const Addr rip = cpu_.reg(Reg::rip);
+    if (program.contains(rip) && sim::is_assertion(program.at(rip).op)) ++n;
+  }
+  return n;
 }
 
 void Machine::record_flight_frame(const Activation& act,

@@ -9,9 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "hv/exit_reason.hpp"
@@ -49,7 +47,6 @@ struct RunOptions {
   const Injection* injection = nullptr;
   std::vector<sim::Addr>* trace = nullptr;  ///< control-flow trace sink
   bool arm_counters = true;
-  bool count_assertions = false;  ///< tally executed assertion instructions
 };
 
 struct RunResult {
@@ -65,8 +62,6 @@ struct RunResult {
   bool activated = false;  ///< the corrupted register was read afterwards
   std::uint64_t activation_step = 0;
   std::uint64_t trap_step = 0;  ///< dynamic index at which the trap fired
-
-  std::uint64_t assertions_executed = 0;  ///< when count_assertions is set
 };
 
 /// One word of persistent state that differs between two runs, with its
@@ -139,20 +134,22 @@ class Machine {
   /// detector checks each run's first retired instruction against this.
   sim::Addr handler_entry(const ExitReason& reason) const;
 
-  /// Selects the CPU execution engine for this machine's run() path and,
-  /// for EngineKind::Jit, attaches the threaded-code compilation (which
-  /// must match this machine's program — Cpu::set_compiled throws on a
-  /// stale stream).  Injection runs still single-step the reference
-  /// engine regardless; the engine accelerates the non-stepwise paths
-  /// (golden probes, advance runs, clean campaign runs).  Snapshot and
-  /// restore are engine-agnostic: the compiled stream is pure code,
-  /// derived only from the immutable program text.
-  void set_execution_engine(
-      sim::EngineKind kind,
-      std::shared_ptr<const sim::jit::CompiledProgram> compiled = nullptr) {
-    cpu_.set_compiled(std::move(compiled));
-    cpu_.set_engine(kind);
-  }
+  /// Selects the CPU execution engine for this machine's run() path.
+  /// Clean runs execute entirely on it; injection runs use it for the
+  /// fault-free prefix, the batches between watched instructions and the
+  /// suffix after activation resolves, and single-step only the
+  /// instructions that touch the flipped register.  Snapshot and restore
+  /// are engine-agnostic.
+  void set_execution_engine(sim::EngineKind kind) { cpu_.set_engine(kind); }
+
+  /// Assertion instructions the last run() executed, derived from its
+  /// control-flow trace (`trace` is what RunOptions::trace recorded):
+  /// every traced instruction that is an assertion, plus the one at rip
+  /// when the run ended in a non-watchdog trap there — an assertion that
+  /// fails executed too.  Reads the CPU's rip, so call it before anything
+  /// else runs on this machine.
+  std::uint64_t executed_assertions(const std::vector<sim::Addr>& trace,
+                                    const RunResult& result) const;
 
   /// Feature names of Table I, in the order the detector consumes them.
   static const std::vector<std::string>& feature_names();

@@ -851,26 +851,12 @@ std::size_t diff_regs(const Cpu& a, const Cpu& b, std::vector<RegDiff>& out) {
 }
 
 StepInfo Cpu::run(std::uint64_t max_steps) {
-  // A register watch needs the per-instruction mask check only the
-  // interpreter loops implement; the engines are bit-identical, so the
-  // detour never changes results.
-  if (watch_mask_ != 0) return run_interp(max_steps);
-  switch (engine_) {
-    case EngineKind::Reference:
-      return run_reference(max_steps);
-    case EngineKind::Jit:
-      // No compiled stream attached (e.g. a scratch machine built outside
-      // the campaign path): fall back to the fast interpreter, which is
-      // bit-identical.
-      if (jit_ != nullptr) return run_jit(max_steps);
-      break;
-    case EngineKind::Fast:
-      break;
+  // A register watch needs the per-instruction mask check only the run
+  // loops implement; the engines are bit-identical, so the detour never
+  // changes results.
+  if (engine_ == EngineKind::Reference && watch_mask_ == 0) {
+    return run_reference(max_steps);
   }
-  return run_interp(max_steps);
-}
-
-StepInfo Cpu::run_interp(std::uint64_t max_steps) {
   const unsigned key = (trace_ != nullptr ? 1u : 0u) |
                        (track_masks_ || watch_mask_ != 0 ? 2u : 0u) |
                        (shadow_enabled_ ? 4u : 0u);

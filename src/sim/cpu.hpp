@@ -23,7 +23,7 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <string_view>
 #include <vector>
 
 #include "sim/isa.hpp"
@@ -34,29 +34,20 @@
 
 namespace xentry::sim {
 
-namespace jit {
-struct CompiledProgram;
-}  // namespace jit
-
-/// Which engine Cpu::run drives.  All three are bit-identical in every
+/// Which engine Cpu::run drives.  Both are bit-identical in every
 /// architectural observable (the differential tests assert it); they
-/// differ only in throughput and in what they need attached.
+/// differ only in throughput.
 enum class EngineKind : std::uint8_t {
   /// Mode-specialized interpreter (run_loop templates).  The default.
   Fast,
   /// step()-driven reference engine: the oracle.
   Reference,
-  /// Threaded-code superblock engine (src/sim/jit/).  Needs a
-  /// CompiledProgram attached via set_compiled; without one, run() falls
-  /// back to Fast.
-  Jit,
 };
 
 constexpr std::string_view engine_name(EngineKind k) {
   switch (k) {
     case EngineKind::Fast: return "fast";
     case EngineKind::Reference: return "reference";
-    case EngineKind::Jit: return "jit";
   }
   return "?";
 }
@@ -121,24 +112,17 @@ class Cpu {
 
   /// Runs until Hlt, a trap, or `max_steps` instructions (which raises the
   /// Watchdog trap, modelling Xen's NMI watchdog catching a hung
-  /// hypervisor).  Returns the last StepInfo.  Picks the run-loop
-  /// specialization for the current trace/mask/shadow configuration once,
-  /// then executes with no per-step feature tests; the feature setters
-  /// must not be called while a run is in flight.
+  /// hypervisor).  Returns the last StepInfo.  The Reference engine runs
+  /// run_reference; otherwise (and whenever a register watch is armed)
+  /// picks the run-loop specialization for the current trace/mask/shadow
+  /// configuration once, then executes with no per-step feature tests;
+  /// the feature setters must not be called while a run is in flight.
   StepInfo run(std::uint64_t max_steps);
 
   /// Reference-engine equivalent of run(): drives step() one instruction
   /// at a time.  Semantically identical to run() (the differential tests
   /// assert it); kept for lockstep callers and as the oracle.
   StepInfo run_reference(std::uint64_t max_steps);
-
-  /// Threaded-code engine: executes the attached CompiledProgram with
-  /// computed-goto dispatch at superblock granularity.  Requires
-  /// set_compiled first.  When the remaining watchdog budget cannot cover
-  /// a superblock's worst case, it deopts — flushes exact architectural
-  /// state and finishes the tail through the interpreter — so results
-  /// stay bit-identical to run_reference at every budget.
-  StepInfo run_jit(std::uint64_t max_steps);
 
   std::uint64_t steps_executed() const { return steps_; }
 
@@ -163,8 +147,8 @@ class Cpu {
   /// instruction's masks filled and rip still pointing at it.  The
   /// injection path uses this to batch execution between
   /// activation-relevant instructions on the fast engine and single-step
-  /// only those.  Forces interpreter execution (bit-identical) while set:
-  /// the jit loop has no per-instruction mask check.  Zero disables.
+  /// only those.  Forces the run-loop engine (bit-identical) while set:
+  /// run_reference has no per-instruction mask check.  Zero disables.
   void set_watch(std::uint32_t reg_mask) { watch_mask_ = reg_mask; }
 
   Word tsc() const { return tsc_; }
@@ -182,18 +166,9 @@ class Cpu {
   void disable_shadow_stack() { shadow_enabled_ = false; }
   bool shadow_stack_enabled() const { return shadow_enabled_; }
 
-  /// Selects the engine run() drives.  Jit without a compiled program
-  /// attached silently falls back to Fast (same architectural results).
+  /// Selects the engine run() drives.
   void set_engine(EngineKind kind) { engine_ = kind; }
   EngineKind engine() const { return engine_; }
-
-  /// Attaches a threaded-code compilation of the attached program.  The
-  /// compiled stream must match the program's base, size, and text
-  /// signature; a stale compilation (assembled-over image, different
-  /// program) throws std::invalid_argument — superblock invalidation is
-  /// fail-fast, never silent misexecution.  nullptr detaches.
-  void set_compiled(std::shared_ptr<const jit::CompiledProgram> compiled);
-  const jit::CompiledProgram* compiled() const { return jit_.get(); }
 
   Memory& memory() { return *mem_; }
   const Program& program() const { return *prog_; }
@@ -209,26 +184,11 @@ class Cpu {
   template <bool Trace, bool Masks, bool Shadow>
   StepInfo run_loop(std::uint64_t max_steps);
 
-  /// Interpreter dispatch behind run(): picks the run_loop specialization
-  /// for the current trace/mask/shadow configuration.  Also the deopt
-  /// tail of run_jit and the fallback when Jit is selected with no
-  /// compiled program.
-  StepInfo run_interp(std::uint64_t max_steps);
-
-  /// The threaded-code hot loop (src/sim/jit/engine.cpp).  Masks are not
-  /// a template axis: they only affect the StepInfo materialized at exit,
-  /// which reads track_masks_ at runtime.  On deopt, sets `deopted` and
-  /// the remaining budget instead of finishing.
-  template <bool Trace, bool Shadow>
-  StepInfo run_jit_loop(std::uint64_t max_steps, bool& deopted,
-                        std::uint64_t& deopt_remaining);
-
   const Program* prog_;
   Memory* mem_;
   std::array<Word, kNumArchRegs> regs_{};
   PerfCounters counters_;
   std::vector<Addr>* trace_ = nullptr;
-  std::shared_ptr<const jit::CompiledProgram> jit_;
   Word tsc_ = 0;
   std::uint64_t steps_ = 0;
   std::int64_t shadow_offset_ = 0;

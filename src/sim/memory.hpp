@@ -178,16 +178,15 @@ class Memory {
   /// fault.
   Word* poke_span(Addr a, Addr len);
 
-  /// Raw view of the page holding an address, for the execution engines'
-  /// software TLB: a flat {base, size, data, writable} window the hot
-  /// loop can keep in registers so a hit is one compare and one load,
-  /// skipping the region vector walk.  `gen` lets the engine bump the
-  /// page's mutation generation itself — exactly once per write-install,
-  /// before any raw store goes through the view, which preserves the
-  /// generation contract (equal generations prove unchanged contents)
-  /// because snapshot/restore never run while an engine holds a view and
-  /// the window never reaches past its page.  Views are invalidated by
-  /// map(); engines hold them only within one run call.
+  /// Raw view of the page holding an address, for a software TLB: a flat
+  /// {base, size, data, writable} window a hot loop can keep in registers
+  /// so a hit is one compare and one load, skipping the region vector
+  /// walk.  `gen` lets the caller bump the page's mutation generation
+  /// itself — exactly once per write-install, before any raw store goes
+  /// through the view, which preserves the generation contract (equal
+  /// generations prove unchanged contents) as long as snapshot/restore
+  /// never run while a view is held and the window never reaches past
+  /// its page.  Views are invalidated by map().
   struct DirectSpan {
     Addr base = 0;
     Addr size = 0;  ///< 0: no mapped region at the probed address

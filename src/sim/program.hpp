@@ -26,10 +26,9 @@ namespace xentry::sim {
 /// This is the single source of truth for "where can control arrive":
 /// Program::compute_fusion consumes it (a pair whose Jcc slot is a
 /// landing point must not fuse), the analysis subsystem's CFG builder
-/// consumes it (every landing point is a basic-block leader), and the
-/// threaded-code compiler's superblock formation consumes it through the
-/// CFG, so the fuser, the verifier, and the compiler can never disagree
-/// about landing legality.  Computed once at assembly time and cached on
+/// consumes it (every landing point is a basic-block leader), so the
+/// fuser and the CFG-based analyses can never disagree about landing
+/// legality.  Computed once at assembly time and cached on
 /// the Program (Program::landing_sites); this free function returns the
 /// cached vector.
 const std::vector<bool>& compute_landing_sites(const class Program& program);
@@ -43,9 +42,8 @@ std::uint64_t instruction_fnv(std::uint64_t h, const Instruction& insn);
 inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
 
 /// FNV-1a signature of a program's load address + full architectural
-/// text.  This is the cache/staleness key used by analysis artifacts
-/// (analysis::program_signature delegates here) and by the threaded-code
-/// engine's CompiledProgram cache.
+/// text.  This is the staleness key of the analysis artifacts
+/// (analysis::program_signature delegates here).
 std::uint64_t program_text_signature(const class Program& program);
 
 /// Macro-op fusion metadata for one instruction slot, computed once at
@@ -115,8 +113,8 @@ class Program {
 
   /// Cached conservative landing set (see compute_landing_sites above),
   /// one flag per instruction slot.  Computed once at assembly time so
-  /// per-attach consumers (campaign shards, CFG builds, threaded-code
-  /// compilation) never recompute it.
+  /// per-attach consumers (campaign shards, CFG builds) never recompute
+  /// it.
   const std::vector<bool>& landing_sites() const { return landing_; }
 
  private:

@@ -2,12 +2,11 @@
 
 namespace xentry {
 
-ActivationCost activation_cost(const CostParams& p,
-                               std::uint64_t assertions_executed,
+ActivationCost activation_cost(const CostParams& p, std::uint64_t assertions,
                                int rule_comparisons) {
   ActivationCost c;
   c.runtime_only_cycles =
-      static_cast<double>(assertions_executed) * p.cycles_per_assertion;
+      static_cast<double>(assertions) * p.cycles_per_assertion;
   c.with_transition_cycles =
       c.runtime_only_cycles + p.interception_cycles +
       p.counter_program_cycles + p.counter_read_cycles +

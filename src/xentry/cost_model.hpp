@@ -28,10 +28,11 @@ struct ActivationCost {
   double with_transition_cycles = 0;   ///< + interception/counters/rules
 };
 
-/// Cycles added to one activation.  `assertions_executed` comes from the
-/// run; `rule_comparisons` is the detector's per-entry comparison count.
-ActivationCost activation_cost(const CostParams& p,
-                               std::uint64_t assertions_executed,
+/// Cycles added to one activation.  `assertions` is the number of
+/// assertion instructions the run executed
+/// (Machine::executed_assertions); `rule_comparisons` is the detector's
+/// per-entry comparison count.
+ActivationCost activation_cost(const CostParams& p, std::uint64_t assertions,
                                int rule_comparisons);
 
 /// Fraction of application time lost to detection, given the workload's

@@ -66,11 +66,9 @@ struct XentryConfig {
   /// timing envelopes.
   bool timing_detection = false;
   /// Execution engine for the machines driven under this configuration.
-  /// Consumed by the campaign runner, which attaches it (plus the
-  /// threaded-code compilation, for EngineKind::Jit) to every machine it
+  /// Consumed by the campaign runner, which sets it on every machine it
   /// builds; standalone Machine users call Machine::set_execution_engine
-  /// directly.  Jit requires analysis artifacts whose signature matches
-  /// the machine's program (validate_campaign_config enforces it).
+  /// directly.
   sim::EngineKind engine = sim::EngineKind::Fast;
   ExceptionParser::Policy exception_policy{};
   /// Observability gates for the framework layer (detections per

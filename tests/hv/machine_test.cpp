@@ -275,22 +275,10 @@ TEST(MachineTest, TraceCapturesControlFlowDivergence) {
   }
 }
 
-TEST(MachineTest, AssertionCountingCountsRetiredAsserts) {
-  Machine m;
-  const Activation act =
-      m.make_activation(ExitReason::hypercall(Hypercall::mmu_update), 2, 0);
-  RunOptions opts;
-  opts.count_assertions = true;
-  RunResult res = m.run(act, opts);
-  ASSERT_TRUE(res.reached_vm_entry);
-  EXPECT_GE(res.assertions_executed, 1u);  // the batch-bound assert
-}
-
-TEST(MachineTest, AssertionsDetectCorruptedIdleState) {
-  // Corrupt a vcpu state so a wake/schedule path trips an assertion or
-  // at least diverges; specifically force the idle-vcpu assert by marking
-  // the idle vcpu non-idle and emptying the runqueue.
-  Machine m;
+/// Marks the idle vcpu non-idle and empties the runqueue, and returns a
+/// blocking sched_op_compat that forces schedule onto the idle path, where
+/// the idle-vcpu assertion fails.
+Activation corrupt_idle_vcpu(Machine& m) {
   m.memory().poke(L::kHvDataBase + L::kHvRunqCount, 0);
   m.memory().poke(L::vcpu_addr(m.num_vcpus()) + L::kVcpuState,
                   L::kVcpuStateRunning);  // corrupted idle vcpu
@@ -298,6 +286,69 @@ TEST(MachineTest, AssertionsDetectCorruptedIdleState) {
   act.reason = ExitReason::hypercall(Hypercall::sched_op_compat);
   act.arg1 = 1;  // block: forces schedule onto the idle path
   act.vcpu = 0;
+  return act;
+}
+
+/// Assertions one activation executes, by single-stepping it: each
+/// instruction is counted before it executes, so an assertion that fails
+/// counts too; stepping stops at hlt, a trap, or the watchdog budget.
+std::uint64_t stepped_assertion_count(Machine& m, const Activation& act) {
+  m.begin_activation(act);
+  const sim::Program& program = m.microvisor().program;
+  std::uint64_t n = 0;
+  for (std::uint64_t step = 0; step < RunOptions{}.max_steps; ++step) {
+    const sim::Addr rip = m.cpu().reg(sim::Reg::rip);
+    if (program.contains(rip) && sim::is_assertion(program.at(rip).op)) ++n;
+    if (m.cpu().step().status != sim::StepInfo::Status::Ok) break;
+  }
+  return n;
+}
+
+/// Runs `act` with a recorded trace and checks the trace-derived count
+/// against stepped_assertion_count from the same pre-state.
+RunResult expect_trace_count_matches_stepping(Machine& m,
+                                              const Activation& act,
+                                              std::uint64_t* count) {
+  const Machine::Snapshot pre = m.snapshot();
+  const std::uint64_t want = stepped_assertion_count(m, act);
+  m.restore(pre);
+  std::vector<sim::Addr> trace;
+  RunOptions opts;
+  opts.trace = &trace;
+  const RunResult res = m.run(act, opts);
+  *count = m.executed_assertions(trace, res);
+  EXPECT_EQ(*count, want) << "exit code " << act.reason.code();
+  return res;
+}
+
+TEST(MachineTest, AssertionCountingCountsRetiredAsserts) {
+  // One legal activation of every exit reason.
+  Machine m;
+  std::uint64_t total = 0;
+  for (const ExitReason& reason : all_exit_reasons()) {
+    std::uint64_t n = 0;
+    const RunResult res = expect_trace_count_matches_stepping(
+        m, m.make_activation(reason, 2, 0), &n);
+    EXPECT_TRUE(res.reached_vm_entry) << "exit code " << reason.code();
+    total += n;
+  }
+  EXPECT_GT(total, 0u);
+
+  // The corrupted-idle-vcpu run ends in a failing assertion, which
+  // executed but never retired.
+  Machine bad;
+  const Activation act = corrupt_idle_vcpu(bad);
+  std::uint64_t n = 0;
+  const RunResult res = expect_trace_count_matches_stepping(bad, act, &n);
+  EXPECT_EQ(res.trap.kind, sim::TrapKind::AssertFailed);
+  EXPECT_GE(n, 1u);
+}
+
+TEST(MachineTest, AssertionsDetectCorruptedIdleState) {
+  // Corrupt a vcpu state so a wake/schedule path trips an assertion or
+  // at least diverges; specifically force the idle-vcpu assert.
+  Machine m;
+  const Activation act = corrupt_idle_vcpu(m);
   RunResult res = m.run(act);
   ASSERT_FALSE(res.reached_vm_entry);
   EXPECT_EQ(res.trap.kind, sim::TrapKind::AssertFailed);

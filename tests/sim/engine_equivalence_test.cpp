@@ -1,26 +1,23 @@
-// Differential harness: the mode-specialized fast engine and the
-// threaded-code superblock engine (src/sim/jit/) must both be bit-identical
-// to the single-step reference engine on every architectural observable —
-// final StepInfo, all 18 registers, retired step count, TSC, performance
-// counters, recorded trace, and memory contents — across randomly generated
-// programs, every trap path, and all eight trace/mask/shadow mode
-// combinations.  Also pins down macro-op fusion legality at basic-block
-// boundaries and the threaded engine's deopt edges: tight watchdog budgets,
-// mid-superblock indirect entry, and out-of-image control transfers.
+// Differential harness: the mode-specialized fast engine must be
+// bit-identical to the single-step reference engine on every architectural
+// observable — final StepInfo, all 18 registers, retired step count, TSC,
+// performance counters, recorded trace, and memory contents — across
+// randomly generated programs, every trap path, and all eight
+// trace/mask/shadow mode combinations.  Also pins down macro-op fusion
+// legality at basic-block boundaries, and fixed programs the generator
+// rarely produces: every tight watchdog budget on a long loop, an indirect
+// jump into the middle of a straight-line run, and out-of-image control
+// transfers.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <random>
-#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "analysis/cfg.hpp"
-#include "analysis/superblocks.hpp"
 #include "sim/assembler.hpp"
 #include "sim/cpu.hpp"
-#include "sim/jit/compiled_program.hpp"
 #include "sim/memory.hpp"
 
 namespace xentry::sim {
@@ -121,22 +118,13 @@ struct EngineState {
   Memory::Snapshot memory;
 };
 
-/// CFG-driven threaded-code compilation, exactly as the campaign front
-/// door does it (analysis::compile_threaded minus the cache).
-std::shared_ptr<const jit::CompiledProgram> compile_jit(const Program& prog) {
-  const analysis::ControlFlowGraph cfg = analysis::build_cfg(prog);
-  return jit::compile(prog, analysis::form_superblocks(cfg, prog));
-}
-
-EngineState run_engine(
-    const Program& prog, std::uint64_t seed, EngineKind kind,
-    const std::shared_ptr<const jit::CompiledProgram>& compiled, bool trace,
-    bool masks, bool shadow, std::uint64_t max_steps) {
+EngineState run_engine(const Program& prog, std::uint64_t seed,
+                       EngineKind kind, bool trace, bool masks, bool shadow,
+                       std::uint64_t max_steps) {
   Memory mem = make_memory();
   Cpu cpu(&prog, &mem);
   cpu.reset(prog.base(), kStackTop);
   cpu.set_tsc(seed & 0xffff);
-  if (compiled != nullptr) cpu.set_compiled(compiled);
   cpu.set_engine(kind);
 
   // Deterministic initial register soup (same for both engines).
@@ -198,22 +186,15 @@ TEST(EngineEquivalenceTest, RandomProgramsAllModeCombinations) {
     }
     const std::uint64_t seed = rng();
     const std::uint64_t max_steps = 1 + (seed % 300);
-    const auto compiled = compile_jit(prog);
     for (unsigned mode = 0; mode < 8; ++mode) {
       const bool trace = mode & 1, masks = mode & 2, shadow = mode & 4;
       const std::string what =
           "program " + std::to_string(p) + " mode " + std::to_string(mode);
       const EngineState ref = run_engine(prog, seed, EngineKind::Reference,
-                                         nullptr, trace, masks, shadow,
-                                         max_steps);
-      const EngineState fast = run_engine(prog, seed, EngineKind::Fast,
-                                          nullptr, trace, masks, shadow,
-                                          max_steps);
-      const EngineState threaded = run_engine(prog, seed, EngineKind::Jit,
-                                              compiled, trace, masks, shadow,
-                                              max_steps);
-      expect_equivalent(fast, ref, "fast: " + what);
-      expect_equivalent(threaded, ref, "jit: " + what);
+                                         trace, masks, shadow, max_steps);
+      const EngineState fast = run_engine(prog, seed, EngineKind::Fast, trace,
+                                          masks, shadow, max_steps);
+      expect_equivalent(fast, ref, what);
       if (mode == 0) {
         if (fast.info.status == StepInfo::Status::Halted) ++halted;
         else if (fast.info.trap.kind == TrapKind::Watchdog) ++watchdogged;
@@ -339,29 +320,23 @@ TEST(EngineEquivalenceTest, WatchdogBoundarySplitsFusedPair) {
   const Program prog = as.finish();
   ASSERT_TRUE(prog.fused(0).fused);
 
-  const auto compiled = compile_jit(prog);
   for (std::uint64_t max_steps = 1; max_steps <= 5; ++max_steps) {
-    const EngineState ref = run_engine(prog, 42, EngineKind::Reference,
-                                       nullptr, true, true, false, max_steps);
-    const EngineState fast = run_engine(prog, 42, EngineKind::Fast, nullptr,
-                                        true, true, false, max_steps);
-    const EngineState threaded = run_engine(prog, 42, EngineKind::Jit,
-                                            compiled, true, true, false,
-                                            max_steps);
-    expect_equivalent(fast, ref, "fast max_steps " + std::to_string(max_steps));
-    expect_equivalent(threaded, ref,
-                      "jit max_steps " + std::to_string(max_steps));
+    const EngineState ref = run_engine(prog, 42, EngineKind::Reference, true,
+                                       true, false, max_steps);
+    const EngineState fast = run_engine(prog, 42, EngineKind::Fast, true,
+                                        true, false, max_steps);
+    expect_equivalent(fast, ref, "max_steps " + std::to_string(max_steps));
     EXPECT_EQ(fast.info.trap.kind, TrapKind::Watchdog);
     EXPECT_EQ(fast.steps, max_steps);
   }
 }
 
-TEST(EngineEquivalenceTest, JitDeoptsAtEveryTightWatchdogBudget) {
-  // A long straight-line superblock ending in a backedge: every budget
-  // from 0 (immediate watchdog) up past one full iteration forces the
-  // threaded engine's sb_remaining check to deopt to the interpreter at a
-  // different interior op.  All budgets must stay bit-identical to the
-  // reference engine, including counters and the recorded trace.
+TEST(EngineEquivalenceTest, EveryTightWatchdogBudgetOnLongLoop) {
+  // A long straight-line run ending in a backedge: every budget from 0
+  // (immediate watchdog) up past two full iterations expires at a
+  // different instruction of the body.  All budgets must stay
+  // bit-identical to the reference engine, including counters and the
+  // recorded trace.
   Assembler as(kCodeBase);
   const auto loop = as.here();
   for (int i = 0; i < 12; ++i) as.inc(Reg::rax);
@@ -369,24 +344,21 @@ TEST(EngineEquivalenceTest, JitDeoptsAtEveryTightWatchdogBudget) {
   as.store(Reg::rbx, Reg::rax);
   as.jmp(loop);
   const Program prog = as.finish();
-  const auto compiled = compile_jit(prog);
 
   for (std::uint64_t max_steps = 0; max_steps <= 35; ++max_steps) {
-    const EngineState ref = run_engine(prog, 9, EngineKind::Reference,
-                                       nullptr, true, true, false, max_steps);
-    const EngineState threaded = run_engine(prog, 9, EngineKind::Jit,
-                                            compiled, true, true, false,
-                                            max_steps);
-    expect_equivalent(threaded, ref,
-                      "budget " + std::to_string(max_steps));
-    EXPECT_EQ(threaded.info.trap.kind, TrapKind::Watchdog);
+    const EngineState ref = run_engine(prog, 9, EngineKind::Reference, true,
+                                       true, false, max_steps);
+    const EngineState fast = run_engine(prog, 9, EngineKind::Fast, true, true,
+                                        false, max_steps);
+    expect_equivalent(fast, ref, "budget " + std::to_string(max_steps));
+    EXPECT_EQ(fast.info.trap.kind, TrapKind::Watchdog);
+    EXPECT_EQ(fast.steps, max_steps);
   }
 }
 
-TEST(EngineEquivalenceTest, JitMidSuperblockIndirectEntry) {
-  // An indirect jump landing in the *middle* of a superblock exercises
-  // the entry-bias accounting: the engine must subtract the landing op's
-  // prefixes so only the ops actually executed are retired.
+TEST(EngineEquivalenceTest, IndirectEntryIntoStraightLineRun) {
+  // An indirect jump landing in the middle of a straight-line run: only
+  // the instructions from the landing site on may retire.
   Assembler as(kCodeBase);
   const auto end = as.make_label();
   as.movi(Reg::rcx, kCodeBase + 6);  // mid-run landing site
@@ -402,27 +374,26 @@ TEST(EngineEquivalenceTest, JitMidSuperblockIndirectEntry) {
   as.bind(end);
   as.hlt();
   const Program prog = as.finish();
-  const auto compiled = compile_jit(prog);
 
-  const EngineState ref = run_engine(prog, 5, EngineKind::Reference, nullptr,
-                                     true, true, false, 100);
-  const EngineState threaded = run_engine(prog, 5, EngineKind::Jit, compiled,
-                                          true, true, false, 100);
-  expect_equivalent(threaded, ref, "mid-superblock entry");
-  EXPECT_EQ(threaded.info.status, StepInfo::Status::Halted);
+  const EngineState ref = run_engine(prog, 5, EngineKind::Reference, true,
+                                     true, false, 100);
+  const EngineState fast = run_engine(prog, 5, EngineKind::Fast, true, true,
+                                      false, 100);
+  expect_equivalent(fast, ref, "mid-run entry");
+  EXPECT_EQ(fast.info.status, StepInfo::Status::Halted);
   // movi, jmp_reg, the three incs from the landing site on, jmp — and
   // nothing before the landing site.
   const std::vector<Addr> want = {kCodeBase,     kCodeBase + 1, kCodeBase + 6,
                                   kCodeBase + 7, kCodeBase + 8, kCodeBase + 9};
-  EXPECT_EQ(threaded.trace, want);
-  EXPECT_EQ(threaded.counters.inst_retired, 6u);
+  EXPECT_EQ(fast.trace, want);
+  EXPECT_EQ(fast.counters.inst_retired, 6u);
 }
 
-TEST(EngineEquivalenceTest, JitOutOfImageControlTransfers) {
-  // Unknown-target edges: a direct branch compiled with kNoTarget, an
-  // indirect jump past the image, and one landing exactly on the
-  // off-the-end sentinel slot.  Every case must fault like the reference
-  // engine (instruction fetch #PF at the target).
+TEST(EngineEquivalenceTest, OutOfImageControlTransfers) {
+  // A direct branch and an indirect jump to targets outside the image:
+  // far past it, just before it, exactly one past the last slot, and
+  // null.  Every case must fault like the reference engine (instruction
+  // fetch #PF at the target).
   const std::int64_t targets[] = {
       static_cast<std::int64_t>(kCodeBase) + 64,   // far past the image
       static_cast<std::int64_t>(kCodeBase) - 1,    // just before it
@@ -442,72 +413,17 @@ TEST(EngineEquivalenceTest, JitOutOfImageControlTransfers) {
         as.hlt();
       }
       const Program prog = as.finish();
-      const auto compiled = compile_jit(prog);
-      const EngineState ref = run_engine(prog, 1, EngineKind::Reference,
-                                         nullptr, true, true, false, 100);
-      const EngineState threaded = run_engine(prog, 1, EngineKind::Jit,
-                                              compiled, true, true, false,
-                                              100);
-      expect_equivalent(threaded, ref,
+      const EngineState ref = run_engine(prog, 1, EngineKind::Reference, true,
+                                         true, false, 100);
+      const EngineState fast = run_engine(prog, 1, EngineKind::Fast, true,
+                                          true, false, 100);
+      expect_equivalent(fast, ref,
                         (indirect ? std::string("jmpr ") : std::string("jmp ")) +
                             std::to_string(target));
-      EXPECT_EQ(threaded.info.trap.kind, TrapKind::PageFault);
-      EXPECT_EQ(threaded.info.trap.fault_addr, static_cast<Addr>(target));
+      EXPECT_EQ(fast.info.trap.kind, TrapKind::PageFault);
+      EXPECT_EQ(fast.info.trap.fault_addr, static_cast<Addr>(target));
     }
   }
-}
-
-TEST(EngineEquivalenceTest, JitWithoutCompiledProgramFallsBackToFast) {
-  Assembler as(kCodeBase);
-  as.movi(Reg::rax, 7);
-  as.inc(Reg::rax);
-  as.hlt();
-  const Program prog = as.finish();
-  const EngineState ref = run_engine(prog, 3, EngineKind::Reference, nullptr,
-                                     true, true, false, 100);
-  const EngineState threaded = run_engine(prog, 3, EngineKind::Jit, nullptr,
-                                          true, true, false, 100);
-  expect_equivalent(threaded, ref, "jit fallback");
-  EXPECT_EQ(threaded.info.status, StepInfo::Status::Halted);
-}
-
-TEST(EngineEquivalenceTest, StaleCompiledProgramRejected) {
-  Assembler as(kCodeBase);
-  as.movi(Reg::rax, 1);
-  as.hlt();
-  const Program prog = as.finish();
-  Assembler other_as(kCodeBase);
-  other_as.movi(Reg::rax, 2);  // different text, same base and size
-  other_as.hlt();
-  const Program other = other_as.finish();
-
-  Memory mem = make_memory();
-  Cpu cpu(&prog, &mem);
-  EXPECT_THROW(cpu.set_compiled(compile_jit(other)), std::invalid_argument);
-  EXPECT_NO_THROW(cpu.set_compiled(compile_jit(prog)));
-}
-
-TEST(EngineEquivalenceTest, CompileRejectsInvalidTilings) {
-  Assembler as(kCodeBase);
-  as.inc(Reg::rax);  // 0: falls through
-  as.inc(Reg::rax);  // 1: falls through
-  as.emit_raw({Opcode::Jmp, Reg::rax, Reg::rax,
-               static_cast<std::int64_t>(kCodeBase), 0});  // 2: terminator
-  as.hlt();                                                // 3: terminator
-  const Program prog = as.finish();
-
-  using jit::Superblock;
-  // Valid tiling compiles.
-  EXPECT_NO_THROW(jit::compile(prog, {{0, 2}, {3, 3}}));
-  // Boundary splits the guaranteed 0->1 fall-through edge.
-  EXPECT_THROW(jit::compile(prog, {{0, 0}, {1, 2}, {3, 3}}),
-               std::invalid_argument);
-  // Superblock continues past the non-fall-through jmp.
-  EXPECT_THROW(jit::compile(prog, {{0, 3}}), std::invalid_argument);
-  // Gap: slot 3 uncovered.
-  EXPECT_THROW(jit::compile(prog, {{0, 2}}), std::invalid_argument);
-  // Out of range.
-  EXPECT_THROW(jit::compile(prog, {{0, 2}, {3, 4}}), std::invalid_argument);
 }
 
 }  // namespace

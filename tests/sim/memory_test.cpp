@@ -350,7 +350,7 @@ TEST(MemoryTest, RandomizedOpsMatchFullCopyModel) {
         }
         break;
       }
-      case 3: {  // the jit's path: one generation bump per write-install
+      case 3: {  // a software-TLB path: one generation bump per write-install
         const Memory::DirectSpan s = mem.direct_span(a);
         ASSERT_NE(s.size, 0u);
         ASSERT_LE(s.size, Memory::kPageWords);
