@@ -26,11 +26,12 @@
 // Usage: bit_coverage [samples_per_activation] [activations_per_config]
 //                     [seed]
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "analysis/artifacts.hpp"
+#include "bench/bench_util.hpp"
 #include "fault/campaign.hpp"
 #include "fault/experiment.hpp"
 #include "hv/machine.hpp"
@@ -42,6 +43,10 @@
 namespace {
 
 using namespace xentry;
+
+constexpr const char* kUsage =
+    "usage: bit_coverage [samples_per_activation] [activations_per_config] "
+    "[seed]\n";
 
 std::string config_name(const hv::MicrovisorOptions& o) {
   std::string s = "domains=" + std::to_string(o.num_domains) +
@@ -162,10 +167,26 @@ ConfigScore run_config(const hv::MicrovisorOptions& opt, int samples,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int samples = argc > 1 ? std::atoi(argv[1]) : 25;
-  const int activations = argc > 2 ? std::atoi(argv[2]) : 40;
+  const char* const prog = "bit_coverage";
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  if (argc > 4) {
+    std::fprintf(stderr, "bit_coverage: unexpected argument '%s'\n%s",
+                 argv[4], kUsage);
+    return 2;
+  }
+  const int samples =
+      argc > 1 ? bench::parse_number_or_exit(prog, "samples_per_activation",
+                                             argv[1], 0, kIntMax, kUsage)
+               : 25;
+  const int activations =
+      argc > 2 ? bench::parse_number_or_exit(prog, "activations_per_config",
+                                             argv[2], 0, kIntMax, kUsage)
+               : 40;
   const std::uint64_t seed =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 7;
+      argc > 3 ? bench::parse_number_or_exit(
+                     prog, "seed", argv[3], std::uint64_t{0},
+                     std::numeric_limits<std::uint64_t>::max(), kUsage)
+               : 7;
 
   // The analyze_program --all-configs matrix.
   const std::vector<hv::MicrovisorOptions> configs = {

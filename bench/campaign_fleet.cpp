@@ -22,9 +22,11 @@
 // Worker mode (internal, spawned by the coordinator):
 //   campaign_fleet ...same flags... --worker W
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -33,6 +35,7 @@
 #include <unistd.h>
 
 #include "analysis/artifacts.hpp"
+#include "bench/bench_util.hpp"
 #include "fault/fleet.hpp"
 #include "hv/machine.hpp"
 #include "hv/microvisor.hpp"
@@ -62,9 +65,11 @@ struct CliOptions {
   int worker = -1;  // >= 0: worker mode
 };
 
+constexpr const char* kUsage = "usage: campaign_fleet --dir PATH [options]\n";
+
 void print_help() {
   std::printf(
-      "usage: campaign_fleet --dir PATH [options]\n"
+      "%s"
       "\n"
       "Runs one injection campaign across N worker processes with a live\n"
       "observability plane (status.json + stderr dashboard), then merges\n"
@@ -97,10 +102,19 @@ void print_help() {
       "                        bit-identical-resume path)\n"
       "  --worker W            internal: run worker W's units in this\n"
       "                        process (spawned by the coordinator)\n"
-      "  --help                this text\n");
+      "  --help                this text\n",
+      kUsage);
 }
 
 bool parse_cli(int argc, char** argv, CliOptions& o) {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
+  constexpr double kDoubleMax = std::numeric_limits<double>::max();
+  const auto number = [](const char* what, const char* text, auto lo,
+                         auto hi) {
+    return bench::parse_number_or_exit("campaign_fleet", what, text, lo, hi,
+                                       kUsage);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> const char* {
@@ -119,16 +133,16 @@ bool parse_cli(int argc, char** argv, CliOptions& o) {
       o.sampling = true;
     } else if (arg == "--injections") {
       if ((v = value()) == nullptr) return false;
-      o.injections = std::atoi(v);
+      o.injections = number("--injections", v, 0, kIntMax);
     } else if (arg == "--units") {
       if ((v = value()) == nullptr) return false;
-      o.units = std::atoi(v);
+      o.units = number("--units", v, 0, kIntMax);
     } else if (arg == "--workers") {
       if ((v = value()) == nullptr) return false;
-      o.workers = std::atoi(v);
+      o.workers = number("--workers", v, 1, kIntMax);
     } else if (arg == "--seed") {
       if ((v = value()) == nullptr) return false;
-      o.seed = std::strtoull(v, nullptr, 10);
+      o.seed = number("--seed", v, std::uint64_t{0}, kU64Max);
     } else if (arg == "--dir") {
       if ((v = value()) == nullptr) return false;
       o.dir = v;
@@ -145,28 +159,29 @@ bool parse_cli(int argc, char** argv, CliOptions& o) {
       o.records_format = *fmt;
     } else if (arg == "--checkpoint-every") {
       if ((v = value()) == nullptr) return false;
-      o.checkpoint_every = std::atoi(v);
+      o.checkpoint_every = number("--checkpoint-every", v, 1, kIntMax);
     } else if (arg == "--status-interval") {
       if ((v = value()) == nullptr) return false;
-      o.status_interval = std::atof(v);
+      o.status_interval = number("--status-interval", v, 0.0, kDoubleMax);
     } else if (arg == "--heartbeat") {
       if ((v = value()) == nullptr) return false;
-      o.heartbeat = std::atof(v);
+      o.heartbeat = number("--heartbeat", v, 0.0, kDoubleMax);
     } else if (arg == "--stall-timeout") {
       if ((v = value()) == nullptr) return false;
-      o.stall_timeout = std::atof(v);
+      o.stall_timeout = number("--stall-timeout", v, 0.0, kDoubleMax);
     } else if (arg == "--straggler-fraction") {
       if ((v = value()) == nullptr) return false;
-      o.straggler_fraction = std::atof(v);
+      o.straggler_fraction =
+          number("--straggler-fraction", v, 0.0, std::nextafter(1.0, 0.0));
     } else if (arg == "--max-restarts") {
       if ((v = value()) == nullptr) return false;
-      o.max_restarts = std::atoi(v);
+      o.max_restarts = number("--max-restarts", v, 0, kIntMax);
     } else if (arg == "--kill-one-after") {
       if ((v = value()) == nullptr) return false;
-      o.kill_one_after = std::atoi(v);
+      o.kill_one_after = number("--kill-one-after", v, 0, kIntMax);
     } else if (arg == "--worker") {
       if ((v = value()) == nullptr) return false;
-      o.worker = std::atoi(v);
+      o.worker = number("--worker", v, 0, kIntMax);
     } else {
       std::fprintf(stderr, "campaign_fleet: unknown argument '%s'\n",
                    arg.c_str());

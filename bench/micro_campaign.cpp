@@ -3,11 +3,9 @@
 //
 // The paper's headline experiment is a 30,000-injection campaign; the
 // injections/sec of `run_campaign` bounds every study we can afford.
-// This bench tracks the three layers the hot path is built from:
-//   - campaign:  end-to-end injections/sec through run_campaign
-//   - golden:    raw simulator throughput (steps/sec) of clean activations
-//   - snapshot:  machine snapshot+restore round-trips/sec (the sync cost
-//                paid between golden and faulty machines per injection)
+// This bench runs one campaign and reports its records digest, outcome
+// rates and end-to-end injections/sec.  Per-layer costs (engine steps,
+// snapshot/restore) are measured in context by perfbench/.
 //
 // Output is a single JSON object, suitable for seeding a BENCH_*.json
 // trajectory.  A fourth argument enables the campaign progress heartbeat
@@ -35,7 +33,6 @@
 #include "fault/record_io.hpp"
 #include "fault/report.hpp"
 #include "fault/stats.hpp"
-#include "hv/machine.hpp"
 #include "hv/microvisor.hpp"
 #include "obs/atomic_file.hpp"
 #include "obs/record_sink.hpp"
@@ -177,52 +174,6 @@ CampaignScore time_campaign(int injections, int shards, std::uint64_t seed,
     std::ofstream os(forensics_out);
     fault::write_forensics_jsonl(os, res.records);
   }
-  return score;
-}
-
-struct GoldenScore {
-  double elapsed = 0;
-  std::uint64_t steps = 0;
-  std::uint64_t runs = 0;
-};
-
-GoldenScore time_golden(double budget_sec) {
-  hv::Machine m;
-  const auto act = m.make_activation(
-      hv::ExitReason::hypercall(hv::Hypercall::mmu_update), 7);
-  GoldenScore score;
-  const auto t0 = Clock::now();
-  do {
-    for (int i = 0; i < 64; ++i) {
-      const hv::RunResult res = m.run(act);
-      score.steps += res.steps;
-      ++score.runs;
-    }
-    score.elapsed = seconds_since(t0);
-  } while (score.elapsed < budget_sec);
-  return score;
-}
-
-struct SnapshotScore {
-  double elapsed = 0;
-  std::uint64_t round_trips = 0;
-};
-
-SnapshotScore time_snapshot(double budget_sec) {
-  // The campaign sync pattern: golden advances, faulty is re-aligned.
-  hv::Machine golden, faulty;
-  const auto act = golden.make_activation(
-      hv::ExitReason::hypercall(hv::Hypercall::grant_table_op), 3);
-  SnapshotScore score;
-  const auto t0 = Clock::now();
-  do {
-    for (int i = 0; i < 64; ++i) {
-      golden.run(act);
-      faulty.restore(golden.snapshot());
-      ++score.round_trips;
-    }
-    score.elapsed = seconds_since(t0);
-  } while (score.elapsed < budget_sec);
   return score;
 }
 
@@ -376,8 +327,6 @@ int main(int argc, char** argv) {
   const CampaignScore campaign =
       time_campaign(injections, shards, seed, heartbeat_sec, engine,
                     sampling, metrics_out, forensics_out, streaming);
-  const GoldenScore golden = time_golden(1.0);
-  const SnapshotScore snap = time_snapshot(1.0);
 
   std::printf(
       "{\n"
@@ -402,10 +351,7 @@ int main(int argc, char** argv) {
       "  \"weighted_detected_rate\": %.6f,\n"
       "  \"campaign_elapsed_sec\": %.4f,\n"
       "  \"injections_per_sec\": %.1f,\n"
-      "  \"effective_injections_per_sec\": %.1f,\n"
-      "  \"golden_steps_per_sec\": %.0f,\n"
-      "  \"golden_runs_per_sec\": %.0f,\n"
-      "  \"snapshot_round_trips_per_sec\": %.0f\n"
+      "  \"effective_injections_per_sec\": %.1f\n"
       "}\n",
       injections, shards, static_cast<unsigned long long>(seed),
       std::string(sim::engine_name(engine)).c_str(), campaign.records,
@@ -421,9 +367,6 @@ int main(int argc, char** argv) {
       campaign.weighted.manifested_rate(),
       campaign.weighted.detected_rate(), campaign.elapsed,
       static_cast<double>(campaign.records) / campaign.elapsed,
-      campaign.weighted.effective_injections / campaign.elapsed,
-      static_cast<double>(golden.steps) / golden.elapsed,
-      static_cast<double>(golden.runs) / golden.elapsed,
-      static_cast<double>(snap.round_trips) / snap.elapsed);
+      campaign.weighted.effective_injections / campaign.elapsed);
   return 0;
 }

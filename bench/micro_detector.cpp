@@ -1,14 +1,12 @@
-// Microbenchmarks (google-benchmark): the hot paths whose cost the
-// overhead model charges — rule evaluation at VM entry, counter
-// arm/disarm, simulator step rate, full activation dispatch, and
-// end-to-end injection-experiment throughput.
+// Microbenchmarks (google-benchmark): the detector hot paths whose cost
+// the overhead model charges — rule evaluation at VM entry and counter
+// arm/disarm.  Activation dispatch, injection and campaign throughput are
+// measured end to end by perfbench/.
 #include <benchmark/benchmark.h>
 
 #include "fault/campaign.hpp"
-#include "fault/experiment.hpp"
 #include "fault/training.hpp"
-#include "hv/machine.hpp"
-#include "xentry/framework.hpp"
+#include "sim/perf_counters.hpp"
 
 namespace {
 
@@ -46,62 +44,6 @@ void BM_CounterArmDisarm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CounterArmDisarm);
-
-void BM_SimulatorSteps(benchmark::State& state) {
-  hv::Machine m;
-  const auto act = m.make_activation(
-      hv::ExitReason::hypercall(hv::Hypercall::mmu_update), 7);
-  std::uint64_t steps = 0;
-  for (auto _ : state) {
-    const hv::RunResult res = m.run(act);
-    steps += res.steps;
-    benchmark::DoNotOptimize(res.steps);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(steps));
-}
-BENCHMARK(BM_SimulatorSteps);
-
-void BM_ActivationUnderXentry(benchmark::State& state) {
-  hv::Machine m;
-  Xentry x;
-  x.set_model(shared_model().rules);
-  const auto act = m.make_activation(
-      hv::ExitReason::apic(hv::ApicInterrupt::timer), 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(x.observe(m, act));
-  }
-}
-BENCHMARK(BM_ActivationUnderXentry);
-
-void BM_InjectionExperiment(benchmark::State& state) {
-  hv::Machine golden, faulty;
-  Xentry x;
-  x.set_model(shared_model().rules);
-  fault::InjectionExperiment exp(golden, faulty, x);
-  const auto act = golden.make_activation(
-      hv::ExitReason::hypercall(hv::Hypercall::grant_table_op), 3);
-  std::mt19937_64 rng(5);
-  fault::InjectionExperiment::GoldenProbe probe;
-  for (auto _ : state) {
-    exp.probe_golden_advance(act, probe);
-    const hv::Injection inj = fault::InjectionExperiment::
-        draw_activated_injection(rng, probe.trace,
-                                 golden.microvisor().program);
-    benchmark::DoNotOptimize(exp.run_one(act, inj, probe));
-  }
-}
-BENCHMARK(BM_InjectionExperiment);
-
-void BM_CampaignThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    fault::CampaignConfig cfg;
-    cfg.injections = 500;
-    cfg.seed = 7;
-    benchmark::DoNotOptimize(fault::run_campaign(cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * 500);
-}
-BENCHMARK(BM_CampaignThroughput)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -96,28 +96,9 @@ void validate_campaign_config(const CampaignConfig& cfg) {
          "flight_recorder_depth " +
          std::to_string(cfg.obs.flight_recorder_depth));
   }
-  if (cfg.obs.tracing && cfg.obs.trace_max_events == 0) {
-    fail("obs.tracing enabled with trace_max_events == 0 (every event "
-         "would be dropped)");
-  }
-  if (cfg.obs.forensics) {
-    if (cfg.obs.forensics_chunk_steps <= 0) {
-      fail("obs.forensics enabled with non-positive forensics_chunk_steps " +
-           std::to_string(cfg.obs.forensics_chunk_steps));
-    }
-    if (cfg.obs.forensics_max_replay_steps == 0) {
-      fail("obs.forensics enabled with forensics_max_replay_steps == 0 (no "
-           "replay window)");
-    }
-    if (cfg.obs.forensics_max_taint_samples <= 0) {
-      fail("obs.forensics enabled with non-positive "
-           "forensics_max_taint_samples " +
-           std::to_string(cfg.obs.forensics_max_taint_samples));
-    }
-    if (cfg.obs.forensics_sample_every <= 0) {
-      fail("obs.forensics enabled with non-positive forensics_sample_every " +
-           std::to_string(cfg.obs.forensics_sample_every));
-    }
+  if (cfg.obs.forensics && cfg.obs.forensics_sample_every <= 0) {
+    fail("obs.forensics enabled with non-positive forensics_sample_every " +
+         std::to_string(cfg.obs.forensics_sample_every));
   }
   if (cfg.heartbeat.interval_sec > 0 && !cfg.heartbeat.callback) {
     fail("heartbeat.interval_sec is set but no heartbeat.callback is "
@@ -210,6 +191,10 @@ void validate_campaign_config(const CampaignConfig& cfg) {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Trace-event budget per shard recorder: events beyond it are counted as
+/// dropped instead of growing the buffer.
+constexpr std::size_t kShardTraceEvents = 1u << 20;
 
 /// Per-shard progress cells for the heartbeat, padded to a cache line so
 /// shards never share one.  Relaxed increments: the monitor reads a
@@ -325,7 +310,7 @@ CampaignResult run_shard(
   if (resume != nullptr) restore_machine(golden, *resume);
 
   // -- shard-local telemetry (lock-free: nothing here is shared) ------------
-  result.trace = obs::TraceRecorder(oo.trace_max_events, epoch);
+  result.trace = obs::TraceRecorder(kShardTraceEvents, epoch);
   obs::TraceRecorder* const tr = oo.tracing ? &result.trace : nullptr;
   const std::int32_t tid = shard_index;
   obs::FlightRecorder flight(oo.flight_recorder_depth);
@@ -384,9 +369,7 @@ CampaignResult run_shard(
     }
   }
 
-  XentryConfig xcfg = cfg.xentry;
-  if (oo.metrics) xcfg.obs.metrics = true;
-  Xentry xentry(xcfg);
+  Xentry xentry(cfg.xentry);
   if (!cfg.model.empty()) xentry.set_model(cfg.model);
   if (cfg.analysis != nullptr) xentry.set_analysis(cfg.analysis.get());
   if (oo.metrics) xentry.set_metrics(&result.metrics);
@@ -395,9 +378,6 @@ CampaignResult run_shard(
   if (oo.forensics) {
     InjectionExperiment::ForensicsConfig fc;
     fc.enabled = true;
-    fc.params.chunk_steps = oo.forensics_chunk_steps;
-    fc.params.max_replay_steps = oo.forensics_max_replay_steps;
-    fc.params.max_taint_samples = oo.forensics_max_taint_samples;
     fc.sample_every = oo.forensics_sample_every;
     experiment.set_forensics(fc);
   }
@@ -940,10 +920,10 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
   CampaignResult merged;
   merged.resumed = resuming;
   if (cfg.obs.tracing) {
-    // Global budget: each shard kept at most trace_max_events, so the
+    // Global budget: each shard kept at most kShardTraceEvents, so the
     // merged buffer never drops what the shards kept.
     merged.trace = obs::TraceRecorder(
-        cfg.obs.trace_max_events * static_cast<std::size_t>(shards), epoch);
+        kShardTraceEvents * static_cast<std::size_t>(shards), epoch);
   }
   std::size_t total_records = 0, total_rows = 0;
   for (const CampaignResult& p : partials) {

@@ -36,14 +36,6 @@ void InjectionExperiment::advance(const hv::Activation& activation) {
   golden_.run(activation);
 }
 
-InjectionExperiment::GoldenProbe InjectionExperiment::probe_golden(
-    const hv::Activation& activation) {
-  GoldenProbe probe;
-  probe_golden_advance(activation, probe);
-  golden_.restore(probe.pre);
-  return probe;
-}
-
 void InjectionExperiment::probe_golden_advance(
     const hv::Activation& activation, GoldenProbe& probe) {
   golden_.snapshot_into(probe.pre);
@@ -211,7 +203,7 @@ void InjectionExperiment::run_forensics(InjectionRecord& rec,
   // load-bearing (the stream advances from it) — save and re-instate it.
   golden_.snapshot_into(forensics_post_);
   obs::ForensicsRecord fx = run_lockstep_forensics(
-      golden_, faulty_, activation, injection, probe.pre, forensics_.params);
+      golden_, faulty_, activation, injection, probe.pre);
   golden_.restore(forensics_post_);
 
   fx.heuristic = static_cast<std::uint8_t>(rec.undetected);

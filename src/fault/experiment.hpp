@@ -139,7 +139,6 @@ class InjectionExperiment {
   /// faulted window on the reference engine and are not free.
   struct ForensicsConfig {
     bool enabled = false;
-    LockstepParams params{};
     int sample_every = 1;
   };
 
@@ -151,16 +150,13 @@ class InjectionExperiment {
   std::uint64_t forensics_counter() const { return forensics_counter_; }
   void set_forensics_counter(std::uint64_t n) { forensics_counter_ = n; }
 
-  /// Runs the activation clean once to measure its dynamic length and
-  /// capture its control-flow trace (for activated-biased injection
-  /// draws).  Restores the golden machine to its pre-run state afterwards.
-  GoldenProbe probe_golden(const hv::Activation& activation);
-
-  /// Like probe_golden, but the golden machine is LEFT AT ITS POST-RUN
-  /// STATE (the probe run is the golden run) and `probe`'s buffers are
-  /// reused.  Pair with run_one(act, inj, probe);
-  /// to abandon the probe instead (e.g. a degenerate zero-step
-  /// activation), rewind with `machine.restore(probe.pre)`.
+  /// Runs the activation clean once on the golden machine to measure its
+  /// dynamic length and capture its control-flow trace (for
+  /// activated-biased injection draws), reusing `probe`'s buffers.  The
+  /// golden machine is LEFT AT ITS POST-RUN STATE (the probe run is the
+  /// golden run).  Pair with run_one(act, inj, probe); to abandon the
+  /// probe instead (e.g. a degenerate zero-step activation), rewind with
+  /// `machine.restore(probe.pre)`.
   void probe_golden_advance(const hv::Activation& activation,
                             GoldenProbe& probe);
 

@@ -1,6 +1,7 @@
 #include "ml/dataset.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
 #include <numeric>
 #include <ostream>
@@ -98,21 +99,30 @@ Dataset Dataset::load_csv(std::istream& is) {
   }
   names.pop_back();
   Dataset ds(names);
-  std::vector<std::int64_t> feats(names.size());
+  std::vector<std::int64_t> fields(names.size() + 1);  // features, label
+  std::size_t row = 0;
+  const auto fail = [&row](std::size_t col, const std::string& what) {
+    throw std::runtime_error("Dataset::load_csv: row " + std::to_string(row) +
+                             ", column " + std::to_string(col) + ": " + what);
+  };
   while (std::getline(is, line)) {
     if (line.empty()) continue;
+    ++row;
     std::istringstream ls(line);
     std::string field;
-    for (std::size_t c = 0; c < names.size(); ++c) {
-      if (!std::getline(ls, field, ',')) {
-        throw std::runtime_error("Dataset::load_csv: short row");
+    for (std::size_t c = 0; c < fields.size(); ++c) {
+      if (!std::getline(ls, field, ',')) fail(c + 1, "short row");
+      const char* const end = field.data() + field.size();
+      const auto [ptr, ec] = std::from_chars(field.data(), end, fields[c]);
+      if (ec != std::errc{} || ptr != end) {
+        fail(c + 1, "bad integer '" + field + "'");
       }
-      feats[c] = std::stoll(field);
     }
-    if (!std::getline(ls, field, ',')) {
-      throw std::runtime_error("Dataset::load_csv: missing label");
-    }
-    ds.add(feats, std::stoi(field) != 0 ? Label::Incorrect : Label::Correct);
+    if (std::getline(ls, field, ',')) fail(fields.size() + 1, "extra field");
+    const std::int64_t label = fields.back();
+    if (label != 0 && label != 1) fail(fields.size(), "label is not 0 or 1");
+    ds.add(std::span<const std::int64_t>(fields.data(), names.size()),
+           label == 1 ? Label::Incorrect : Label::Correct);
   }
   return ds;
 }

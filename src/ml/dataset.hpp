@@ -67,6 +67,9 @@ class Dataset {
 
   /// CSV round-trip: header is feature names + "label".
   void save_csv(std::ostream& os) const;
+  /// Each field must parse whole as an integer and each label must be 0
+  /// or 1; anything else throws std::runtime_error naming the 1-based
+  /// data row (the header is not counted) and column.
   static Dataset load_csv(std::istream& is);
 
  private:

@@ -10,9 +10,6 @@
 // `bench/obs_overhead`.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-
 namespace xentry::obs {
 
 struct Options {
@@ -39,24 +36,11 @@ struct Options {
 
   /// Ring depth for the flight recorder (frames kept per machine).
   int flight_recorder_depth = 32;
-  /// Hard cap on buffered trace events per recorder; events beyond the
-  /// cap are counted as dropped, never reallocated past it.
-  std::size_t trace_max_events = 1u << 20;
 
-  /// Lockstep chunk length: golden/faulty state is compared every this
-  /// many replayed instructions, and a dirty chunk is bisected to the
-  /// first divergent boundary (divergence resolution = 1 instruction;
-  /// chunk size only trades compares against bisection probes).
-  int forensics_chunk_steps = 64;
-  /// Per-side replay budget (instructions after the injection point).
-  /// Bounds pathological replays — a hung faulty run has no natural end.
-  std::uint64_t forensics_max_replay_steps = 1u << 17;
-  /// Cap on taint-map samples per injection (exponentially spaced from
-  /// the first divergence, plus one final end-state sample).
-  int forensics_max_taint_samples = 24;
   /// Replay 1-in-N of the *undetected-escape* qualifiers (deterministic
   /// per-shard counter).  AppSdc/AppCrash records always replay — the
   /// forensics contract promises every SDC a first-divergence entry.
+  /// The replay itself runs with fault::LockstepParams' defaults.
   int forensics_sample_every = 1;
 
   /// True when any collection layer is live.

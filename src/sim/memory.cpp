@@ -132,20 +132,6 @@ Word* Memory::poke_span(Addr a, Addr len) {
   return &r->data[off];
 }
 
-Memory::DirectSpan Memory::direct_span(Addr a) {
-  Region* r = find(a);
-  DirectSpan s;
-  if (r == nullptr) return s;
-  const std::size_t page = (a - r->base) >> kPageShift;
-  const Addr lo = static_cast<Addr>(page) << kPageShift;
-  s.base = r->base + lo;
-  s.size = r->page_words(page);
-  s.data = r->data.data() + lo;
-  s.gen = &r->gens[page];
-  s.writable = r->perm == Perm::ReadWrite;
-  return s;
-}
-
 Memory::Snapshot Memory::snapshot() const {
   Snapshot snap;
   snapshot_into(snap);

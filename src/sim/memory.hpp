@@ -178,24 +178,6 @@ class Memory {
   /// fault.
   Word* poke_span(Addr a, Addr len);
 
-  /// Raw view of the page holding an address, for a software TLB: a flat
-  /// {base, size, data, writable} window a hot loop can keep in registers
-  /// so a hit is one compare and one load, skipping the region vector
-  /// walk.  `gen` lets the caller bump the page's mutation generation
-  /// itself — exactly once per write-install, before any raw store goes
-  /// through the view, which preserves the generation contract (equal
-  /// generations prove unchanged contents) as long as snapshot/restore
-  /// never run while a view is held and the window never reaches past
-  /// its page.  Views are invalidated by map().
-  struct DirectSpan {
-    Addr base = 0;
-    Addr size = 0;  ///< 0: no mapped region at the probed address
-    Word* data = nullptr;
-    std::uint64_t* gen = nullptr;
-    bool writable = false;
-  };
-  DirectSpan direct_span(Addr a);
-
   /// Fills `out` with one WordDiff per word whose contents differ from
   /// `other`, in ascending address order, and returns the diff count.
   /// `other` must have identical region mappings (same map() calls).

@@ -14,16 +14,13 @@ ExceptionVerdict ExceptionParser::parse(const sim::Trap& trap) const {
     case sim::TrapKind::PageFault:
     case sim::TrapKind::GeneralProtection:
     case sim::TrapKind::StackFault:
+    case sim::TrapKind::DivideError:
+    case sim::TrapKind::Watchdog:
       // In hypervisor context these are always fatal: the microvisor's own
       // code never legally faults (guest page faults arrive as VM exits,
-      // not as host-mode traps).
+      // not as host-mode traps), #DE is legal only in guest context, and
+      // watchdog expiry is Xen's NMI watchdog catching a hung hypervisor.
       return ExceptionVerdict::Fatal;
-    case sim::TrapKind::DivideError:
-      return policy_.divide_error_is_fatal ? ExceptionVerdict::Fatal
-                                           : ExceptionVerdict::Benign;
-    case sim::TrapKind::Watchdog:
-      return policy_.watchdog_is_fatal ? ExceptionVerdict::Fatal
-                                       : ExceptionVerdict::Benign;
   }
   return ExceptionVerdict::NotHardware;
 }

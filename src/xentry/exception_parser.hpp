@@ -4,8 +4,10 @@
 // indicate failures. ... hardware exceptions should be parsed first to
 // filter out non-fatal ones."  The parser embodies that policy: it maps a
 // trap raised during a hypervisor execution to a verdict — fatal (a strong
-// soft-error indicator), benign (legal in correct executions), or not a
-// hardware exception at all (assertions have their own channel).
+// soft-error indicator) or not a hardware exception at all (assertions
+// have their own channel).  The exceptions that are legal in correct
+// executions (#PF, #DE in guest context) arrive as VM exits, never as
+// host-mode traps, so every hardware trap this parser sees is fatal.
 #pragma once
 
 #include <string>
@@ -16,33 +18,15 @@ namespace xentry {
 
 enum class ExceptionVerdict {
   Fatal,      ///< strong soft-error indicator: detection fires
-  Benign,     ///< legal in correct executions: filtered out
   NotHardware ///< software assertion or none: not this parser's business
 };
 
 class ExceptionParser {
  public:
-  struct Policy {
-    /// Treat watchdog expiry (Xen's NMI watchdog catching a hung
-    /// hypervisor) as a fatal hardware detection.
-    bool watchdog_is_fatal = true;
-    /// #DE can be legal in guest context but never in the microvisor's
-    /// own code; kept configurable for policy experiments.
-    bool divide_error_is_fatal = true;
-  };
-
-  ExceptionParser() = default;
-  explicit ExceptionParser(const Policy& policy) : policy_(policy) {}
-
   ExceptionVerdict parse(const sim::Trap& trap) const;
 
   /// Human-readable rationale for logs and reports.
   static std::string describe(const sim::Trap& trap);
-
-  const Policy& policy() const { return policy_; }
-
- private:
-  Policy policy_;
 };
 
 }  // namespace xentry

@@ -19,7 +19,7 @@ std::string_view technique_name(Technique t) {
 }
 
 void Xentry::set_metrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr || !cfg_.obs.metrics) {
+  if (registry == nullptr) {
     metrics_ = {};
     return;
   }

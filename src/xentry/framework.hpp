@@ -15,7 +15,6 @@
 #include "analysis/artifacts.hpp"
 #include "hv/machine.hpp"
 #include "obs/metrics.hpp"
-#include "obs/options.hpp"
 #include "xentry/assertions.hpp"
 #include "xentry/exception_parser.hpp"
 #include "xentry/features.hpp"
@@ -70,11 +69,6 @@ struct XentryConfig {
   /// builds; standalone Machine users call Machine::set_execution_engine
   /// directly.
   sim::EngineKind engine = sim::EngineKind::Fast;
-  ExceptionParser::Policy exception_policy{};
-  /// Observability gates for the framework layer (detections per
-  /// technique, handler-length and detection-latency histograms).
-  /// Collection additionally needs a registry via Xentry::set_metrics.
-  obs::Options obs{};
 };
 
 struct Observation {
@@ -89,8 +83,7 @@ struct Observation {
 
 class Xentry {
  public:
-  explicit Xentry(const XentryConfig& config = {})
-      : cfg_(config), parser_(config.exception_policy) {}
+  explicit Xentry(const XentryConfig& config = {}) : cfg_(config) {}
 
   XentryConfig& config() { return cfg_; }
   const XentryConfig& config() const { return cfg_; }
@@ -112,8 +105,9 @@ class Xentry {
   /// Points framework-level metrics at a registry (shard-local; the
   /// caller owns it and must keep it alive).  Handles are resolved once
   /// here so observe() bumps plain cells — no name lookups on the hot
-  /// path.  Only active when config().obs.metrics is also set; nullptr
-  /// detaches.
+  /// path.  Framework metrics (detections per technique, handler-length
+  /// and detection-latency histograms) are on exactly while a registry is
+  /// attached; nullptr detaches.
   void set_metrics(obs::MetricsRegistry* registry);
 
   /// Runs one activation under full Xentry interception and classifies

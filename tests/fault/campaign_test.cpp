@@ -183,11 +183,6 @@ TEST(CampaignTest, ValidateRejectsBadConfigs) {
   EXPECT_THROW(validate_campaign_config(c), std::invalid_argument);
 
   c = valid();
-  c.obs.tracing = true;
-  c.obs.trace_max_events = 0;
-  EXPECT_THROW(validate_campaign_config(c), std::invalid_argument);
-
-  c = valid();
   c.heartbeat.interval_sec = 1.0;  // interval without a callback
   EXPECT_THROW(validate_campaign_config(c), std::invalid_argument);
 

@@ -21,12 +21,22 @@ InjectionExperiment::Result run_one(Rig& rig, const hv::Activation& act,
   return rig.exp.run_one(act, inj, probe);
 }
 
+/// The golden probe run, then a rewind of the golden machine to its
+/// pre-run state.
+InjectionExperiment::GoldenProbe probe_and_rewind(Rig& rig,
+                                                  const hv::Activation& act) {
+  InjectionExperiment::GoldenProbe probe;
+  rig.exp.probe_golden_advance(act, probe);
+  rig.golden.restore(probe.pre);
+  return probe;
+}
+
 TEST(ExperimentTest, GoldenProbeRestoresState) {
   Rig rig;
   const auto act = rig.golden.make_activation(
       hv::ExitReason::hypercall(hv::Hypercall::mmu_update), 5);
   const auto before = rig.golden.memory().snapshot();
-  auto probe = rig.exp.probe_golden(act);
+  const auto probe = probe_and_rewind(rig, act);
   EXPECT_GT(probe.steps, 0u);
   EXPECT_EQ(probe.trace.size(), probe.steps);
   EXPECT_EQ(rig.golden.memory().snapshot(), before);
@@ -36,11 +46,11 @@ TEST(ExperimentTest, GoldenProbeAdvanceLeavesPostRunStateAndFillsProbe) {
   // Two identical rigs: one advances via a plain golden run, the other
   // via probe_golden_advance.  The golden machines must end bit-identical
   // (the probe run IS the golden run), and the probe must carry the same
-  // trace/steps as the restoring probe_golden.
+  // trace/steps as a probe that rewinds.
   Rig plain, probed;
   const auto act = plain.golden.make_activation(
       hv::ExitReason::hypercall(hv::Hypercall::mmu_update), 5);
-  const auto reference = plain.exp.probe_golden(act);  // restores state
+  const auto reference = probe_and_rewind(plain, act);
   plain.golden.run(act);
 
   InjectionExperiment::GoldenProbe probe;
@@ -54,8 +64,8 @@ TEST(ExperimentTest, GoldenProbeAdvanceLeavesPostRunStateAndFillsProbe) {
 
 TEST(ExperimentTest, ProbeReuseRunOneMatchesTwoRunPath) {
   // Golden-run reuse must produce bit-identical results to executing the
-  // golden run twice: once by the restoring probe_golden, once more as
-  // the experiment's own golden run.
+  // golden run twice: once by a probe that rewinds, once more as the
+  // experiment's own golden run.
   Rig legacy, fast;
   std::vector<hv::Activation> acts;
   for (int i = 0; i < 20; ++i) {
@@ -67,7 +77,7 @@ TEST(ExperimentTest, ProbeReuseRunOneMatchesTwoRunPath) {
   std::mt19937_64 rng_a(77), rng_b(77);
   InjectionExperiment::GoldenProbe probe;
   for (const auto& act : acts) {
-    const auto ref_probe = legacy.exp.probe_golden(act);
+    const auto ref_probe = probe_and_rewind(legacy, act);
     const hv::Injection inj_a = InjectionExperiment::draw_activated_injection(
         rng_a, ref_probe.trace, legacy.golden.microvisor().program);
     legacy.golden.run(act);
@@ -240,7 +250,7 @@ TEST(ExperimentTest, ActivatedDrawPicksReadRegisters) {
   Rig rig;
   const auto act = rig.golden.make_activation(
       hv::ExitReason::hypercall(hv::Hypercall::grant_table_op), 6);
-  auto probe = rig.exp.probe_golden(act);
+  const auto probe = probe_and_rewind(rig, act);
   std::mt19937_64 rng(5);
   int activated = 0;
   const int trials = 50;

@@ -104,6 +104,31 @@ TEST(DatasetTest, CsvRejectsMissingLabelColumn) {
   EXPECT_THROW(Dataset::load_csv(ss), std::runtime_error);
 }
 
+TEST(DatasetTest, CsvRejectsMalformedFields) {
+  const auto message = [](const char* text) -> std::string {
+    std::stringstream ss(text);
+    try {
+      Dataset::load_csv(ss);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const auto rejects_at = [&](const char* text, const char* where) {
+    const std::string m = message(text);
+    EXPECT_NE(m.find(where), std::string::npos) << text << " -> " << m;
+  };
+  rejects_at("a,b,label\n1,2,0\nabc,2,0\n", "row 2, column 1");  // junk
+  rejects_at("a,b,label\n1x,2,0\n", "row 1, column 1");  // trailing junk
+  rejects_at("a,b,label\n1,99999999999999999999,0\n",
+             "row 1, column 2");  // int64 overflow
+  rejects_at("a,b,label\n1,2,2\n", "row 1, column 3");    // bad label
+  rejects_at("a,b,label\n1,2,1x\n", "row 1, column 3");   // label junk
+  rejects_at("a,b,label\n1,2,0,5\n", "row 1, column 4");  // extra field
+  rejects_at("a,b,label\n1\n", "row 1, column 2");        // short row
+  EXPECT_EQ(message("a,b,label\n-1,2,1\n\n3,4,0\n"), "accepted");
+}
+
 TEST(DatasetTest, AppendSplicesRowsInOrder) {
   Dataset a = tiny();
   Dataset b({"a", "b"});

@@ -210,22 +210,6 @@ TEST(MemoryTest, ClearCountsAsMutationForIncrementalRestore) {
   EXPECT_EQ(mem.peek(0x1), 5u);
 }
 
-TEST(MemoryTest, DirectSpanIsOnePageWindow) {
-  Memory mem;
-  mem.map(0x1000, 130, Perm::ReadWrite, "rw");
-  mem.map(0x2000, 8, Perm::Read, "ro");
-  Memory::DirectSpan s = mem.direct_span(0x1000 + 70);
-  EXPECT_EQ(s.base, 0x1000u + Memory::kPageWords);
-  EXPECT_EQ(s.size, Memory::kPageWords);
-  EXPECT_TRUE(s.writable);
-  s = mem.direct_span(0x1000 + 129);  // partial last page
-  EXPECT_EQ(s.base, 0x1000u + 2 * Memory::kPageWords);
-  EXPECT_EQ(s.size, 2u);
-  EXPECT_EQ(s.gen, &mem.regions()[0].gens[2]);
-  EXPECT_FALSE(mem.direct_span(0x2003).writable);
-  EXPECT_EQ(mem.direct_span(0x3000).size, 0u);
-}
-
 TEST(MemoryTest, PokeSpanBumpsEveryPageItCovers) {
   Memory mem;
   mem.map(0x0, 200, Perm::ReadWrite, "r");
@@ -329,7 +313,7 @@ TEST(MemoryTest, RandomizedOpsMatchFullCopyModel) {
     const Addr a = layout[ri].base + off;
     const Word v = rng();
     const bool rw = layout[ri].perm == Perm::ReadWrite;
-    const std::uint64_t kind = below(9);
+    const std::uint64_t kind = below(8);
     switch (kind) {
       case 0: {
         const Trap t = mem.write(a, v);
@@ -350,24 +334,13 @@ TEST(MemoryTest, RandomizedOpsMatchFullCopyModel) {
         }
         break;
       }
-      case 3: {  // a software-TLB path: one generation bump per write-install
-        const Memory::DirectSpan s = mem.direct_span(a);
-        ASSERT_NE(s.size, 0u);
-        ASSERT_LE(s.size, Memory::kPageWords);
-        if (s.writable) {
-          ++*s.gen;
-          s.data[a - s.base] = v;
-          model[ri][off] = v;
-        }
-        break;
-      }
-      case 4:
+      case 3:
         if (below(20) == 0) {
           mem.clear();
           for (auto& r : model) std::fill(r.begin(), r.end(), 0);
         }
         break;
-      case 5: {
+      case 4: {
         Slot& slot = slots[below(kSlots)];
         if (below(8) == 0) {
           slot.snap = mem.snapshot();
@@ -377,15 +350,15 @@ TEST(MemoryTest, RandomizedOpsMatchFullCopyModel) {
         slot.model = model;
         break;
       }
-      case 6:
-      case 7: {
+      case 5:
+      case 6: {
         const Slot& slot = slots[below(kSlots)];
         if (slot.snap.empty()) break;
         mem.restore(slot.snap);
         model = slot.model;
         break;
       }
-      case 8:
+      case 7:
         if (below(10) == 0) {
           const std::size_t src = below(kMems);
           mems[m] = mems[src];  // fresh identity for the target

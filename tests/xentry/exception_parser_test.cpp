@@ -9,7 +9,8 @@ TEST(ExceptionParserTest, FatalHardwareExceptions) {
   ExceptionParser p;
   for (sim::TrapKind k :
        {sim::TrapKind::InvalidOpcode, sim::TrapKind::PageFault,
-        sim::TrapKind::GeneralProtection, sim::TrapKind::StackFault}) {
+        sim::TrapKind::GeneralProtection, sim::TrapKind::StackFault,
+        sim::TrapKind::Watchdog, sim::TrapKind::DivideError}) {
     EXPECT_EQ(p.parse(sim::Trap{k, 0, 0}), ExceptionVerdict::Fatal)
         << sim::trap_name(k);
   }
@@ -20,22 +21,6 @@ TEST(ExceptionParserTest, AssertionsAreNotHardware) {
   EXPECT_EQ(p.parse(sim::Trap{sim::TrapKind::AssertFailed, 0, 3}),
             ExceptionVerdict::NotHardware);
   EXPECT_EQ(p.parse(sim::Trap{}), ExceptionVerdict::NotHardware);
-}
-
-TEST(ExceptionParserTest, PolicyControlsWatchdogAndDivide) {
-  ExceptionParser::Policy policy;
-  policy.watchdog_is_fatal = false;
-  policy.divide_error_is_fatal = false;
-  ExceptionParser p(policy);
-  EXPECT_EQ(p.parse(sim::Trap{sim::TrapKind::Watchdog, 0, 0}),
-            ExceptionVerdict::Benign);
-  EXPECT_EQ(p.parse(sim::Trap{sim::TrapKind::DivideError, 0, 0}),
-            ExceptionVerdict::Benign);
-  ExceptionParser strict;
-  EXPECT_EQ(strict.parse(sim::Trap{sim::TrapKind::Watchdog, 0, 0}),
-            ExceptionVerdict::Fatal);
-  EXPECT_EQ(strict.parse(sim::Trap{sim::TrapKind::DivideError, 0, 0}),
-            ExceptionVerdict::Fatal);
 }
 
 TEST(ExceptionParserTest, DescribeMentionsKindAndAssertId) {

@@ -110,6 +110,24 @@ TEST(XentryTest, TransitionDetectionOffSkipsCountersAndModel) {
   EXPECT_EQ(obs.features.rt, 0);  // counters never armed
 }
 
+TEST(XentryTest, AttachedRegistryAloneTurnsMetricsOn) {
+  hv::Machine m;
+  Xentry x;  // default config: no separate metrics switch to set
+  auto act =
+      m.make_activation(hv::ExitReason::hypercall(hv::Hypercall::iret), 3);
+  obs::MetricsRegistry reg;
+  x.set_metrics(&reg);
+  x.observe(m, act);
+  x.observe(m, act);
+  const obs::Counter* observations = reg.find_counter("xentry.observations");
+  ASSERT_NE(observations, nullptr);
+  EXPECT_EQ(observations->value(), 2u);
+
+  x.set_metrics(nullptr);
+  x.observe(m, act);
+  EXPECT_EQ(observations->value(), 2u);
+}
+
 TEST(XentryTest, TechniqueNames) {
   EXPECT_EQ(technique_name(Technique::None), "undetected");
   EXPECT_EQ(technique_name(Technique::HardwareException), "hw_exception");
