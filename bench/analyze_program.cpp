@@ -7,8 +7,8 @@
 // on the shipped programs analyzing clean.
 //
 // Usage: analyze_program [options]
-//   --domains N        num_domains (default 3)
-//   --vcpus N          vcpus_per_domain (default 1)
+//   --domains N        num_domains, 1-8 (default 3)
+//   --vcpus N          vcpus_per_domain, 1-15 (default 1)
 //   --no-assertions    build without software assertions
 //   --time-checks      enable the duplicated-time-read extension
 //   --shadow-stack     enable the shadow-stack extension
@@ -17,18 +17,26 @@
 //                      --all-configs, a single object otherwise)
 //   --quiet            suppress the per-config text summary
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "analysis/artifacts.hpp"
+#include "bench/bench_util.hpp"
+#include "hv/layout.hpp"
 #include "hv/microvisor.hpp"
 
 namespace {
 
 using namespace xentry;
+
+constexpr const char* kProg = "analyze_program";
+constexpr const char* kUsage =
+    "usage: analyze_program [--domains 1-8] [--vcpus 1-15] "
+    "[--no-assertions]\n"
+    "  [--time-checks] [--shadow-stack] [--all-configs] [--json FILE] "
+    "[--quiet]\n";
 
 struct Job {
   hv::MicrovisorOptions opt;
@@ -53,9 +61,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--domains") == 0 && i + 1 < argc) {
-      opt.num_domains = std::atoi(argv[++i]);
+      opt.num_domains = bench::parse_number_or_exit(
+          kProg, "--domains", argv[++i], 1, hv::layout::kMaxDomains, kUsage);
     } else if (std::strcmp(a, "--vcpus") == 0 && i + 1 < argc) {
-      opt.vcpus_per_domain = std::atoi(argv[++i]);
+      // One vCPU slot stays reserved, as build_microvisor requires.
+      opt.vcpus_per_domain = bench::parse_number_or_exit(
+          kProg, "--vcpus", argv[++i], 1, hv::layout::kMaxVcpus - 1, kUsage);
     } else if (std::strcmp(a, "--no-assertions") == 0) {
       opt.assertions = false;
     } else if (std::strcmp(a, "--time-checks") == 0) {
@@ -69,7 +80,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--quiet") == 0) {
       quiet = true;
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", a);
+      std::fprintf(stderr, "%s: unknown argument '%s'\n%s", kProg, a, kUsage);
       return 2;
     }
   }

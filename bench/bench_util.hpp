@@ -1,14 +1,15 @@
 // Shared plumbing for the experiment-reproduction binaries.
 //
 // Every bench prints the rows/series of one paper table or figure.  Scale
-// knobs default to paper scale but honour XENTRY_BENCH_SCALE (a fraction,
-// e.g. 0.1 for a quick pass).
+// knobs default to paper scale but honour XENTRY_BENCH_SCALE (a positive
+// fraction, e.g. 0.1 for a quick pass; anything else exits 2).
 #pragma once
 
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <system_error>
@@ -20,14 +21,55 @@
 
 namespace xentry::bench {
 
+/// Strict parse of one command-line number: the whole of `text` must be
+/// one number within [lo, hi].  Integers are plain decimal (no
+/// whitespace, no '+', no '-' for unsigned types); floating-point values
+/// use std::from_chars' general format, and NaN fails the range check.
+/// Anything else, including an out-of-range value, returns nullopt.
+template <typename T>
+std::optional<T> parse_number(const char* text, T lo, T hi) {
+  const char* const end = text + std::strlen(text);
+  T v{};
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end || !(v >= lo && v <= hi)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+/// parse_number for a CLI argument named `what`: on failure prints the
+/// offending value and `usage` to stderr and exits with status 2.
+template <typename T>
+T parse_number_or_exit(const char* prog, const char* what, const char* text,
+                       T lo, T hi, const char* usage) {
+  const std::optional<T> v = parse_number(text, lo, hi);
+  if (!v.has_value()) {
+    std::fprintf(stderr, "%s: bad %s '%s'\n%s", prog, what, text, usage);
+    std::exit(2);
+  }
+  return *v;
+}
+
+/// A positive number from the environment variable `name`; `fallback`
+/// when it is unset.  Any other value (junk, trailing junk, zero, a
+/// negative, inf, nan) prints the variable to stderr and exits with
+/// status 2.
+inline double env_positive(const char* name, double fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  const std::optional<double> v =
+      parse_number(env, std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::max());
+  if (!v.has_value()) {
+    std::fprintf(stderr, "bad %s '%s' (want a number > 0)\n", name, env);
+    std::exit(2);
+  }
+  return *v;
+}
+
 /// Global scale factor from the environment (default 1.0 = paper scale).
 inline double scale() {
-  static const double s = [] {
-    const char* env = std::getenv("XENTRY_BENCH_SCALE");
-    if (env == nullptr) return 1.0;
-    const double v = std::atof(env);
-    return v > 0 ? v : 1.0;
-  }();
+  static const double s = env_positive("XENTRY_BENCH_SCALE", 1.0);
   return s;
 }
 
@@ -78,35 +120,6 @@ inline fault::CampaignResult run_eval_campaign(const ml::RuleSet& model,
   cfg.model = model;
   cfg.workload = pooled_benchmark_profile();
   return fault::run_campaign(cfg);
-}
-
-/// Strict parse of one command-line number: the whole of `text` must be
-/// one number within [lo, hi].  Integers are plain decimal (no
-/// whitespace, no '+', no '-' for unsigned types); floating-point values
-/// use std::from_chars' general format, and NaN fails the range check.
-/// Anything else, including an out-of-range value, returns nullopt.
-template <typename T>
-std::optional<T> parse_number(const char* text, T lo, T hi) {
-  const char* const end = text + std::strlen(text);
-  T v{};
-  const auto [ptr, ec] = std::from_chars(text, end, v);
-  if (ec != std::errc{} || ptr != end || !(v >= lo && v <= hi)) {
-    return std::nullopt;
-  }
-  return v;
-}
-
-/// parse_number for a CLI argument named `what`: on failure prints the
-/// offending value and `usage` to stderr and exits with status 2.
-template <typename T>
-T parse_number_or_exit(const char* prog, const char* what, const char* text,
-                       T lo, T hi, const char* usage) {
-  const std::optional<T> v = parse_number(text, lo, hi);
-  if (!v.has_value()) {
-    std::fprintf(stderr, "%s: bad %s '%s'\n%s", prog, what, text, usage);
-    std::exit(2);
-  }
-  return *v;
 }
 
 inline void print_header(const std::string& title) {

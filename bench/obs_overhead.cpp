@@ -139,13 +139,6 @@ constexpr const char* kUsage =
     "XENTRY_OBS_TOL_ENABLED,\n"
     "  XENTRY_OBS_TOL_FORENSICS.\n";
 
-double env_tol(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  const double v = std::atof(env);
-  return v > 0 ? v : fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -193,9 +186,12 @@ int main(int argc, char** argv) {
         return 2;
     }
   }
-  const double tol_disabled = env_tol("XENTRY_OBS_TOL_DISABLED", 0.02);
-  const double tol_enabled = env_tol("XENTRY_OBS_TOL_ENABLED", 0.10);
-  const double tol_forensics = env_tol("XENTRY_OBS_TOL_FORENSICS", 0.35);
+  const double tol_disabled =
+      bench::env_positive("XENTRY_OBS_TOL_DISABLED", 0.02);
+  const double tol_enabled =
+      bench::env_positive("XENTRY_OBS_TOL_ENABLED", 0.10);
+  const double tol_forensics =
+      bench::env_positive("XENTRY_OBS_TOL_FORENSICS", 0.35);
 
   const Mode modes[] = {
       {"off", obs::Options{}},

@@ -32,18 +32,24 @@
 //   telemetry_tool verify --records BASE [--format jsonl|bin]
 //                         [--checkpoint JOURNAL] [--digest HEX16]
 //   telemetry_tool tail   --records BASE [--format jsonl|bin] [-n N]
+//
+// A malformed -n or --digest exits 2 naming the flag.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
+#include "bench/bench_util.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/record_io.hpp"
 #include "fault/stats.hpp"
@@ -59,6 +65,17 @@ std::optional<std::string> read_file(const std::string& path) {
   if (!in.is_open()) return std::nullopt;
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
+}
+
+/// A records digest as micro_campaign prints it: 1-16 hex digits, with
+/// or without a 0x prefix, and nothing else.
+std::optional<std::uint64_t> parse_digest(std::string_view text) {
+  if (text.starts_with("0x") || text.starts_with("0X")) text.remove_prefix(2);
+  std::uint64_t v = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v, 16);
+  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
 }
 
 /// One worker's persisted stream: per-shard raw bytes, in shard order.
@@ -118,9 +135,25 @@ Flags parse_flags(int argc, char** argv, int first) {
     } else if (arg == "-o" || arg == "--out") {
       f.out = value();
     } else if (arg == "-n") {
-      f.tail_n = std::atoi(value());
+      const char* v = value();
+      const std::optional<int> n =
+          bench::parse_number(v, 1, std::numeric_limits<int>::max());
+      if (!n.has_value()) {
+        std::fprintf(stderr, "telemetry_tool: bad -n '%s' (want >= 1)\n", v);
+        f.ok = false;
+      } else {
+        f.tail_n = *n;
+      }
     } else if (arg == "--digest") {
-      f.digest = std::strtoull(value(), nullptr, 16);
+      const char* v = value();
+      f.digest = parse_digest(v);
+      if (!f.digest.has_value()) {
+        std::fprintf(stderr,
+                     "telemetry_tool: bad --digest '%s' (want up to 16 hex "
+                     "digits)\n",
+                     v);
+        f.ok = false;
+      }
     } else if (arg == "--format") {
       const auto fmt = obs::record_format_from_name(value());
       if (!fmt.has_value()) {
@@ -360,8 +393,7 @@ int cmd_tail(const Flags& f) {
   for (const std::string& data : w->shard_data) {
     fault::decode_records(data, f.format, records);
   }
-  const std::size_t n =
-      f.tail_n > 0 ? static_cast<std::size_t>(f.tail_n) : 10;
+  const auto n = static_cast<std::size_t>(f.tail_n);
   const std::size_t first = records.size() > n ? records.size() - n : 0;
   std::string line;
   for (std::size_t i = first; i < records.size(); ++i) {

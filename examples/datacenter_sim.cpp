@@ -9,10 +9,11 @@
 // injecting faults at the requested rate, and prints a per-second ops log
 // plus a final incident report.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <random>
 
+#include "bench/bench_util.hpp"
 #include "fault/campaign.hpp"
 #include "fault/training.hpp"
 #include "workloads/workload.hpp"
@@ -20,9 +21,20 @@
 using namespace xentry;
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "usage: datacenter_sim [benchmark] [seconds >= 0] "
+      "[faults_per_million 0-1000000]\n";
   const char* bench_name = argc > 1 ? argv[1] : "postmark";
-  const int seconds = argc > 2 ? std::atoi(argv[2]) : 5;
-  const int faults_per_million = argc > 3 ? std::atoi(argv[3]) : 3000;
+  const int seconds =
+      argc > 2 ? bench::parse_number_or_exit(
+                     "datacenter_sim", "seconds", argv[2], 0,
+                     std::numeric_limits<int>::max(), kUsage)
+               : 5;
+  const int faults_per_million =
+      argc > 3 ? bench::parse_number_or_exit("datacenter_sim",
+                                             "faults_per_million", argv[3], 0,
+                                             1000000, kUsage)
+               : 3000;
 
   wl::Benchmark bench = wl::Benchmark::postmark;
   for (wl::Benchmark b : wl::all_benchmarks()) {

@@ -7,9 +7,10 @@
 //
 //   $ ./train_and_deploy [training_injections] [eval_injections]
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 
+#include "bench/bench_util.hpp"
 #include "fault/campaign.hpp"
 #include "fault/report.hpp"
 #include "fault/stats.hpp"
@@ -18,8 +19,19 @@
 using namespace xentry;
 
 int main(int argc, char** argv) {
-  const int train_n = argc > 1 ? std::atoi(argv[1]) : 23400;
-  const int eval_n = argc > 2 ? std::atoi(argv[2]) : 30000;
+  constexpr const char* kUsage =
+      "usage: train_and_deploy [training_injections] [eval_injections]\n";
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  const int train_n =
+      argc > 1 ? bench::parse_number_or_exit("train_and_deploy",
+                                             "training_injections", argv[1],
+                                             0, kIntMax, kUsage)
+               : 23400;
+  const int eval_n =
+      argc > 2 ? bench::parse_number_or_exit("train_and_deploy",
+                                             "eval_injections", argv[2], 0,
+                                             kIntMax, kUsage)
+               : 30000;
 
   // -- 1. training campaign -------------------------------------------------
   std::printf("running training campaign (%d injections)...\n", train_n);

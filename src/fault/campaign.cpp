@@ -3,6 +3,7 @@
 #include "fault/checkpoint.hpp"
 #include "fault/record_io.hpp"
 #include "fault/sampler.hpp"
+#include "obs/atomic_file.hpp"
 #include "obs/fleet_view.hpp"
 #include "obs/snapshot.hpp"
 
@@ -13,7 +14,6 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -231,432 +231,479 @@ struct CampaignMetricHandles {
   std::array<obs::Counter*, 5> forensics_class{};
   obs::Log2Histogram* forensics_latency = nullptr;
   obs::Log2Histogram* forensics_taint = nullptr;
-};
 
-/// Streaming plumbing for one shard: the shared sink (per-shard streams
-/// inside), the shared journal, and this shard's latest checkpoint
-/// (null on a fresh start).
-struct ShardStreaming {
-  obs::RecordSink* sink = nullptr;
-  CheckpointJournal* journal = nullptr;
-  const ShardCheckpoint* resume = nullptr;
+  CampaignMetricHandles(const CampaignConfig& cfg, obs::MetricsRegistry& reg) {
+    if (!cfg.obs.metrics) return;
+    injections = &reg.counter("campaign.injections");
+    activated = &reg.counter("campaign.activated");
+    manifested = &reg.counter("campaign.manifested");
+    detected = &reg.counter("campaign.detected");
+    golden_steps = &reg.counter("campaign.golden_steps");
+    blackbox_dumps = &reg.counter("campaign.blackbox_dumps");
+    unactivated_resolved = &reg.counter("campaign.unactivated_resolved");
+    if (cfg.sampling.importance) {
+      analytic_slots = &reg.counter("campaign.analytic_slots");
+    }
+    if (!cfg.obs.forensics) return;
+    forensics_replays = &reg.counter("forensics.replays");
+    forensics_replay_steps = &reg.counter("forensics.replay_steps");
+    forensics_mismatch = &reg.counter("forensics.heuristic_mismatch");
+    for (int c = 1; c < 5; ++c) {
+      forensics_class[static_cast<std::size_t>(c)] = &reg.counter(
+          "forensics.class." +
+          std::string(undetected_class_name(static_cast<UndetectedClass>(c))));
+    }
+    forensics_latency = &reg.histogram("forensics.first_divergence_latency");
+    forensics_taint = &reg.histogram("forensics.taint_words");
+  }
 };
 
 /// One shard's work: its own machines, generator, RNG, and telemetry.
-/// The workload profile is resolved once in run_campaign and shared
-/// read-only; `progress` is null unless the heartbeat is enabled.
-CampaignResult run_shard(
-    const CampaignConfig& cfg, const wl::WorkloadProfile& profile,
-    int shard_index, int num_shards,
-    obs::TraceRecorder::Clock::time_point epoch, ShardProgress* progress,
-    const ShardStreaming& streaming) {
-  const int base = cfg.injections / num_shards;
-  const int extra = shard_index < cfg.injections % num_shards ? 1 : 0;
-  const int quota = base + extra;
-
-  CampaignResult result;
-  if (quota == 0) return result;
-  if (cfg.streaming.keep_records) {
-    result.records.reserve(static_cast<std::size_t>(quota));
-  }
-  const ShardCheckpoint* const resume = streaming.resume;
-
-  // -- metrics sidecar (snapshot stream) -------------------------------------
-  // The restored registry must be in place before anything below resolves
-  // handles into result.metrics: restoring replaces the registry object.
-  const obs::Options& oo = cfg.obs;
-  std::ofstream snap_stream;
-  std::unique_ptr<obs::SnapshotWriter> snap_writer;
-  if (streaming.journal != nullptr && oo.metrics) {
-    const std::string spath =
-        snapshot_sidecar_path(cfg.streaming.checkpoint_path, shard_index);
-    if (resume != nullptr) {
-      {
-        std::ifstream in(spath, std::ios::binary);
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        if (text.size() > resume->snap_offset) {
-          text.resize(static_cast<std::size_t>(resume->snap_offset));
-        }
-        result.metrics = obs::merge_snapshots(obs::read_snapshots(text));
-      }
-      // Drop snapshot lines written after the journaled commit point (a
-      // kill can land between the snapshot write and the journal append).
-      std::error_code ec;
-      std::filesystem::resize_file(spath, resume->snap_offset, ec);
-      snap_stream.open(spath, std::ios::binary | std::ios::app);
-      snap_writer = std::make_unique<obs::SnapshotWriter>(snap_stream);
-      snap_writer->prime(result.metrics, resume->snap_count);
-    } else {
-      snap_stream.open(spath, std::ios::binary | std::ios::trunc);
-      snap_writer = std::make_unique<obs::SnapshotWriter>(snap_stream);
+/// The shard's running state is `ck_`, the ShardCheckpoint its journal
+/// persists: it starts fresh or from the journal line, every emitted
+/// record advances it, and each checkpoint fills in the offsets, RNG
+/// cursors and golden image before appending it.  run() reads top to
+/// bottom: resume-or-warmup, then per slot probe, draw, run, emit, gaps
+/// and checkpoint, then finish.
+class ShardLoop {
+ public:
+  /// `profile` is resolved once in run_campaign and shared read-only;
+  /// `progress` is null unless the heartbeat is enabled; `sink` and
+  /// `journal` are shared by all shards (per-shard streams inside).
+  ShardLoop(const CampaignConfig& cfg, const wl::WorkloadProfile& profile,
+            int shard, std::uint64_t quota,
+            obs::TraceRecorder::Clock::time_point epoch,
+            ShardProgress* progress, obs::ShardedFileSink* sink,
+            CheckpointJournal* journal)
+      : cfg_(cfg),
+        shard_(shard),
+        quota_(quota),
+        seed_(cfg.seed * 0x9e3779b97f4a7c15ull +
+              static_cast<std::uint64_t>(shard)),
+        progress_(progress),
+        sink_(sink),
+        journal_(journal),
+        tr_(cfg.obs.tracing ? &result_.trace : nullptr),
+        golden_(cfg.machine),
+        faulty_(cfg.machine),
+        flight_(cfg.obs.flight_recorder_depth),
+        cm_(cfg, result_.metrics),
+        xentry_(cfg.xentry),
+        experiment_(golden_, faulty_, xentry_, cfg.outcome),
+        gen_(golden_, profile, seed_),
+        rng_(seed_ ^ 0xc2b2ae3d27d4eb4full),
+        biased_(cfg.activation_bias) {
+    const obs::Options& oo = cfg.obs;
+    ck_.shard = shard;
+    ck_.digest = kDigestBasis;
+    if (cfg.streaming.keep_records) {
+      result_.records.reserve(static_cast<std::size_t>(quota));
     }
-    if (!snap_stream.is_open()) {
+    result_.trace = obs::TraceRecorder(kShardTraceEvents, epoch);
+    // Both machines run the selected engine: the golden probe and the
+    // faulty run must retire identical streams for the diff to mean
+    // anything.
+    golden_.set_execution_engine(cfg.xentry.engine);
+    faulty_.set_execution_engine(cfg.xentry.engine);
+    // Telemetry placement follows the cost structure: the FAULTY machine
+    // runs exactly once per injection (the interesting run — behavior
+    // under fault), so it carries the per-VM-exit span and the
+    // flight-recorder ring.  The GOLDEN machine runs ~4x as often (probe +
+    // advances), so it carries only the passive snapshot/restore
+    // histograms; its probe run is timed by the enclosing
+    // phase:golden_probe span instead.  The hooks attach in run().
+    if (oo.tracing) {
+      faulty_hooks_.trace = &result_.trace;
+      faulty_hooks_.tid = shard;
+    }
+    if (oo.flight_recorder) {
+      faulty_hooks_.flight = &flight_;
+      faulty_hooks_.flight_source = 1;
+      experiment_.set_flight_recorder(&flight_);
+    }
+    if (oo.metrics) {
+      golden_hooks_.snapshot_ns = faulty_hooks_.snapshot_ns =
+          &result_.metrics.histogram("machine.snapshot_ns");
+      golden_hooks_.restore_ns = faulty_hooks_.restore_ns =
+          &result_.metrics.histogram("machine.restore_ns");
+      xentry_.set_metrics(&result_.metrics);
+    }
+    if (!cfg.model.empty()) xentry_.set_model(cfg.model);
+    if (cfg.analysis != nullptr) xentry_.set_analysis(cfg.analysis.get());
+    if (oo.forensics) {
+      InjectionExperiment::ForensicsConfig fc;
+      fc.enabled = true;
+      fc.sample_every = oo.forensics_sample_every;
+      experiment_.set_forensics(fc);
+    }
+    if (cfg.sampling.importance) {
+      sampler_ = std::make_unique<ImportanceSampler>(
+          cfg.analysis->vuln, golden_.microvisor().program,
+          cfg.sampling.weight_floor, seed_ ^ 0x94d049bb133111ebull);
+    }
+  }
+  // The machines and the experiment hold addresses of members.
+  ShardLoop(const ShardLoop&) = delete;
+  ShardLoop& operator=(const ShardLoop&) = delete;
+
+  /// Runs the shard from `resume` (its latest journal line; null on a
+  /// fresh start) to its quota.
+  CampaignResult run(const ShardCheckpoint* resume) {
+    resume_or_warmup(resume);
+    // Attached only now, so a resume's golden restore is not timed.
+    if (cfg_.obs.metrics) golden_.set_telemetry(&golden_hooks_);
+    if (cfg_.obs.any()) faulty_.set_telemetry(&faulty_hooks_);
+
+    InjectionExperiment::GoldenProbe probe;  // buffers reused every slot
+    while (ck_.iterations < quota_) {
+      const hv::Activation act = gen_.next();
+      // The probe run doubles as the experiment's golden run: the golden
+      // machine advances to its post-run state here and run_slot only has
+      // to execute the faulted machine.
+      {
+        obs::TraceRecorder::Span span(tr_, "phase:golden_probe", shard_);
+        experiment_.probe_golden_advance(act, probe);
+      }
+      if (probe.steps == 0) {
+        // Degenerate activation: rewind and skip the injection.  No record
+        // exists and no further draws are consumed, but the checkpoint /
+        // abort bookkeeping below still runs — iteration counts include
+        // degenerate slots, so resume boundaries stay well-defined.
+        golden_.restore(probe.pre);
+      } else {
+        const ImportanceSampler::Proposal prop = draw(probe);
+        InjectionExperiment::Result r = run_slot(act, prop, probe);
+        if (cfg_.collect_dataset) {
+          result_.dataset.add(r.golden_features.as_array(),
+                              ml::Label::Correct);
+          if (r.record.activated && r.record.trap == sim::TrapKind::None &&
+              r.record.injected) {
+            // Reached VM entry: the transition detector's input space.
+            result_.dataset.add(r.record.features.as_array(),
+                                r.record.trace_diverged
+                                    ? ml::Label::Incorrect
+                                    : ml::Label::Correct);
+          }
+        }
+        emit(std::move(r.record), prop.injection.at_step, probe.steps);
+        for (int g = 0; g < cfg_.stream_gap; ++g) {
+          experiment_.advance(gen_.next());
+        }
+      }
+      ++ck_.iterations;
+      if (journal_ != nullptr && ck_.iterations < quota_ &&
+          ck_.iterations % static_cast<std::uint64_t>(
+                               cfg_.streaming.checkpoint_every) == 0) {
+        checkpoint();
+      }
+      if (cfg_.streaming.abort_after > 0 &&
+          ck_.iterations >=
+              static_cast<std::uint64_t>(cfg_.streaming.abort_after)) {
+        // Simulated SIGKILL (test hook): abandon buffered sink bytes and
+        // return without the final flush/checkpoint, exactly as a killed
+        // process would lose them.
+        if (sink_ != nullptr) sink_->discard(shard_index());
+        return std::move(result_);
+      }
+    }
+    return finish();
+  }
+
+ private:
+  std::size_t shard_index() const { return static_cast<std::size_t>(shard_); }
+
+  /// The one place a shard reads its journal line.  A fresh shard opens
+  /// an empty sidecar and warms its golden machine up; a resumed one
+  /// rebuilds its registry from the sidecar prefix, rewinds the golden
+  /// image and every RNG cursor, and adopts the journaled running state.
+  void resume_or_warmup(const ShardCheckpoint* resume) {
+    const bool sidecar = journal_ != nullptr && cfg_.obs.metrics;
+    const std::string spath =
+        sidecar ? snapshot_sidecar_path(cfg_.streaming.checkpoint_path, shard_)
+                : std::string();
+    if (resume == nullptr) {
+      if (sidecar) snap_stream_.open(spath, std::ios::binary | std::ios::trunc);
+      obs::TraceRecorder::Span warm(tr_, "phase:warmup", shard_);
+      for (int i = 0; i < cfg_.warmup_activations; ++i) {
+        experiment_.advance(gen_.next());
+      }
+    } else {
+      if (sidecar) {
+        // Snapshot lines past the journaled commit point are dropped (a
+        // kill can land between the snapshot write and the journal
+        // append).
+        std::string text = obs::read_file(spath);
+        text.resize(std::min<std::size_t>(text.size(), resume->snap_offset));
+        const obs::MetricsRegistry restored =
+            obs::merge_snapshots(obs::read_snapshots(text));
+        // Merged into the registry the handles already point into, so
+        // they stay valid; merged into empty metrics it is `restored`.
+        result_.metrics.merge_from(restored);
+        std::error_code ec;
+        std::filesystem::resize_file(spath, resume->snap_offset, ec);
+        snap_stream_.open(spath, std::ios::binary | std::ios::app);
+        snap_writer_.prime(restored, resume->snap_count);
+      }
+      // The faulty machine realigns from the golden probe on every
+      // injection, so only golden state is journaled.
+      restore_machine(golden_, *resume);
+      // The textual mt19937_64 encoding is engine-exact, so the draw
+      // sequences continue bit-identically from the checkpoint boundary.
+      if (!rng_state_from_string(gen_.rng(), resume->gen_rng) ||
+          !rng_state_from_string(rng_, resume->main_rng) ||
+          (sampler_ != nullptr &&
+           !rng_state_from_string(sampler_->aux(), resume->aux_rng))) {
+        throw std::runtime_error(
+            "campaign: checkpoint RNG state failed to parse (journal "
+            "written by an incompatible build?)");
+      }
+      gen_.set_activations_generated(resume->activations_generated);
+      experiment_.set_forensics_counter(resume->forensics_counter);
+      ck_ = *resume;
+      if (progress_ != nullptr) {
+        progress_->completed.store(ck_.records_written,
+                                   std::memory_order_relaxed);
+        progress_->checkpointed.store(ck_.records_written,
+                                      std::memory_order_relaxed);
+      }
+    }
+    if (sidecar && !snap_stream_.is_open()) {
       throw std::runtime_error("campaign: cannot open metrics sidecar " +
                                spath);
     }
   }
 
-  hv::Machine golden(cfg.machine);
-  hv::Machine faulty(cfg.machine);
-  // Both machines run the selected engine: the golden probe and the
-  // faulty run must retire identical streams for the diff to mean
-  // anything.
-  golden.set_execution_engine(cfg.xentry.engine);
-  faulty.set_execution_engine(cfg.xentry.engine);
-  // Rewind the golden machine to the checkpointed image before telemetry
-  // attaches (the faulty machine realigns from the golden probe on every
-  // injection, so only golden state is journaled).
-  if (resume != nullptr) restore_machine(golden, *resume);
-
-  // -- shard-local telemetry (lock-free: nothing here is shared) ------------
-  result.trace = obs::TraceRecorder(kShardTraceEvents, epoch);
-  obs::TraceRecorder* const tr = oo.tracing ? &result.trace : nullptr;
-  const std::int32_t tid = shard_index;
-  obs::FlightRecorder flight(oo.flight_recorder_depth);
-  // Telemetry placement follows the cost structure: the FAULTY machine
-  // runs exactly once per injection (the interesting run — behavior under
-  // fault), so it carries the per-VM-exit span and the flight-recorder
-  // ring.  The GOLDEN machine runs ~4x as often (probe + advances), so it
-  // carries only the passive snapshot/restore histograms; its probe run
-  // is timed by the enclosing phase:golden_probe span instead.
-  obs::MachineTelemetry golden_hooks, faulty_hooks;
-  if (oo.tracing) {
-    faulty_hooks.trace = &result.trace;
-    faulty_hooks.tid = tid;
-  }
-  if (oo.flight_recorder) {
-    faulty_hooks.flight = &flight;
-    faulty_hooks.flight_source = 1;
-  }
-  if (oo.metrics) {
-    obs::Log2Histogram* snap = &result.metrics.histogram("machine.snapshot_ns");
-    obs::Log2Histogram* rest = &result.metrics.histogram("machine.restore_ns");
-    golden_hooks.snapshot_ns = faulty_hooks.snapshot_ns = snap;
-    golden_hooks.restore_ns = faulty_hooks.restore_ns = rest;
-  }
-  if (oo.metrics) golden.set_telemetry(&golden_hooks);
-  if (oo.any()) faulty.set_telemetry(&faulty_hooks);
-  CampaignMetricHandles cm;
-  if (oo.metrics) {
-    cm.injections = &result.metrics.counter("campaign.injections");
-    cm.activated = &result.metrics.counter("campaign.activated");
-    cm.manifested = &result.metrics.counter("campaign.manifested");
-    cm.detected = &result.metrics.counter("campaign.detected");
-    cm.golden_steps = &result.metrics.counter("campaign.golden_steps");
-    cm.blackbox_dumps = &result.metrics.counter("campaign.blackbox_dumps");
-    cm.unactivated_resolved =
-        &result.metrics.counter("campaign.unactivated_resolved");
-    if (cfg.sampling.importance) {
-      cm.analytic_slots = &result.metrics.counter("campaign.analytic_slots");
-    }
-    if (oo.forensics) {
-      cm.forensics_replays = &result.metrics.counter("forensics.replays");
-      cm.forensics_replay_steps =
-          &result.metrics.counter("forensics.replay_steps");
-      cm.forensics_mismatch =
-          &result.metrics.counter("forensics.heuristic_mismatch");
-      for (int c = 1; c < 5; ++c) {
-        cm.forensics_class[static_cast<std::size_t>(c)] =
-            &result.metrics.counter(
-                "forensics.class." +
-                std::string(undetected_class_name(
-                    static_cast<UndetectedClass>(c))));
-      }
-      cm.forensics_latency =
-          &result.metrics.histogram("forensics.first_divergence_latency");
-      cm.forensics_taint = &result.metrics.histogram("forensics.taint_words");
-    }
-  }
-
-  Xentry xentry(cfg.xentry);
-  if (!cfg.model.empty()) xentry.set_model(cfg.model);
-  if (cfg.analysis != nullptr) xentry.set_analysis(cfg.analysis.get());
-  if (oo.metrics) xentry.set_metrics(&result.metrics);
-  InjectionExperiment experiment(golden, faulty, xentry, cfg.outcome);
-  if (oo.flight_recorder) experiment.set_flight_recorder(&flight);
-  if (oo.forensics) {
-    InjectionExperiment::ForensicsConfig fc;
-    fc.enabled = true;
-    fc.sample_every = oo.forensics_sample_every;
-    experiment.set_forensics(fc);
-  }
-
-  const std::uint64_t shard_seed =
-      cfg.seed * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(shard_index);
-  wl::WorkloadGenerator gen(golden, profile, shard_seed);
-  std::mt19937_64 rng(shard_seed ^ 0xc2b2ae3d27d4eb4full);
-
-  // Importance sampling: the redraw stream is per shard and disjoint from
-  // the main stream, so skipping masked candidates never perturbs the
-  // activation/probe sequence of the slots that do execute.
-  std::unique_ptr<ImportanceSampler> sampler;
-  if (cfg.sampling.importance) {
-    sampler = std::make_unique<ImportanceSampler>(
-        cfg.analysis->vuln, golden.microvisor().program,
-        cfg.sampling.weight_floor, shard_seed ^ 0x94d049bb133111ebull);
-  }
-
-  if (resume != nullptr) {
-    // Rewind every RNG cursor to the journaled state; the textual
-    // mt19937_64 encoding is engine-exact, so the draw sequences continue
-    // bit-identically from the checkpoint boundary.
-    if (!rng_state_from_string(gen.rng(), resume->gen_rng) ||
-        !rng_state_from_string(rng, resume->main_rng) ||
-        (sampler != nullptr &&
-         !rng_state_from_string(sampler->aux(), resume->aux_rng))) {
-      throw std::runtime_error(
-          "campaign: checkpoint RNG state failed to parse (journal written "
-          "by an incompatible build?)");
-    }
-    gen.set_activations_generated(resume->activations_generated);
-    experiment.set_forensics_counter(resume->forensics_counter);
-  } else {
-    obs::TraceRecorder::Span warm(tr, "phase:warmup", tid);
-    for (int i = 0; i < cfg.warmup_activations; ++i) {
-      experiment.advance(gen.next());
-    }
-  }
-
-  // -- streaming state -------------------------------------------------------
-  obs::RecordSink* const sink = streaming.sink;
-  const obs::RecordFormat fmt = cfg.streaming.records_format;
-  std::uint64_t records_written =
-      resume != nullptr ? resume->records_written : 0;
-  std::uint64_t digest = resume != nullptr ? resume->digest : kDigestBasis;
-  double effective = resume != nullptr ? resume->effective : 0.0;
-  std::string frame;               // encode buffer, reused per record
-  obs::SinkShardStats mirrored{};  // sink stats already mirrored to counters
-  const auto mirror_sink_stats = [&] {
-    if (sink == nullptr || !oo.metrics) return;
-    const obs::SinkShardStats& now = sink->stats(shard_index);
-    result.metrics.counter("obs.sink.appends").inc(now.appends -
-                                                   mirrored.appends);
-    result.metrics.counter("obs.sink.appended_bytes")
-        .inc(now.appended_bytes - mirrored.appended_bytes);
-    result.metrics.counter("obs.sink.flushes").inc(now.flushes -
-                                                   mirrored.flushes);
-    result.metrics.counter("obs.sink.flushed_bytes")
-        .inc(now.flushed_bytes - mirrored.flushed_bytes);
-    result.metrics.counter("obs.sink.backpressure_flushes")
-        .inc(now.backpressure_flushes - mirrored.backpressure_flushes);
-    result.metrics.counter("obs.sink.dropped").inc(now.dropped -
-                                                   mirrored.dropped);
-    mirrored = now;
-  };
-  const auto write_checkpoint = [&](std::uint64_t iterations_done) {
-    // Commit order is what makes a kill at any instant recoverable:
-    // durable records first, then the metrics snapshot, then the journal
-    // line naming both offsets.  A kill between any two steps leaves a
-    // tail beyond the last journaled offset, which resume truncates.
-    if (sink != nullptr) sink->flush(shard_index);
-    mirror_sink_stats();
-    ShardCheckpoint ck;
-    ck.shard = shard_index;
-    ck.iterations = iterations_done;
-    ck.records_written = records_written;
-    ck.digest = digest;
-    ck.effective = effective;
-    ck.sink_offset = sink != nullptr ? sink->offset(shard_index) : 0;
-    if (snap_writer != nullptr) {
-      snap_writer->write(result.metrics);
-      ck.snap_offset = static_cast<std::uint64_t>(snap_stream.tellp());
-      ck.snap_count = snap_writer->next_seq();
-    }
-    ck.forensics_counter = experiment.forensics_counter();
-    ck.activations_generated = gen.activations_generated();
-    ck.gen_rng = rng_state_string(gen.rng());
-    ck.main_rng = rng_state_string(rng);
-    if (sampler != nullptr) ck.aux_rng = rng_state_string(sampler->aux());
-    capture_machine(golden, ck);
-    streaming.journal->append(ck);
-    if (progress != nullptr) {
-      progress->checkpointed.store(records_written,
-                                   std::memory_order_relaxed);
-      progress->sink_lag.store(0, std::memory_order_relaxed);
-    }
-  };
-  if (resume != nullptr && progress != nullptr) {
-    progress->completed.store(records_written, std::memory_order_relaxed);
-    progress->checkpointed.store(records_written, std::memory_order_relaxed);
-  }
-
-  std::bernoulli_distribution biased(cfg.activation_bias);
-  InjectionExperiment::GoldenProbe probe;  // buffers reused every injection
-  const int start_iter =
-      resume != nullptr ? static_cast<int>(resume->iterations) : 0;
-  for (int i = start_iter; i < quota; ++i) {
-    const hv::Activation act = gen.next();
-    // The probe run doubles as the experiment's golden run: the golden
-    // machine advances to its post-run state here and run_one only has to
-    // execute the faulted machine.
-    {
-      obs::TraceRecorder::Span span(tr, "phase:golden_probe", tid);
-      experiment.probe_golden_advance(act, probe);
-    }
-    if (probe.steps == 0) {
-      // Degenerate activation: rewind and skip the injection.  No record
-      // exists and no further draws are consumed, but the checkpoint /
-      // abort bookkeeping below still runs — iteration counts include
-      // degenerate slots, so resume boundaries stay well-defined.
-      golden.restore(probe.pre);
+  ImportanceSampler::Proposal draw(
+      const InjectionExperiment::GoldenProbe& probe) {
+    ImportanceSampler::Proposal prop;
+    if (sampler_ != nullptr) {
+      prop = biased_(rng_)
+                 ? sampler_->propose_activated(rng_, probe.trace)
+                 : sampler_->propose_uniform(rng_, probe.steps, probe.trace);
     } else {
-      ImportanceSampler::Proposal prop;
-      if (sampler != nullptr) {
-        prop = biased(rng) ? sampler->propose_activated(rng, probe.trace)
-                           : sampler->propose_uniform(rng, probe.steps,
-                                                      probe.trace);
-      } else {
-        prop.injection =
-            biased(rng)
-                ? InjectionExperiment::draw_activated_injection(
-                      rng, probe.trace, golden.microvisor().program)
-                : InjectionExperiment::draw_injection(rng, probe.steps);
-      }
-      const hv::Injection inj = prop.injection;
-      InjectionExperiment::Result r;
-      if (prop.analytic) {
-        // Slot resolved without a faulted run: its live mass sits below the
-        // weight floor (or rejection redraw exhausted), so the whole slot is
-        // attributed to Masked.  The record mirrors what the run would have
-        // produced except that no activation bookkeeping exists
-        // (activated = false) and the features are the golden run's.
-        InjectionRecord& rec0 = r.record;
-        rec0.reason = act.reason;
-        rec0.activation_seed = act.seed;
-        rec0.vcpu = act.vcpu;
-        rec0.injection = inj;
-        rec0.injected = true;
-        rec0.consequence = Consequence::Masked;
-        rec0.features = FeatureVector::from(act.reason, probe.counters);
-        r.golden_features = rec0.features;
-        r.golden_ok = probe.reached_vm_entry;
-        if (cm.analytic_slots != nullptr) cm.analytic_slots->inc();
-      } else {
-        {
-          // Covers the injection, the faulted run under Xentry interception,
-          // and the outcome classification.
-          obs::TraceRecorder::Span span(tr, "phase:faulted_run", tid);
-          span.arg("at_step", inj.at_step);
-          r = experiment.run_one(act, inj, probe);
-        }
-        if (!r.executed && cm.unactivated_resolved != nullptr) {
-          cm.unactivated_resolved->inc();
-        }
-        if (sampler != nullptr) {
-          r.record.weight = prop.live_mass;
-          r.record.masked_weight = 1.0 - prop.live_mass;
-        }
-      }
-      if (cfg.collect_dataset) {
-        result.dataset.add(r.golden_features.as_array(), ml::Label::Correct);
-        if (r.record.activated && r.record.trap == sim::TrapKind::None &&
-            r.record.injected) {
-          // Reached VM entry: the transition detector's input space.
-          result.dataset.add(r.record.features.as_array(),
-                             r.record.trace_diverged ? ml::Label::Incorrect
-                                                     : ml::Label::Correct);
-        }
-      }
-      InjectionRecord rec = std::move(r.record);
-      // Streaming bookkeeping runs whether or not the record is kept in
-      // RAM: the digest and effective mass define the campaign's output.
-      effective += rec.weight > 0.0 ? 1.0 / rec.weight : 1.0;
-      digest = digest_update(digest, rec);
-      ++records_written;
-      if (sink != nullptr) {
-        frame.clear();
-        encode_record(rec, fmt, frame);
-        sink->append(shard_index, frame);
-        if (progress != nullptr) {
-          progress->sink_lag.store(sink->buffered_bytes(shard_index),
-                                   std::memory_order_relaxed);
-          progress->dropped.store(sink->stats(shard_index).dropped,
+      prop.injection =
+          biased_(rng_)
+              ? InjectionExperiment::draw_activated_injection(
+                    rng_, probe.trace, golden_.microvisor().program)
+              : InjectionExperiment::draw_injection(rng_, probe.steps);
+    }
+    return prop;
+  }
+
+  InjectionExperiment::Result run_slot(
+      const hv::Activation& act, const ImportanceSampler::Proposal& prop,
+      const InjectionExperiment::GoldenProbe& probe) {
+    InjectionExperiment::Result r;
+    if (prop.analytic) {
+      // Slot resolved without a faulted run: its live mass sits below the
+      // weight floor (or rejection redraw exhausted), so the whole slot is
+      // attributed to Masked.  The record mirrors what the run would have
+      // produced except that no activation bookkeeping exists
+      // (activated = false) and the features are the golden run's.
+      InjectionRecord& rec = r.record;
+      rec.reason = act.reason;
+      rec.activation_seed = act.seed;
+      rec.vcpu = act.vcpu;
+      rec.injection = prop.injection;
+      rec.injected = true;
+      rec.consequence = Consequence::Masked;
+      rec.features = FeatureVector::from(act.reason, probe.counters);
+      r.golden_features = rec.features;
+      r.golden_ok = probe.reached_vm_entry;
+      if (cm_.analytic_slots != nullptr) cm_.analytic_slots->inc();
+      return r;
+    }
+    {
+      // Covers the injection, the faulted run under Xentry interception,
+      // and the outcome classification.
+      obs::TraceRecorder::Span span(tr_, "phase:faulted_run", shard_);
+      span.arg("at_step", prop.injection.at_step);
+      r = experiment_.run_one(act, prop.injection, probe);
+    }
+    if (!r.executed && cm_.unactivated_resolved != nullptr) {
+      cm_.unactivated_resolved->inc();
+    }
+    if (sampler_ != nullptr) {
+      r.record.weight = prop.live_mass;
+      r.record.masked_weight = 1.0 - prop.live_mass;
+    }
+    return r;
+  }
+
+  /// Every per-record side effect, in one step.  It runs whether or not
+  /// the record is kept in RAM: the digest and effective mass define the
+  /// campaign's output.
+  void emit(InjectionRecord&& rec, std::uint64_t at_step,
+            std::uint64_t golden_steps) {
+    ck_.effective += rec.weight > 0.0 ? 1.0 / rec.weight : 1.0;
+    ck_.digest = digest_update(ck_.digest, rec);
+    ++ck_.records_written;
+    if (sink_ != nullptr) {
+      frame_.clear();
+      encode_record(rec, cfg_.streaming.records_format, frame_);
+      sink_->append(shard_index(), frame_);
+      if (progress_ != nullptr) {
+        progress_->sink_lag.store(sink_->buffered_bytes(shard_index()),
                                   std::memory_order_relaxed);
-        }
+        progress_->dropped.store(sink_->stats(shard_index()).dropped,
+                                 std::memory_order_relaxed);
       }
-      if (cm.injections != nullptr) {
-        cm.injections->inc();
-        cm.golden_steps->inc(probe.steps);
-        if (rec.activated) cm.activated->inc();
-        if (is_manifested(rec.consequence)) cm.manifested->inc();
-        if (rec.detected) cm.detected->inc();
-        if (!rec.blackbox.empty()) cm.blackbox_dumps->inc();
-        if (rec.forensics.has_value()) {
-          const obs::ForensicsRecord& fx = *rec.forensics;
-          if (cm.forensics_replays != nullptr) {
-            cm.forensics_replays->inc();
-            cm.forensics_replay_steps->inc(fx.replay_steps);
-            if (!fx.heuristic_agrees) cm.forensics_mismatch->inc();
-            if (fx.diverged) {
-              cm.forensics_latency->observe(fx.divergence.step - inj.at_step);
-              if (!fx.taint.empty()) {
-                cm.forensics_taint->observe(fx.taint.back().mem_words);
-              }
-            }
-            const auto cls =
-                static_cast<std::size_t>(effective_undetected(rec));
-            if (cm.forensics_class[cls] != nullptr) {
-              cm.forensics_class[cls]->inc();
-            }
+    }
+    if (cm_.injections != nullptr) {
+      cm_.injections->inc();
+      cm_.golden_steps->inc(golden_steps);
+      if (rec.activated) cm_.activated->inc();
+      if (is_manifested(rec.consequence)) cm_.manifested->inc();
+      if (rec.detected) cm_.detected->inc();
+      if (!rec.blackbox.empty()) cm_.blackbox_dumps->inc();
+      if (rec.forensics.has_value() && cm_.forensics_replays != nullptr) {
+        const obs::ForensicsRecord& fx = *rec.forensics;
+        cm_.forensics_replays->inc();
+        cm_.forensics_replay_steps->inc(fx.replay_steps);
+        if (!fx.heuristic_agrees) cm_.forensics_mismatch->inc();
+        if (fx.diverged) {
+          cm_.forensics_latency->observe(fx.divergence.step - at_step);
+          if (!fx.taint.empty()) {
+            cm_.forensics_taint->observe(fx.taint.back().mem_words);
           }
         }
-      }
-      if (tr != nullptr && !rec.detected &&
-          rec.consequence == Consequence::AppSdc) {
-        tr->instant("undetected_sdc", tid, "at_step", inj.at_step);
-      }
-      if (progress != nullptr) {
-        progress->completed.fetch_add(1, std::memory_order_relaxed);
-        if (rec.detected) {
-          progress->detected[static_cast<int>(rec.technique)].fetch_add(
-              1, std::memory_order_relaxed);
+        const auto cls = static_cast<std::size_t>(effective_undetected(rec));
+        if (cm_.forensics_class[cls] != nullptr) {
+          cm_.forensics_class[cls]->inc();
         }
       }
-      if (cfg.streaming.keep_records) {
-        result.records.push_back(std::move(rec));
-      }
-      for (int g = 0; g < cfg.stream_gap; ++g) {
-        experiment.advance(gen.next());
+    }
+    if (tr_ != nullptr && !rec.detected &&
+        rec.consequence == Consequence::AppSdc) {
+      tr_->instant("undetected_sdc", shard_, "at_step", at_step);
+    }
+    if (progress_ != nullptr) {
+      progress_->completed.fetch_add(1, std::memory_order_relaxed);
+      if (rec.detected) {
+        progress_->detected[static_cast<int>(rec.technique)].fetch_add(
+            1, std::memory_order_relaxed);
       }
     }
-    if (streaming.journal != nullptr &&
-        (i + 1) % cfg.streaming.checkpoint_every == 0 && i + 1 < quota) {
-      write_checkpoint(static_cast<std::uint64_t>(i) + 1);
+    if (cfg_.streaming.keep_records) result_.records.push_back(std::move(rec));
+  }
+
+  /// Drains the shard's sink buffer and mirrors the sink's stats into the
+  /// registry as deltas since the previous drain.
+  void flush_sink() {
+    if (sink_ == nullptr) return;
+    sink_->flush(shard_index());
+    if (progress_ != nullptr) {
+      progress_->sink_lag.store(0, std::memory_order_relaxed);
     }
-    if (cfg.streaming.abort_after > 0 && i + 1 >= cfg.streaming.abort_after) {
-      // Simulated SIGKILL (test hook): abandon buffered sink bytes and
-      // return without the final flush/checkpoint, exactly as a killed
-      // process would lose them.
-      if (sink != nullptr) sink->discard(shard_index);
-      return result;
+    if (!cfg_.obs.metrics) return;
+    const obs::SinkShardStats& now = sink_->stats(shard_index());
+    obs::MetricsRegistry& m = result_.metrics;
+    m.counter("obs.sink.appends").inc(now.appends - mirrored_.appends);
+    m.counter("obs.sink.appended_bytes")
+        .inc(now.appended_bytes - mirrored_.appended_bytes);
+    m.counter("obs.sink.flushes").inc(now.flushes - mirrored_.flushes);
+    m.counter("obs.sink.flushed_bytes")
+        .inc(now.flushed_bytes - mirrored_.flushed_bytes);
+    m.counter("obs.sink.backpressure_flushes")
+        .inc(now.backpressure_flushes - mirrored_.backpressure_flushes);
+    m.counter("obs.sink.dropped").inc(now.dropped - mirrored_.dropped);
+    mirrored_ = now;
+  }
+
+  /// Journals `ck_`.  Commit order is what makes a kill at any instant
+  /// recoverable: durable records first, then the metrics snapshot, then
+  /// the journal line naming both offsets.  A kill between any two steps
+  /// leaves a tail beyond the last journaled offset, which resume
+  /// truncates.  A journal implies a sink (validate_campaign_config).
+  void checkpoint() {
+    flush_sink();
+    ck_.sink_offset = sink_->offset(shard_index());
+    if (snap_stream_.is_open()) {
+      snap_writer_.write(result_.metrics);
+      ck_.snap_offset = static_cast<std::uint64_t>(snap_stream_.tellp());
+      ck_.snap_count = snap_writer_.next_seq();
+    }
+    ck_.forensics_counter = experiment_.forensics_counter();
+    ck_.activations_generated = gen_.activations_generated();
+    ck_.gen_rng = rng_state_string(gen_.rng());
+    ck_.main_rng = rng_state_string(rng_);
+    if (sampler_ != nullptr) ck_.aux_rng = rng_state_string(sampler_->aux());
+    capture_machine(golden_, ck_);
+    journal_->append(ck_);
+    if (progress_ != nullptr) {
+      progress_->checkpointed.store(ck_.records_written,
+                                    std::memory_order_relaxed);
     }
   }
 
-  // -- end of shard: seal gauges, drain the sink, journal the finish --------
-  if (oo.metrics) {
-    // Each executed record stands in for 1/weight uniform draws; under
-    // uniform sampling every weight is 1 and this equals the record count.
-    // Per-shard gauges sum on merge into the campaign total.
-    result.metrics.gauge("campaign.effective_injections")
-        .set(static_cast<std::int64_t>(std::llround(effective)));
-    if (oo.tracing) {
-      result.metrics.gauge("obs.trace.dropped")
-          .set(static_cast<std::int64_t>(result.trace.dropped()));
+  /// End of shard: seal the gauges, then either journal the final
+  /// checkpoint (which drains the sink) or drain the sink alone.
+  CampaignResult finish() {
+    if (cfg_.obs.metrics) {
+      // Each executed record stands in for 1/weight uniform draws; under
+      // uniform sampling every weight is 1 and this equals the record
+      // count.  Per-shard gauges sum on merge into the campaign total.
+      result_.metrics.gauge("campaign.effective_injections")
+          .set(static_cast<std::int64_t>(std::llround(ck_.effective)));
+      if (tr_ != nullptr) {
+        result_.metrics.gauge("obs.trace.dropped")
+            .set(static_cast<std::int64_t>(result_.trace.dropped()));
+      }
     }
-  }
-  if (sink != nullptr) {
-    sink->flush(shard_index);
-    mirror_sink_stats();
-    result.records_streamed = records_written;
-    if (progress != nullptr) {
-      progress->sink_lag.store(0, std::memory_order_relaxed);
+    if (journal_ != nullptr) {
+      checkpoint();
+    } else {
+      flush_sink();
     }
+    if (sink_ != nullptr) result_.records_streamed = ck_.records_written;
+    return std::move(result_);
   }
-  if (streaming.journal != nullptr) {
-    write_checkpoint(static_cast<std::uint64_t>(quota));
-  }
-  return result;
+
+  const CampaignConfig& cfg_;
+  const int shard_;
+  const std::uint64_t quota_;
+  const std::uint64_t seed_;
+  ShardProgress* const progress_;
+  obs::ShardedFileSink* const sink_;  // final: calls devirtualize
+  CheckpointJournal* const journal_;
+
+  CampaignResult result_;
+  ShardCheckpoint ck_;
+  obs::TraceRecorder* const tr_;  // null unless obs.tracing
+
+  hv::Machine golden_;
+  hv::Machine faulty_;
+  obs::FlightRecorder flight_;
+  obs::MachineTelemetry golden_hooks_, faulty_hooks_;
+  CampaignMetricHandles cm_;
+  Xentry xentry_;
+  InjectionExperiment experiment_;
+  wl::WorkloadGenerator gen_;
+  std::mt19937_64 rng_;
+  std::bernoulli_distribution biased_;
+  /// Importance sampling: the redraw stream is per shard and disjoint from
+  /// the main stream, so skipping masked candidates never perturbs the
+  /// activation/probe sequence of the slots that do execute.
+  std::unique_ptr<ImportanceSampler> sampler_;
+
+  /// Metrics sidecar: open only for a journaled shard with metrics on.
+  std::ofstream snap_stream_;
+  obs::SnapshotWriter snap_writer_{snap_stream_};
+  std::string frame_;               // encode buffer, reused per record
+  obs::SinkShardStats mirrored_{};  // sink stats already mirrored
+};
+
+/// One shard's work (see ShardLoop); an empty quota yields an empty result.
+CampaignResult run_shard(const CampaignConfig& cfg,
+                         const wl::WorkloadProfile& profile, int shard,
+                         std::uint64_t quota,
+                         obs::TraceRecorder::Clock::time_point epoch,
+                         ShardProgress* progress, obs::ShardedFileSink* sink,
+                         CheckpointJournal* journal,
+                         const ShardCheckpoint* resume) {
+  if (quota == 0) return CampaignResult();
+  return ShardLoop(cfg, profile, shard, quota, epoch, progress, sink, journal)
+      .run(resume);
 }
 
 }  // namespace
@@ -887,19 +934,17 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     std::vector<std::jthread> threads;
     threads.reserve(active.size());
     for (const int s : active) {
-      threads.emplace_back([&cfg, &profile, &partials, &progress, &sink,
-                            &journal, &journal_state, resuming, s, shards,
-                            epoch] {
-        ShardStreaming ss;
-        ss.sink = sink.get();
-        ss.journal = journal.get();
+      threads.emplace_back([&, s] {
+        // The shard's latest journal line; null on a fresh start.
+        const ShardCheckpoint* resume = nullptr;
         if (resuming) {
           const auto& ck = journal_state.shards[static_cast<std::size_t>(s)];
-          if (ck.has_value()) ss.resume = &*ck;
+          if (ck.has_value()) resume = &*ck;
         }
-        partials[static_cast<std::size_t>(s)] =
-            run_shard(cfg, profile, s, shards, epoch,
-                      progress ? &progress[s] : nullptr, ss);
+        partials[static_cast<std::size_t>(s)] = run_shard(
+            cfg, profile, s, shard_quota(s), epoch,
+            progress ? &progress[s] : nullptr, sink.get(), journal.get(),
+            resume);
       });
     }
   }  // jthreads join here

@@ -49,7 +49,7 @@ struct HeartbeatSample {
   /// Record-sink bytes appended but not yet flushed to disk.
   std::uint64_t sink_lag_bytes = 0;
   /// Record-sink frames dropped across all shards (nonzero only when a
-  /// sink failed or hit a capacity cap — a healthy file sink never drops).
+  /// sink failed — a healthy file sink never drops).
   std::uint64_t sink_dropped = 0;
   /// Per-shard progress, one entry per *running* shard of this process,
   /// in shard order.  Feeds the straggler monitor and the fleet plane.

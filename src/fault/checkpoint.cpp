@@ -6,23 +6,15 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/atomic_file.hpp"
 #include "obs/json.hpp"
 
 namespace xentry::fault {
 
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
+using obs::append_double;
+using obs::append_u64;
 
 /// Region words as a compact token string: hex values, zero runs as
 /// "z<count>".  Machine images are mostly zero, so this keeps journal
@@ -201,13 +193,7 @@ void CheckpointJournal::append(const ShardCheckpoint& ckpt) {
 
 JournalContents read_journal(const std::string& path) {
   JournalContents out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return out;
-  std::string text;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
+  const std::string text = obs::read_file(path);  // missing: no header
 
   std::size_t pos = 0;
   bool have_header = false;

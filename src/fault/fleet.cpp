@@ -26,17 +26,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string read_file(const std::string& path) {
-  std::string text;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return text;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return text;
-}
-
 std::uint64_t file_size(const std::string& path) {
   struct stat sb{};
   if (::stat(path.c_str(), &sb) != 0) return 0;
@@ -338,7 +327,7 @@ FleetResult run_fleet(const FleetOptions& opts_in) {
     const std::string path =
         obs::ShardedFileSink::shard_path(records_base, fmt, u);
     std::vector<InjectionRecord> recs;
-    if (!decode_records(read_file(path), fmt, recs)) {
+    if (!decode_records(obs::read_file(path), fmt, recs)) {
       return fail("fleet: unit stream failed to decode: " + path);
     }
     std::uint64_t unit_digest = kDigestBasis;
@@ -381,7 +370,7 @@ FleetResult run_fleet(const FleetOptions& opts_in) {
   for (int u = 0; u < opts.units; ++u) {
     const std::string sidecar = snapshot_sidecar_path(
         fleet_checkpoint_path(opts.dir, u % opts.workers), u);
-    const std::string text = read_file(sidecar);
+    const std::string text = obs::read_file(sidecar);
     if (!text.empty()) {
       out.metrics.merge_from(
           obs::merge_snapshots(obs::read_snapshots(text)));

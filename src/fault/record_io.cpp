@@ -1,7 +1,6 @@
 #include "fault/record_io.hpp"
 
 #include <bit>
-#include <charconv>
 
 #include "obs/json.hpp"
 
@@ -184,26 +183,9 @@ bool decode_binary(std::string_view data, std::size_t& pos,
 
 // -- JSONL ------------------------------------------------------------------
 
-// std::to_chars, not snprintf: the encoder runs once per record on the
-// campaign hot path, and ~20 snprintf calls per record is most of the
-// streaming overhead.  to_chars(general, 17) is specified to match
-// printf "%.17g", so the bytes (and double round-trips) are unchanged.
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-void append_double(std::string& out, double v) {
-  char buf[40];
-  const auto res =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
-  out.append(buf, res.ptr);
-}
+using obs::append_double;
+using obs::append_i64;
+using obs::append_u64;
 
 void encode_jsonl(const InjectionRecord& r, std::string& out) {
   out += "{\"cat\":";

@@ -30,4 +30,15 @@ bool write_file_atomic(const std::string& path, std::string_view content) {
   return true;
 }
 
+std::string read_file(const std::string& path) {
+  std::string text;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return text;
+  char buf[1 << 16];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
+  std::fclose(f);
+  return text;
+}
+
 }  // namespace xentry::obs

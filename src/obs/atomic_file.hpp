@@ -1,4 +1,5 @@
-// Atomic whole-file publication (write-to-temp + rename).
+// Whole-file I/O: atomic publication (write-to-temp + rename) and its
+// reading counterpart.
 //
 // The fleet observability plane is built on files that one process
 // rewrites on a cadence while others tail them: the coordinator's
@@ -20,5 +21,9 @@ namespace xentry::obs {
 /// successful write + flush.  Returns false (and removes the temp file)
 /// on any I/O failure; `path` is never left torn or truncated.
 bool write_file_atomic(const std::string& path, std::string_view content);
+
+/// The whole content of `path`; empty when the file is missing or
+/// unreadable (readers treat both as "nothing published yet").
+std::string read_file(const std::string& path);
 
 }  // namespace xentry::obs

@@ -12,34 +12,6 @@
 
 namespace xentry::obs {
 
-namespace {
-
-std::string read_file(const std::string& path) {
-  std::string text;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return text;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return text;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-}  // namespace
-
 double median(std::vector<double> values) {
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());

@@ -1,4 +1,5 @@
-// Minimal JSON reader for the telemetry pipeline's own output.
+// Minimal JSON reader for the telemetry pipeline's own output, and the
+// number writers every hand-rolled JSON writer in the repo shares.
 //
 // Everything the observability layer persists (metrics snapshots, the
 // checkpoint journal, JSONL record streams) is JSON this repo wrote
@@ -14,6 +15,7 @@
 // not an error.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -101,5 +103,26 @@ std::optional<JsonValue> parse_json(std::string_view text);
 /// it; trailing content is left unconsumed.  nullopt on syntax error.
 std::optional<JsonValue> parse_json_prefix(std::string_view text,
                                            std::size_t& pos);
+
+// Number writers.  std::to_chars, not snprintf: the record encoder runs
+// them ~20 times per record on the campaign hot path.  Integers come out
+// as plain decimal, and to_chars(general, 17) is specified to match
+// printf "%.17g", so every double round-trips exactly.
+inline void append_u64(std::string& out, std::uint64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+inline void append_i64(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+inline void append_double(std::string& out, double v) {
+  char buf[40];
+  const auto res =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out.append(buf, res.ptr);
+}
 
 }  // namespace xentry::obs

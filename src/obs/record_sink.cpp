@@ -3,7 +3,6 @@
 #include <cassert>
 #include <filesystem>
 #include <system_error>
-#include <utility>
 
 namespace xentry::obs {
 
@@ -140,65 +139,6 @@ bool ShardedFileSink::ok() const {
 
 const std::string& ShardedFileSink::path(std::size_t shard) const {
   return shards_[shard].path;
-}
-
-// ---------------------------------------------------------------------------
-// MemoryRecordSink
-
-MemoryRecordSink::MemoryRecordSink(Options opts) : opts_(std::move(opts)) {
-  if (opts_.buffer_bytes == 0) opts_.buffer_bytes = 1;
-  shards_.resize(opts_.shard_count);
-}
-
-bool MemoryRecordSink::append(std::size_t shard, std::string_view frame) {
-  Shard& sh = shards_[shard];
-  if (opts_.max_shard_bytes != 0 &&
-      sh.durable.size() + sh.buffer.size() + frame.size() >
-          opts_.max_shard_bytes) {
-    ++sh.stats.dropped;
-    return false;
-  }
-  if (sh.buffer.size() + frame.size() > opts_.buffer_bytes &&
-      !sh.buffer.empty()) {
-    ++sh.stats.backpressure_flushes;
-    flush(shard);
-  }
-  sh.buffer.append(frame.data(), frame.size());
-  ++sh.stats.appends;
-  sh.stats.appended_bytes += frame.size();
-  if (sh.buffer.size() > opts_.buffer_bytes) flush(shard);
-  return true;
-}
-
-void MemoryRecordSink::flush(std::size_t shard) {
-  Shard& sh = shards_[shard];
-  if (sh.buffer.empty()) return;
-  sh.durable += sh.buffer;
-  ++sh.stats.flushes;
-  sh.stats.flushed_bytes += sh.buffer.size();
-  sh.buffer.clear();
-}
-
-std::uint64_t MemoryRecordSink::offset(std::size_t shard) const {
-  return shards_[shard].durable.size();
-}
-
-std::uint64_t MemoryRecordSink::buffered_bytes(std::size_t shard) const {
-  return shards_[shard].buffer.size();
-}
-
-void MemoryRecordSink::discard(std::size_t shard) {
-  Shard& sh = shards_[shard];
-  sh.stats.dropped += sh.buffer.empty() ? 0 : 1;
-  sh.buffer.clear();
-}
-
-const SinkShardStats& MemoryRecordSink::stats(std::size_t shard) const {
-  return shards_[shard].stats;
-}
-
-const std::string& MemoryRecordSink::data(std::size_t shard) const {
-  return shards_[shard].durable;
 }
 
 }  // namespace xentry::obs

@@ -40,10 +40,13 @@ struct SinkShardStats {
   std::uint64_t flushed_bytes = 0;
   /// Flushes forced by a full buffer (subset of `flushes`).
   std::uint64_t backpressure_flushes = 0;
-  /// Frames rejected (capacity cap or failed stream).
+  /// Frames rejected (failed stream or inactive shard), plus discarded
+  /// buffers.
   std::uint64_t dropped = 0;
 };
 
+/// The sink interface the campaign streams through; ShardedFileSink is
+/// its one implementation.
 class RecordSink {
  public:
   virtual ~RecordSink() = default;
@@ -128,41 +131,6 @@ class ShardedFileSink final : public RecordSink {
   };
 
   std::size_t buffer_bytes_;
-  std::vector<Shard> shards_;
-};
-
-/// In-memory sink for tests: same buffering/backpressure behaviour, with
-/// an optional per-shard byte cap that forces drops.
-class MemoryRecordSink final : public RecordSink {
- public:
-  struct Options {
-    std::size_t shard_count = 1;
-    std::size_t buffer_bytes = 64 * 1024;
-    /// 0 = unlimited; otherwise appends past this durable size drop.
-    std::uint64_t max_shard_bytes = 0;
-  };
-
-  explicit MemoryRecordSink(Options opts);
-
-  bool append(std::size_t shard, std::string_view frame) override;
-  void flush(std::size_t shard) override;
-  std::uint64_t offset(std::size_t shard) const override;
-  std::uint64_t buffered_bytes(std::size_t shard) const override;
-  void discard(std::size_t shard) override;
-  const SinkShardStats& stats(std::size_t shard) const override;
-  std::size_t shard_count() const override { return shards_.size(); }
-
-  /// Durable (flushed) content of one shard's stream.
-  const std::string& data(std::size_t shard) const;
-
- private:
-  struct Shard {
-    std::string durable;
-    std::string buffer;
-    SinkShardStats stats;
-  };
-
-  Options opts_;
   std::vector<Shard> shards_;
 };
 

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -224,6 +225,58 @@ TEST_F(ResumeTest, KillWithImportanceSampling) {
 TEST_F(ResumeTest, KillWithImportanceSamplingSevenShards) {
   expect_resume_matches_reference(make_cfg("ref", 7, true),
                                   make_cfg("victim", 7, true), 17);
+}
+
+TEST_F(ResumeTest, KillWithForensicsSamplingResumesTheEscapeCounter) {
+  // Undetected escapes replay 1-in-3, counted by the experiment's escape
+  // counter; the journal carries it, so the resumed shard replays the
+  // same escapes and the forensics.* counters match the reference's.
+  auto ref = make_cfg("ref", 2, false);
+  auto victim = make_cfg("victim", 2, false);
+  for (CampaignConfig* c : {&ref, &victim}) {
+    c->obs.forensics = true;
+    c->obs.forensics_sample_every = 3;
+  }
+  auto plain = ref;
+  plain.streaming.records_path = dir_ + "/plain";
+  plain.streaming.checkpoint_path.clear();
+  const auto res = run_campaign(plain);
+  const obs::Counter* replays = res.metrics.find_counter("forensics.replays");
+  ASSERT_NE(replays, nullptr);
+  ASSERT_GT(replays->value(), 0u) << "no escape to sample";
+  expect_resume_matches_reference(ref, victim, 37);
+}
+
+TEST_F(ResumeTest, HeartbeatAcrossResumeCountsEveryRecord) {
+  // A resumed shard's progress cells start at its journaled record
+  // count, so the final heartbeat covers the records streamed before the
+  // kill as well as after it, and all of them are checkpointed.
+  auto cfg = make_cfg("victim", 2, false);
+  cfg.streaming.abort_after = 37;
+  run_campaign(cfg);
+  cfg.streaming.abort_after = 0;
+  std::mutex mu;
+  std::vector<HeartbeatSample> samples;
+  cfg.heartbeat.interval_sec = 0.002;
+  cfg.heartbeat.callback = [&](const HeartbeatSample& s) {
+    const std::lock_guard<std::mutex> lock(mu);
+    samples.push_back(s);
+  };
+  const auto res = run_campaign(cfg);
+  ASSERT_TRUE(res.resumed);
+  EXPECT_EQ(res.records_streamed, decode_stream(cfg.streaming.records_path,
+                                                cfg.streaming.records_format,
+                                                cfg.shards)
+                                      .size());
+  ASSERT_FALSE(samples.empty());
+  const HeartbeatSample& fin = samples.back();
+  EXPECT_TRUE(fin.last);
+  EXPECT_EQ(fin.total, 240u);
+  EXPECT_EQ(fin.completed, res.records_streamed);
+  EXPECT_EQ(fin.checkpointed, res.records_streamed);
+  EXPECT_EQ(fin.sink_lag_bytes, 0u);
+  EXPECT_GT(res.records.size(), 0u);
+  EXPECT_LT(res.records.size(), res.records_streamed);  // a real resume
 }
 
 TEST_F(ResumeTest, BinaryFormatResumesIdentically) {

@@ -25,71 +25,6 @@ TEST(RecordFormatTest, NamesRoundTrip) {
   EXPECT_EQ(record_format_from_name("csv"), std::nullopt);
 }
 
-TEST(MemoryRecordSinkTest, BuffersUntilFlush) {
-  MemoryRecordSink sink({.shard_count = 2, .buffer_bytes = 64});
-  EXPECT_TRUE(sink.append(0, "hello\n"));
-  EXPECT_EQ(sink.offset(0), 0u);
-  EXPECT_EQ(sink.buffered_bytes(0), 6u);
-  EXPECT_TRUE(sink.data(0).empty());
-  sink.flush(0);
-  EXPECT_EQ(sink.offset(0), 6u);
-  EXPECT_EQ(sink.buffered_bytes(0), 0u);
-  EXPECT_EQ(sink.data(0), "hello\n");
-  // Shards are independent streams.
-  EXPECT_EQ(sink.offset(1), 0u);
-  EXPECT_EQ(sink.stats(0).appends, 1u);
-  EXPECT_EQ(sink.stats(0).appended_bytes, 6u);
-  EXPECT_EQ(sink.stats(0).flushes, 1u);
-  EXPECT_EQ(sink.stats(0).flushed_bytes, 6u);
-  EXPECT_EQ(sink.stats(0).backpressure_flushes, 0u);
-  EXPECT_EQ(sink.stats(1).appends, 0u);
-}
-
-TEST(MemoryRecordSinkTest, BackpressureFlushPreservesFrameOrder) {
-  MemoryRecordSink sink({.shard_count = 1, .buffer_bytes = 8});
-  EXPECT_TRUE(sink.append(0, "aaaa"));
-  EXPECT_TRUE(sink.append(0, "bbbb"));  // exactly fills: no flush yet
-  EXPECT_EQ(sink.stats(0).backpressure_flushes, 0u);
-  EXPECT_TRUE(sink.append(0, "cc"));  // would overflow: flushes first
-  EXPECT_EQ(sink.stats(0).backpressure_flushes, 1u);
-  EXPECT_EQ(sink.data(0), "aaaabbbb");
-  EXPECT_EQ(sink.buffered_bytes(0), 2u);
-  sink.flush_all();
-  EXPECT_EQ(sink.data(0), "aaaabbbbcc");
-}
-
-TEST(MemoryRecordSinkTest, OversizedFramePushesStraightThrough) {
-  MemoryRecordSink sink({.shard_count = 1, .buffer_bytes = 4});
-  EXPECT_TRUE(sink.append(0, "0123456789"));
-  // A frame the buffer cannot bound is flushed immediately.
-  EXPECT_EQ(sink.data(0), "0123456789");
-  EXPECT_EQ(sink.buffered_bytes(0), 0u);
-}
-
-TEST(MemoryRecordSinkTest, CapDropsAndCounts) {
-  MemoryRecordSink sink(
-      {.shard_count = 1, .buffer_bytes = 64, .max_shard_bytes = 10});
-  EXPECT_TRUE(sink.append(0, "12345678"));
-  EXPECT_FALSE(sink.append(0, "90123"));  // would exceed the cap
-  EXPECT_EQ(sink.stats(0).dropped, 1u);
-  EXPECT_EQ(sink.stats(0).appends, 1u);
-  sink.flush(0);
-  EXPECT_EQ(sink.data(0), "12345678");
-}
-
-TEST(MemoryRecordSinkTest, DiscardThrowsAwayBufferedBytes) {
-  MemoryRecordSink sink({.shard_count = 1, .buffer_bytes = 64});
-  sink.append(0, "durable\n");
-  sink.flush(0);
-  sink.append(0, "torn tail");
-  sink.discard(0);  // the unit-test SIGKILL
-  EXPECT_EQ(sink.buffered_bytes(0), 0u);
-  EXPECT_EQ(sink.data(0), "durable\n");
-  EXPECT_EQ(sink.stats(0).dropped, 1u);
-  sink.discard(0);  // empty buffer: nothing to drop
-  EXPECT_EQ(sink.stats(0).dropped, 1u);
-}
-
 class ShardedFileSinkTest : public ::testing::Test {
  protected:
   // One path per test: ctest runs the fixture's tests in parallel.
@@ -108,6 +43,13 @@ class ShardedFileSinkTest : public ::testing::Test {
     o.base_path = base_;
     o.shard_count = shards;
     o.resume_offsets = std::move(resume);
+    return o;
+  }
+
+  ShardedFileSink::Options buffered_opts(std::size_t shards,
+                                         std::size_t buffer_bytes) const {
+    ShardedFileSink::Options o = file_opts(shards);
+    o.buffer_bytes = buffer_bytes;
     return o;
   }
 
@@ -140,6 +82,63 @@ TEST_F(ShardedFileSinkTest, WritesOneFilePerShard) {
   }
   EXPECT_EQ(slurp(sink_path(0)), "shard zero\n");
   EXPECT_EQ(slurp(sink_path(1)), "shard one\n");
+}
+
+TEST_F(ShardedFileSinkTest, BuffersUntilFlush) {
+  ShardedFileSink sink(buffered_opts(2, 64));
+  EXPECT_TRUE(sink.append(0, "hello\n"));
+  EXPECT_EQ(sink.offset(0), 0u);
+  EXPECT_EQ(sink.buffered_bytes(0), 6u);
+  EXPECT_EQ(slurp(sink_path(0)), "");
+  sink.flush(0);
+  EXPECT_EQ(sink.offset(0), 6u);
+  EXPECT_EQ(sink.buffered_bytes(0), 0u);
+  EXPECT_EQ(slurp(sink_path(0)), "hello\n");
+  // Shards are independent streams.
+  EXPECT_EQ(sink.offset(1), 0u);
+  EXPECT_EQ(sink.stats(0).appends, 1u);
+  EXPECT_EQ(sink.stats(0).appended_bytes, 6u);
+  EXPECT_EQ(sink.stats(0).flushes, 1u);
+  EXPECT_EQ(sink.stats(0).flushed_bytes, 6u);
+  EXPECT_EQ(sink.stats(0).backpressure_flushes, 0u);
+  EXPECT_EQ(sink.stats(1).appends, 0u);
+}
+
+TEST_F(ShardedFileSinkTest, BackpressureFlushPreservesFrameOrder) {
+  ShardedFileSink sink(buffered_opts(1, 8));
+  EXPECT_TRUE(sink.append(0, "aaaa"));
+  EXPECT_TRUE(sink.append(0, "bbbb"));  // exactly fills: no flush yet
+  EXPECT_EQ(sink.stats(0).backpressure_flushes, 0u);
+  EXPECT_TRUE(sink.append(0, "cc"));  // would overflow: flushes first
+  EXPECT_EQ(sink.stats(0).backpressure_flushes, 1u);
+  EXPECT_EQ(slurp(sink_path(0)), "aaaabbbb");
+  EXPECT_EQ(sink.buffered_bytes(0), 2u);
+  sink.flush_all();
+  EXPECT_EQ(slurp(sink_path(0)), "aaaabbbbcc");
+}
+
+TEST_F(ShardedFileSinkTest, OversizedFramePushesStraightThrough) {
+  ShardedFileSink sink(buffered_opts(1, 4));
+  EXPECT_TRUE(sink.append(0, "0123456789"));
+  // A frame the buffer cannot bound is flushed immediately.
+  EXPECT_EQ(slurp(sink_path(0)), "0123456789");
+  EXPECT_EQ(sink.buffered_bytes(0), 0u);
+}
+
+TEST_F(ShardedFileSinkTest, DiscardThrowsAwayBufferedBytes) {
+  {
+    ShardedFileSink sink(buffered_opts(1, 64));
+    sink.append(0, "durable\n");
+    sink.flush(0);
+    sink.append(0, "torn tail");
+    sink.discard(0);  // the unit-test SIGKILL
+    EXPECT_EQ(sink.buffered_bytes(0), 0u);
+    EXPECT_EQ(sink.stats(0).dropped, 1u);
+    sink.discard(0);  // empty buffer: nothing to drop
+    EXPECT_EQ(sink.stats(0).dropped, 1u);
+  }
+  // Nothing discarded reaches the file, not even the destructor's flush.
+  EXPECT_EQ(slurp(sink_path(0)), "durable\n");
 }
 
 TEST_F(ShardedFileSinkTest, DestructorFlushesBufferedBytes) {
