@@ -70,6 +70,108 @@ Interval trim_value(Interval s, std::int64_t v) {
 void clamp_hi(Interval& s, std::int64_t v) { s.hi = std::min(s.hi, v); }
 void clamp_lo(Interval& s, std::int64_t v) { s.lo = std::max(s.lo, v); }
 
+void refine_cmp_ri(Opcode jcc, bool taken, std::int64_t k, Interval& s) {
+  switch (jcc) {
+    case Opcode::Je:
+      s = taken ? interval_meet(s, Interval::exact(k)) : trim_value(s, k);
+      break;
+    case Opcode::Jne:
+      s = taken ? trim_value(s, k) : interval_meet(s, Interval::exact(k));
+      break;
+    case Opcode::Jl:
+      if (taken) { if (k != Interval::kMin) clamp_hi(s, k - 1); }
+      else clamp_lo(s, k);
+      break;
+    case Opcode::Jle:
+      if (taken) clamp_hi(s, k);
+      else if (k != Interval::kMax) clamp_lo(s, k + 1);
+      break;
+    case Opcode::Jg:
+      if (taken) { if (k != Interval::kMax) clamp_lo(s, k + 1); }
+      else clamp_hi(s, k);
+      break;
+    case Opcode::Jge:
+      if (taken) clamp_lo(s, k);
+      else if (k != Interval::kMin) clamp_hi(s, k - 1);
+      break;
+    case Opcode::Jb:  // unsigned <
+      if (k >= 0) {
+        if (taken) s = interval_meet(s, {0, k - 1});
+        else if (s.lo >= 0) clamp_lo(s, k);
+      }
+      break;
+    case Opcode::Jae:  // unsigned >=
+      if (k >= 0) {
+        if (taken) { if (s.lo >= 0) clamp_lo(s, k); }
+        else s = interval_meet(s, {0, k - 1});
+      }
+      break;
+    default:
+      break;
+  }
+}
+
+/// Signed two-register refinement: narrows `a` (left operand) against the
+/// pre-branch interval of the right operand, and vice versa.
+void refine_cmp_rr(Opcode jcc, bool taken, Interval& a, Interval& b) {
+  const Interval a0 = a, b0 = b;
+  // Normalize to one of {<, <=, >, >=, ==} on (a, b).
+  enum class Rel : std::uint8_t { Lt, Le, Gt, Ge, Eq, None };
+  Rel rel = Rel::None;
+  switch (jcc) {
+    case Opcode::Je: rel = taken ? Rel::Eq : Rel::None; break;
+    case Opcode::Jne: rel = taken ? Rel::None : Rel::Eq; break;
+    case Opcode::Jl: rel = taken ? Rel::Lt : Rel::Ge; break;
+    case Opcode::Jle: rel = taken ? Rel::Le : Rel::Gt; break;
+    case Opcode::Jg: rel = taken ? Rel::Gt : Rel::Le; break;
+    case Opcode::Jge: rel = taken ? Rel::Ge : Rel::Lt; break;
+    case Opcode::Jb:  // unsigned: only meaningful when both nonnegative
+      if (a0.lo >= 0 && b0.lo >= 0) rel = taken ? Rel::Lt : Rel::Ge;
+      else if (taken && b0.lo >= 0) {
+        // a <u b with b in [0, hi]: a's unsigned value is below 2^63, so
+        // a is nonnegative as signed and bounded by b-1.
+        a = interval_meet(a0, {0, b0.hi - 1});
+        return;
+      }
+      break;
+    case Opcode::Jae:
+      if (a0.lo >= 0 && b0.lo >= 0) rel = taken ? Rel::Ge : Rel::Lt;
+      else if (!taken && b0.lo >= 0) {
+        a = interval_meet(a0, {0, b0.hi - 1});
+        return;
+      }
+      break;
+    default:
+      break;
+  }
+  switch (rel) {
+    case Rel::Lt:
+      if (b0.hi != Interval::kMin) clamp_hi(a, b0.hi - 1);
+      if (a0.lo != Interval::kMax) clamp_lo(b, a0.lo + 1);
+      break;
+    case Rel::Le:
+      clamp_hi(a, b0.hi);
+      clamp_lo(b, a0.lo);
+      break;
+    case Rel::Gt:
+      if (b0.lo != Interval::kMax) clamp_lo(a, b0.lo + 1);
+      if (a0.hi != Interval::kMin) clamp_hi(b, a0.hi - 1);
+      break;
+    case Rel::Ge:
+      clamp_lo(a, b0.lo);
+      clamp_hi(b, a0.hi);
+      break;
+    case Rel::Eq: {
+      const Interval m = interval_meet(a0, b0);
+      a = m;
+      b = m;
+      break;
+    }
+    case Rel::None:
+      break;
+  }
+}
+
 }  // namespace
 
 void apply_instruction(const Instruction& insn, RegState& state) {
@@ -209,65 +311,25 @@ void apply_instruction(const Instruction& insn, RegState& state) {
   }
 }
 
-namespace {
-
-/// Branch-edge refinement: when a block ends with `cmp/test; jcc`, the
-/// guarded register enters each successor with a narrowed interval.
-void refine_for_edge(const Program& program, const BasicBlock& b,
-                     const BasicBlock& succ, RegState& st) {
+void refine_edge(const Program& program, const BasicBlock& b,
+                 Addr succ_first, RegState& st) {
   const Instruction& jcc = program.at(b.last);
   if (!sim::is_cond_branch(jcc.op)) return;
-  if (b.last == b.first) return;  // guard would live in another block
+  if (b.last == b.first) return;  // guard lives in another block
   const Instruction& guard = program.at(b.last - 1);
   const auto target = static_cast<Addr>(jcc.imm);
   const Addr fallthrough = b.last + 1;
-  if (target == fallthrough) return;  // both edges collapse, no knowledge
+  if (target == fallthrough) return;
   bool taken = false;
-  if (succ.first == target) taken = true;
-  else if (succ.first == fallthrough) taken = false;
+  if (succ_first == target) taken = true;
+  else if (succ_first == fallthrough) taken = false;
   else return;
 
   if (guard.op == Opcode::CmpRI && tracked(guard.r1)) {
-    Interval& s = st[gpr(guard.r1)];
-    const std::int64_t k = guard.imm;
-    switch (jcc.op) {
-      case Opcode::Je:
-        s = taken ? interval_meet(s, Interval::exact(k)) : trim_value(s, k);
-        break;
-      case Opcode::Jne:
-        s = taken ? trim_value(s, k) : interval_meet(s, Interval::exact(k));
-        break;
-      case Opcode::Jl:
-        if (taken) { if (k != Interval::kMin) clamp_hi(s, k - 1); }
-        else clamp_lo(s, k);
-        break;
-      case Opcode::Jle:
-        if (taken) clamp_hi(s, k);
-        else if (k != Interval::kMax) clamp_lo(s, k + 1);
-        break;
-      case Opcode::Jg:
-        if (taken) { if (k != Interval::kMax) clamp_lo(s, k + 1); }
-        else clamp_hi(s, k);
-        break;
-      case Opcode::Jge:
-        if (taken) clamp_lo(s, k);
-        else if (k != Interval::kMin) clamp_hi(s, k - 1);
-        break;
-      case Opcode::Jb:  // unsigned <
-        if (k >= 0) {
-          if (taken) s = interval_meet(s, {0, k - 1});
-          else if (s.lo >= 0) clamp_lo(s, k);
-        }
-        break;
-      case Opcode::Jae:  // unsigned >=
-        if (k >= 0) {
-          if (taken) { if (s.lo >= 0) clamp_lo(s, k); }
-          else s = interval_meet(s, {0, k - 1});
-        }
-        break;
-      default:
-        break;
-    }
+    refine_cmp_ri(jcc.op, taken, guard.imm, st[gpr(guard.r1)]);
+  } else if (guard.op == Opcode::CmpRR && tracked(guard.r1) &&
+             tracked(guard.r2) && guard.r1 != guard.r2) {
+    refine_cmp_rr(jcc.op, taken, st[gpr(guard.r1)], st[gpr(guard.r2)]);
   } else if (guard.op == Opcode::TestRR && guard.r1 == guard.r2 &&
              tracked(guard.r1)) {
     Interval& s = st[gpr(guard.r1)];
@@ -276,8 +338,17 @@ void refine_for_edge(const Program& program, const BasicBlock& b,
     } else if (jcc.op == Opcode::Jne) {
       s = taken ? trim_value(s, 0) : interval_meet(s, Interval::exact(0));
     }
+  } else if (guard.op == Opcode::TestRI && tracked(guard.r1) &&
+             guard.imm != 0 && (guard.imm & (guard.imm - 1)) == 0) {
+    // test r, single-bit: the jne edge proves the register nonzero.
+    Interval& s = st[gpr(guard.r1)];
+    if ((jcc.op == Opcode::Jne && taken) || (jcc.op == Opcode::Je && !taken)) {
+      s = trim_value(s, 0);
+    }
   }
 }
+
+namespace {
 
 void compute_reachability(const ControlFlowGraph& cfg,
                           std::vector<BlockFacts>& facts) {
@@ -389,7 +460,7 @@ void run_intervals(const Program& program, const ControlFlowGraph& cfg,
     }
     for (std::uint32_t si : b.succs) {
       RegState edge = out;
-      refine_for_edge(program, b, cfg.blocks[si], edge);
+      refine_edge(program, b, cfg.blocks[si].first, edge);
       bool infeasible = false;
       for (const Interval& v : edge) infeasible |= v.is_empty();
       if (infeasible) continue;

@@ -56,6 +56,16 @@ using RegState = std::array<Interval, sim::kNumGprs>;
 /// reaches the next instruction).
 void apply_instruction(const sim::Instruction& insn, RegState& state);
 
+/// Branch-edge refinement: when block `b` ends with a guard and a
+/// conditional branch, narrows the guarded registers in `st` along the
+/// edge to the successor block starting at `succ_first`.  Guards:
+/// `cmp r, imm` (signed and unsigned Jcc), `cmp r1, r2` (both operands),
+/// `test r, r` (Je/Jne against zero) and single-bit `test r, imm` (the
+/// bit-set edge proves r nonzero).  An empty interval marks the edge
+/// infeasible.
+void refine_edge(const sim::Program& program, const BasicBlock& b,
+                 sim::Addr succ_first, RegState& st);
+
 /// Sentinel for "stack depth not statically known at this block".
 inline constexpr std::int32_t kDepthUnknown =
     std::numeric_limits<std::int32_t>::min();

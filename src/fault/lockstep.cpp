@@ -257,11 +257,6 @@ obs::ForensicsRecord run_lockstep_forensics(hv::Machine& golden,
   faulty.begin_activation(activation);
   sim::Cpu& gc = golden.cpu();
   sim::Cpu& fc = faulty.cpu();
-  // Reference-engine single stepping; masks are an activation-watching
-  // concern the replay does not have.  Machine::run re-establishes the
-  // flag per run, so leaving it off here is invisible to the campaign.
-  gc.set_mask_tracking(false);
-  fc.set_mask_tracking(false);
 
   // Advance both sides to the injection point (the flip precedes the
   // dynamic instruction at_step, exactly as Machine::run applies it).
@@ -274,8 +269,6 @@ obs::ForensicsRecord run_lockstep_forensics(hv::Machine& golden,
       // The faulted run reached at_step, so a clean replay must too; bail
       // without evidence rather than mis-attribute (callers fall back to
       // the heuristic).
-      gc.set_mask_tracking(true);
-      fc.set_mask_tracking(true);
       return fx;
     }
   }
@@ -318,8 +311,6 @@ obs::ForensicsRecord run_lockstep_forensics(hv::Machine& golden,
     }
   }
 
-  gc.set_mask_tracking(true);
-  fc.set_mask_tracking(true);
   return fx;
 }
 

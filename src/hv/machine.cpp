@@ -468,176 +468,68 @@ RunResult Machine::run(const Activation& act, const RunOptions& opts) {
   cpu_.set_trace(opts.trace);
   if (opts.arm_counters) cpu_.counters().arm();
 
+  // One path: a clean run is an injection run whose flip point lies past
+  // the budget.  The configured engine runs the fault-free prefix up to
+  // the flip; the faulted remainder batches under a register watch to the
+  // first instruction that touches the flipped register, which settles
+  // activation, and then runs unwatched.  Every observable (result fields,
+  // trace, counters) equals single-stepping the activation with the flip
+  // applied before step `at_step`; MachineTest's single-step oracle and
+  // the digest pins hold it.
   RunResult result;
   const Injection* inj = opts.injection;
-  // Register read/write masks are only consumed while watching an
-  // injection for activation; skip computing them on clean runs.
-  cpu_.set_mask_tracking(inj != nullptr);
-
-  if (inj == nullptr) {
-    // Clean run: one call into the configured engine, which records the
-    // trace itself.
-    const sim::StepInfo info = cpu_.run(opts.max_steps);
-    result.steps = cpu_.steps_executed();
-    if (info.status == sim::StepInfo::Status::Halted) {
-      result.reached_vm_entry = true;
-    } else {
-      result.trap = info.trap;
-      result.trap_step = result.steps;
-    }
-  } else {
-    // Injection path, batched.  The fault-free prefix before the flip and
-    // the suffix after activation resolves run on the configured engine;
-    // only the window where the flip must be watched for activation is
-    // stepped, and even there the CPU's register watch batches between
-    // instructions that statically touch the target register.  Every
-    // observable (result fields, trace, counters, record digests) equals
-    // what single-stepping the whole activation with the flip applied
-    // before step `at_step` would give; the fast-vs-reference campaign
-    // test and the digest pins hold it.
+  const std::uint64_t budget = opts.max_steps;
+  sim::StepInfo info =
+      cpu_.run(inj != nullptr ? std::min(inj->at_step, budget) : budget);
+  // run() raises Watchdog at budget exhaustion: short of the full
+  // allowance, the prefix ended at the flip point.
+  if (inj != nullptr && info.trap.kind == sim::TrapKind::Watchdog &&
+      cpu_.steps_executed() < budget) {
     const std::uint32_t target_bit = sim::reg_bit(inj->reg);
-    std::uint64_t step = 0;  // instructions retired so far
-    bool done = false;
-
-    // Phase 1: fault-free prefix [0, min(at_step, max_steps)).
-    const std::uint64_t prefix =
-        std::min<std::uint64_t>(inj->at_step, opts.max_steps);
-    cpu_.set_mask_tracking(false);
-    if (prefix > 0) {
-      const sim::StepInfo info = cpu_.run(prefix);
-      step = cpu_.steps_executed();
-      if (info.status == sim::StepInfo::Status::Halted) {
-        result.reached_vm_entry = true;
-        result.steps = step;
-        done = true;
-      } else if (info.trap.kind == sim::TrapKind::Watchdog) {
-        // run() raises Watchdog at budget exhaustion; it is the
-        // architectural watchdog only when the budget was the full
-        // allowance.  Otherwise the prefix simply completed: fall
-        // through to the flip.
-        if (prefix == opts.max_steps) {
-          result.trap = info.trap;
-          result.trap_step = step;
-          done = true;  // result.steps stays 0: the watchdog never sets it
-        }
-      } else {
-        result.trap = info.trap;
-        result.trap_step = step;
-        result.steps = step;
-        done = true;
-      }
-    }
-    if (!done && step >= opts.max_steps) {
-      // Degenerate budget (max_steps == 0): watchdog before the flip.
-      result.trap = sim::Trap{sim::TrapKind::Watchdog, cpu_.reg(Reg::rip), 0};
-      result.trap_step = step;
-      done = true;
-    }
-
-    if (!done) {
-      // Phase 2: the flip, immediately before executing step `at_step`.
-      cpu_.flip_bit(inj->reg, inj->bit);
-      result.injected = true;
-      bool watching = false;
-      if (inj->reg == Reg::rip) {
-        // The very next fetch consumes the corrupted rip.
-        result.activated = true;
-        result.activation_step = step;
-      } else {
-        watching = true;
-      }
-
-      // Phase 3: watch window.  Batch to the next instruction that
-      // statically reads or writes the target register, then single-step
-      // it with activation bookkeeping.
-      cpu_.set_mask_tracking(true);
+    cpu_.flip_bit(inj->reg, inj->bit);
+    result.injected = true;
+    if (inj->reg == Reg::rip) {
+      // The very next fetch consumes the corrupted rip.
+      result.activated = true;
+      result.activation_step = cpu_.steps_executed();
+    } else {
       cpu_.set_watch(target_bit);
-      while (watching) {
-        if (step >= opts.max_steps) {
-          result.trap =
-              sim::Trap{sim::TrapKind::Watchdog, cpu_.reg(Reg::rip), 0};
-          result.trap_step = step;
-          done = true;
-          break;
-        }
-        const sim::StepInfo hop = cpu_.run(opts.max_steps - step);
-        step = cpu_.steps_executed();
-        if (hop.status == sim::StepInfo::Status::Ok) {
-          // Watch boundary: the pending instruction touches the target.
-          const sim::StepInfo info = cpu_.step();
-          if (info.read_mask & target_bit) {
-            result.activated = true;
-            result.activation_step = step;
-            watching = false;
-          } else if (info.written_mask & target_bit) {
-            watching = false;  // overwritten before any read
-          }
-          if (info.status == sim::StepInfo::Status::Halted) {
-            result.reached_vm_entry = true;
-            result.steps = step;
-            done = true;
-            break;
-          }
-          if (info.status == sim::StepInfo::Status::Trapped) {
-            result.trap = info.trap;
-            result.trap_step = step;
-            result.steps = step;
-            done = true;
-            break;
-          }
-          ++step;
-          continue;
-        }
-        if (hop.status == sim::StepInfo::Status::Halted) {
-          result.reached_vm_entry = true;
-          result.steps = step;
-          done = true;
-          break;
-        }
-        if (hop.trap.kind == sim::TrapKind::Watchdog) {
-          result.trap = hop.trap;  // budget == remaining allowance: genuine
-          result.trap_step = step;
-          done = true;
-          break;
-        }
-        result.trap = hop.trap;
-        result.trap_step = step;
-        result.steps = step;
-        done = true;
-        break;
+    }
+    info = cpu_.run(budget - cpu_.steps_executed());
+    cpu_.set_watch(0);
+    if (info.status == sim::StepInfo::Status::Ok) {
+      // Watch stop: the pending instruction is the first to read or write
+      // the flipped register.  A read activates the fault; a write
+      // overwrites it.  Step it, then run the rest unwatched.
+      if (info.read_mask & target_bit) {
+        result.activated = true;
+        result.activation_step = cpu_.steps_executed();
       }
-      cpu_.set_watch(0);
-      cpu_.set_mask_tracking(false);
+      info = cpu_.step();
+      if (info.status == sim::StepInfo::Status::Ok) {
+        info = cpu_.run(budget - cpu_.steps_executed());
+      }
+    }
+  }
 
-      // Phase 4: activation resolved — batch the remainder.
-      if (!done) {
-        if (step >= opts.max_steps) {
-          result.trap =
-              sim::Trap{sim::TrapKind::Watchdog, cpu_.reg(Reg::rip), 0};
-          result.trap_step = step;
-        } else {
-          const sim::StepInfo info = cpu_.run(opts.max_steps - step);
-          step = cpu_.steps_executed();
-          if (info.status == sim::StepInfo::Status::Halted) {
-            result.reached_vm_entry = true;
-            result.steps = step;
-          } else if (info.trap.kind == sim::TrapKind::Watchdog) {
-            result.trap = info.trap;
-            result.trap_step = step;
-          } else {
-            result.trap = info.trap;
-            result.trap_step = step;
-            result.steps = step;
-          }
-        }
-      }
+  const std::uint64_t executed = cpu_.steps_executed();
+  if (info.status == sim::StepInfo::Status::Halted) {
+    result.reached_vm_entry = true;
+    result.steps = executed;
+  } else {
+    result.trap = info.trap;
+    result.trap_step = executed;
+    // An injection run stopped by the watchdog keeps steps = 0 while a
+    // clean one reports the budget; flight frames (and so the blackbox
+    // pin) record this field.
+    if (inj == nullptr || info.trap.kind != sim::TrapKind::Watchdog) {
+      result.steps = executed;
     }
   }
 
   result.counters = opts.arm_counters ? cpu_.counters().disarm()
                                       : sim::PerfSnapshot{};
   cpu_.set_trace(nullptr);
-  cpu_.set_mask_tracking(true);
 
   if (tracing) span.arg("steps", result.steps);
   record_flight_frame(act, result);

@@ -136,9 +136,9 @@ class Machine {
 
   /// Selects the CPU execution engine for this machine's run() path.
   /// Clean runs execute entirely on it; injection runs use it for the
-  /// fault-free prefix, the batches between watched instructions and the
-  /// suffix after activation resolves, and single-step only the
-  /// instructions that touch the flipped register.  Snapshot and restore
+  /// fault-free prefix and for the suffix after activation resolves, batch
+  /// the watched window on the run loop, and single-step only the first
+  /// instruction that touches the flipped register.  Snapshot and restore
   /// are engine-agnostic.
   void set_execution_engine(sim::EngineKind kind) { cpu_.set_engine(kind); }
 

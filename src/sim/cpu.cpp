@@ -44,11 +44,6 @@ StepInfo Cpu::step() {
     return info;
   }
 
-  if (track_masks_) {
-    info.read_mask = regs_read(insn);
-    info.written_mask = regs_written(insn);
-  }
-
   // Retire bookkeeping happens for every instruction that begins executing;
   // a mid-instruction memory fault still counts as issued work for the
   // trace, but a trapped instruction does not retire.
@@ -409,7 +404,7 @@ inline bool cond_taken(Opcode jcc, Word f) {
 
 }  // namespace
 
-template <bool Trace, bool Masks, bool Shadow>
+template <bool Trace, bool Watch, bool Shadow>
 StepInfo Cpu::run_loop(std::uint64_t max_steps) {
   const Program& prog = *prog_;
   Memory& mem = *mem_;
@@ -447,18 +442,18 @@ StepInfo Cpu::run_loop(std::uint64_t max_steps) {
       return info;
     }
 
-    if constexpr (Masks) {
+    if constexpr (Watch) {
       // Register watch: hand control back before any instruction whose
       // static read/write set touches the watched registers.  The caller
-      // (the injection path) single-steps that instruction with full
-      // activation bookkeeping, then resumes batching.
-      if (watch_mask_ != 0 &&
-          ((regs_read(insn) | regs_written(insn)) & watch_mask_) != 0) {
+      // (the injection path) reads the masks and single-steps it.
+      const std::uint32_t read = regs_read(insn);
+      const std::uint32_t written = regs_written(insn);
+      if (((read | written) & watch_mask_) != 0) {
         flush();
         info.status = StepInfo::Status::Ok;
         info.rip_before = rip;
-        info.read_mask = regs_read(insn);
-        info.written_mask = regs_written(insn);
+        info.read_mask = read;
+        info.written_mask = written;
         return info;
       }
     }
@@ -468,8 +463,7 @@ StepInfo Cpu::run_loop(std::uint64_t max_steps) {
     // two instructions (two trace entries, two counter retires, same
     // rflags effects).  Never fuse across the watchdog boundary, and not
     // while a watch is armed (the tail's reads must stay visible).
-    if (insn.fused && executed + 2 <= max_steps &&
-        (!Masks || watch_mask_ == 0)) {
+    if (!Watch && insn.fused && executed + 2 <= max_steps) {
       switch (insn.op) {
         case Opcode::CmpRR:
           set_flags_cmp(reg(insn.r1), reg(insn.r2));
@@ -817,10 +811,6 @@ StepInfo Cpu::run_loop(std::uint64_t max_steps) {
         info.trap = trap;
       }
       info.rip_before = rip;
-      if constexpr (Masks) {
-        info.read_mask = regs_read(insn);
-        info.written_mask = regs_written(insn);
-      }
       return info;
     }
 
@@ -858,7 +848,7 @@ StepInfo Cpu::run(std::uint64_t max_steps) {
     return run_reference(max_steps);
   }
   const unsigned key = (trace_ != nullptr ? 1u : 0u) |
-                       (track_masks_ || watch_mask_ != 0 ? 2u : 0u) |
+                       (watch_mask_ != 0 ? 2u : 0u) |
                        (shadow_enabled_ ? 4u : 0u);
   switch (key) {
     case 0: return run_loop<false, false, false>(max_steps);

@@ -8,12 +8,12 @@
 // Two engines share the architectural semantics:
 //   - step() / run_reference(): the reference engine.  One instruction per
 //     call, a fresh StepInfo per step — used by single-step callers
-//     (injection-point stepping, lockstep comparison) and as the oracle
-//     the differential tests check the fast engine against.
+//     (lockstep comparison, the instruction at a register-watch stop) and
+//     as the oracle the differential tests check the fast engine against.
 //   - run(): the mode-specialized engine.  Dispatches once, per run, to a
-//     loop templated over the three per-step feature flags (trace
-//     recording, register-mask tracking, shadow-stack redundancy), so the
-//     common golden-run configuration compiles to a tight loop with zero
+//     loop templated over the three per-run feature flags (trace
+//     recording, register watch, shadow-stack redundancy), so the common
+//     golden-run configuration compiles to a tight loop with zero
 //     disabled-feature branches.  Retire bookkeeping (steps, TSC,
 //     counters) accumulates in locals and is flushed once at loop exit,
 //     and fusable Cmp*/Test* + Jcc pairs (see Program::fused) execute in
@@ -70,8 +70,11 @@ struct StepInfo {
   Status status = Status::Ok;
   Trap trap;
   Addr rip_before = 0;
-  std::uint32_t read_mask = 0;     ///< architectural registers read
-  std::uint32_t written_mask = 0;  ///< architectural registers written
+  /// The pending instruction's static register read/write sets (reg_bit
+  /// masks).  Filled only at a register-watch stop (see Cpu::set_watch);
+  /// zero in every other StepInfo.
+  std::uint32_t read_mask = 0;
+  std::uint32_t written_mask = 0;
 };
 
 class Cpu {
@@ -114,9 +117,10 @@ class Cpu {
   /// Watchdog trap, modelling Xen's NMI watchdog catching a hung
   /// hypervisor).  Returns the last StepInfo.  The Reference engine runs
   /// run_reference; otherwise (and whenever a register watch is armed)
-  /// picks the run-loop specialization for the current trace/mask/shadow
+  /// picks the run-loop specialization for the current trace/watch/shadow
   /// configuration once, then executes with no per-step feature tests;
   /// the feature setters must not be called while a run is in flight.
+  /// run(0) returns the Watchdog trap at rip without executing anything.
   StepInfo run(std::uint64_t max_steps);
 
   /// Reference-engine equivalent of run(): drives step() one instruction
@@ -135,20 +139,14 @@ class Cpu {
   /// used for golden-run comparison and ML labelling.
   void set_trace(std::vector<Addr>* trace) { trace_ = trace; }
 
-  /// Controls whether step() fills StepInfo::read_mask/written_mask.  The
-  /// masks are only consumed while watching a pending injection for
-  /// activation; clean (golden/advance) runs skip the two per-step
-  /// register-set computations.  Default on.
-  void set_mask_tracking(bool on) { track_masks_ = on; }
-
   /// Register watch (by reg_bit mask).  While nonzero, run() stops
   /// *before* executing any instruction whose static read or write set
   /// intersects the mask, returning StepInfo::Status::Ok with the pending
   /// instruction's masks filled and rip still pointing at it.  The
-  /// injection path uses this to batch execution between
-  /// activation-relevant instructions on the fast engine and single-step
-  /// only those.  Forces the run-loop engine (bit-identical) while set:
-  /// run_reference has no per-instruction mask check.  Zero disables.
+  /// injection path uses this to batch execution up to the first
+  /// instruction that touches the flipped register.  Forces the run-loop
+  /// engine (bit-identical) while set: run_reference has no
+  /// per-instruction mask check.  Zero disables.
   void set_watch(std::uint32_t reg_mask) { watch_mask_ = reg_mask; }
 
   Word tsc() const { return tsc_; }
@@ -163,7 +161,6 @@ class Cpu {
     shadow_offset_ = offset;
     shadow_enabled_ = true;
   }
-  void disable_shadow_stack() { shadow_enabled_ = false; }
   bool shadow_stack_enabled() const { return shadow_enabled_; }
 
   /// Selects the engine run() drives.
@@ -179,9 +176,9 @@ class Cpu {
   bool flag(Word bit) const { return (reg(Reg::rflags) & bit) != 0; }
 
   /// The mode-specialized hot loop behind run().  One instantiation per
-  /// trace/mask/shadow combination; `Masks` only affects the StepInfo
-  /// materialized at loop exit (per-step masks are a step() concern).
-  template <bool Trace, bool Masks, bool Shadow>
+  /// trace/watch/shadow combination; `Watch` is set exactly when a
+  /// register watch is armed.
+  template <bool Trace, bool Watch, bool Shadow>
   StepInfo run_loop(std::uint64_t max_steps);
 
   const Program* prog_;
@@ -195,7 +192,6 @@ class Cpu {
   EngineKind engine_ = EngineKind::Fast;
   std::uint32_t watch_mask_ = 0;
   bool shadow_enabled_ = false;
-  bool track_masks_ = true;
 };
 
 /// Fills `out` with one RegDiff per architectural register (including rip

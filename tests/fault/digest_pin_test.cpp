@@ -8,16 +8,19 @@
 // Rule: changing a pin needs a CHANGES.md line that names the cause.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/artifacts.hpp"
 #include "fault/campaign.hpp"
 #include "fault/record_io.hpp"
+#include "fault/report.hpp"
 #include "hv/microvisor.hpp"
 
 namespace xentry::fault {
@@ -101,6 +104,25 @@ TEST(DigestPinTest, BinaryStreamedWithCheckpoint) {
   // the digest covers records, not bytes, so the pin equals the JSONL one.
   expect_streamed_pin(obs::RecordFormat::kBinary, "binary",
                       0x6b4f35cc7be7acb9ull);
+}
+
+TEST(DigestPinTest, ForensicsEvidence) {
+  // `micro_campaign 2000 1 7 --forensics-out F`: the records digest
+  // excludes forensics, so this pins the lockstep replay's evidence, byte
+  // for byte, as write_forensics_jsonl exports it.
+  CampaignConfig cfg = micro_campaign_cfg(2000, 1);
+  cfg.obs.forensics = true;
+  const auto res = run_campaign(cfg);
+  std::ostringstream os;
+  write_forensics_jsonl(os, res.records);
+  const std::string jsonl = os.str();
+  std::uint64_t h = kDigestBasis;
+  for (const unsigned char c : jsonl) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  ASSERT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 77);
+  EXPECT_EQ(h, 0x071a354e0354f06aull) << std::hex << h;
 }
 
 TEST(DigestPinTest, FlightRecorderBlackbox) {

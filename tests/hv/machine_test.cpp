@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+#include <vector>
+
 namespace xentry::hv {
 namespace {
 
@@ -353,6 +358,183 @@ TEST(MachineTest, AssertionsDetectCorruptedIdleState) {
   ASSERT_FALSE(res.reached_vm_entry);
   EXPECT_EQ(res.trap.kind, sim::TrapKind::AssertFailed);
   EXPECT_EQ(res.trap.aux, static_cast<std::uint32_t>(kAssertIdleVcpu));
+}
+
+/// Single-step oracle for Machine::run: steps the activation one
+/// instruction at a time, applies the flip before step `at_step`, and
+/// resolves activation at the first instruction that reads (activated) or
+/// writes (overwritten) the flipped register.  The watchdog fires when the
+/// budget is spent; an injection run then reports steps = 0.
+RunResult single_step_oracle(Machine& m, const Activation& act,
+                             const Injection* inj, std::uint64_t budget,
+                             std::vector<sim::Addr>& trace) {
+  m.begin_activation(act);
+  sim::Cpu& cpu = m.cpu();
+  const sim::Program& program = m.microvisor().program;
+  cpu.set_trace(&trace);
+  cpu.counters().arm();
+  RunResult r;
+  bool watching = false;
+  for (std::uint64_t n = 0;; ++n) {
+    if (n == budget) {
+      r.trap = sim::Trap{sim::TrapKind::Watchdog, cpu.reg(sim::Reg::rip), 0};
+      r.trap_step = n;
+      r.steps = inj != nullptr ? 0 : n;
+      break;
+    }
+    if (inj != nullptr && n == inj->at_step) {
+      cpu.flip_bit(inj->reg, inj->bit);
+      r.injected = true;
+      if (inj->reg == sim::Reg::rip) {
+        r.activated = true;
+        r.activation_step = n;
+      } else {
+        watching = true;
+      }
+    }
+    const sim::Instruction* insn = program.fetch(cpu.reg(sim::Reg::rip));
+    if (watching && insn != nullptr) {
+      const std::uint32_t bit = sim::reg_bit(inj->reg);
+      if (sim::regs_read(*insn) & bit) {
+        r.activated = true;
+        r.activation_step = n;
+        watching = false;
+      } else if (sim::regs_written(*insn) & bit) {
+        watching = false;
+      }
+    }
+    const sim::StepInfo info = cpu.step();
+    if (info.status == sim::StepInfo::Status::Halted) {
+      r.reached_vm_entry = true;
+      r.steps = n;
+      break;
+    }
+    if (info.status == sim::StepInfo::Status::Trapped) {
+      r.trap = info.trap;
+      r.trap_step = r.steps = n;
+      break;
+    }
+  }
+  r.counters = cpu.counters().disarm();
+  cpu.set_trace(nullptr);
+  return r;
+}
+
+TEST(MachineTest, InjectionRunMatchesSingleStepOracle) {
+  // Every flip point of five activations and one that ends in a failed
+  // assertion, three registers (one the handler reads, rip, one it never
+  // touches) and the budget edges around the flip, on both engines.
+  // Every RunResult field, the trace, the counters, the register file and
+  // memory must equal the single-step oracle's.
+  struct Case {
+    Activation act;
+    Machine::Snapshot pre;
+  };
+  Machine m, oracle;
+  std::vector<Case> cases;
+  for (const ExitReason& r :
+       {ExitReason::apic(ApicInterrupt::spurious),
+        ExitReason::apic(ApicInterrupt::timer),
+        ExitReason::hypercall(Hypercall::mmu_update),
+        ExitReason::exception(GuestException::page_fault),
+        ExitReason::irq(1)}) {
+    cases.push_back({m.make_activation(r, 21, 1), m.snapshot()});
+  }
+  {
+    Machine bad;
+    const Activation act = corrupt_idle_vcpu(bad);
+    cases.push_back({act, bad.snapshot()});
+  }
+
+  const sim::Program& program = m.microvisor().program;
+  std::vector<sim::Addr> trace, want_trace;
+  std::vector<sim::WordDiff> words;
+  std::uint64_t activated = 0, watchdogs = 0, traps = 0, runs = 0;
+  for (const Case& c : cases) {
+    // The golden run fixes the flip-point range and the registers.
+    m.restore(c.pre);
+    trace.clear();
+    RunOptions gopts;
+    gopts.trace = &trace;
+    const RunResult golden = m.run(c.act, gopts);
+    const std::uint64_t golden_len =
+        golden.reached_vm_entry ? golden.steps : golden.trap_step;
+    std::array<std::uint64_t, sim::kNumGprs> reads{};
+    std::uint32_t touched = 0;
+    for (const sim::Addr a : trace) {
+      const std::uint32_t read = sim::regs_read(program.at(a));
+      touched |= read | sim::regs_written(program.at(a));
+      for (int g = 0; g < sim::kNumGprs; ++g) reads[g] += (read >> g) & 1;
+    }
+    const auto read_reg = static_cast<sim::Reg>(
+        std::max_element(reads.begin(), reads.end()) - reads.begin());
+    int untouched = 0;
+    while (untouched < sim::kNumGprs && ((touched >> untouched) & 1)) {
+      ++untouched;
+    }
+    ASSERT_LT(untouched, sim::kNumGprs) << "exit " << c.act.reason.code();
+
+    for (std::uint64_t at = 0; at <= golden_len; ++at) {
+      for (const sim::Reg reg :
+           {read_reg, sim::Reg::rip, static_cast<sim::Reg>(untouched)}) {
+        const Injection inj{at, reg, static_cast<int>((at * 7) % 64)};
+        for (const std::uint64_t budget :
+             {std::uint64_t{0}, at, at + 1, golden_len,
+              RunOptions{}.max_steps}) {
+          for (const sim::EngineKind engine :
+               {sim::EngineKind::Fast, sim::EngineKind::Reference}) {
+            const std::string what =
+                "exit " + std::to_string(c.act.reason.code()) + " at " +
+                std::to_string(at) + " reg " +
+                std::string(sim::reg_name(reg)) + " budget " +
+                std::to_string(budget) + " engine " +
+                std::string(sim::engine_name(engine));
+            oracle.restore(c.pre);
+            want_trace.clear();
+            const RunResult want =
+                single_step_oracle(oracle, c.act, &inj, budget, want_trace);
+
+            m.restore(c.pre);
+            m.set_execution_engine(engine);
+            trace.clear();
+            RunOptions opts;
+            opts.injection = &inj;
+            opts.max_steps = budget;
+            opts.trace = &trace;
+            const RunResult got = m.run(c.act, opts);
+
+            EXPECT_EQ(got.reached_vm_entry, want.reached_vm_entry) << what;
+            EXPECT_EQ(got.trap.kind, want.trap.kind) << what;
+            EXPECT_EQ(got.trap.fault_addr, want.trap.fault_addr) << what;
+            EXPECT_EQ(got.trap.aux, want.trap.aux) << what;
+            EXPECT_EQ(got.counters, want.counters) << what;
+            EXPECT_EQ(got.steps, want.steps) << what;
+            EXPECT_EQ(got.injected, want.injected) << what;
+            EXPECT_EQ(got.activated, want.activated) << what;
+            EXPECT_EQ(got.activation_step, want.activation_step) << what;
+            EXPECT_EQ(got.trap_step, want.trap_step) << what;
+            EXPECT_EQ(trace, want_trace) << what;
+            EXPECT_EQ(m.cpu().regs(), oracle.cpu().regs()) << what;
+            EXPECT_EQ(m.cpu().tsc(), oracle.cpu().tsc()) << what;
+            EXPECT_EQ(m.memory().diff_spans(oracle.memory(), words), 0u)
+                << what;
+            ASSERT_FALSE(::testing::Test::HasFailure()) << what;
+
+            ++runs;
+            activated += got.activated;
+            if (!got.reached_vm_entry) {
+              ++(got.trap.kind == sim::TrapKind::Watchdog ? watchdogs : traps);
+            }
+          }
+        }
+      }
+    }
+  }
+  m.set_execution_engine(sim::EngineKind::Fast);
+  // Every outcome class must actually occur.
+  EXPECT_GT(activated, runs / 10);
+  EXPECT_GT(watchdogs, runs / 10);
+  EXPECT_GT(traps, 0u);
 }
 
 TEST(MachineTest, PersistentDiffClassifiesTimeValues) {

@@ -339,15 +339,54 @@ TEST(CpuTest, TraceRecordsControlPath) {
   EXPECT_EQ(trace[1], kCodeBase + 1);
 }
 
-TEST(CpuTest, StepInfoReportsReadAndWrittenRegisters) {
+TEST(CpuTest, RegisterWatchStopsBeforeFirstTouchingInstruction) {
   Assembler as(kCodeBase);
-  as.mov(Reg::rax, Reg::rbx);
+  as.movi(Reg::rax, 1);
+  as.nop();
+  as.mov(Reg::rcx, Reg::rbx);  // slot 2: first read of rbx
+  as.movi(Reg::rbx, 5);        // slot 3: a write of rbx
   as.hlt();
   Fixture f(as);
-  Cpu cpu = f.make_cpu();
-  auto info = cpu.step();
-  EXPECT_EQ(info.read_mask, reg_bit(Reg::rbx));
-  EXPECT_EQ(info.written_mask, reg_bit(Reg::rax));
+  for (const EngineKind engine : {EngineKind::Fast, EngineKind::Reference}) {
+    Cpu cpu = f.make_cpu();
+    cpu.set_engine(engine);
+    cpu.set_reg(Reg::rbx, 7);
+    std::vector<Addr> trace;
+    cpu.set_trace(&trace);
+    cpu.set_watch(reg_bit(Reg::rbx));
+
+    // Stops with rip at the reader, its masks filled, nothing past it
+    // retired.
+    StepInfo info = cpu.run(100);
+    EXPECT_EQ(info.status, StepInfo::Status::Ok);
+    EXPECT_EQ(cpu.reg(Reg::rip), kCodeBase + 2);
+    EXPECT_EQ(info.rip_before, kCodeBase + 2);
+    EXPECT_EQ(info.read_mask, reg_bit(Reg::rbx));
+    EXPECT_EQ(info.written_mask, reg_bit(Reg::rcx));
+    EXPECT_EQ(cpu.steps_executed(), 2u);
+    EXPECT_EQ(trace, (std::vector<Addr>{kCodeBase, kCodeBase + 1}));
+    EXPECT_EQ(cpu.reg(Reg::rcx), 0u);
+
+    // step() executes the pending instruction; masks are a watch-stop
+    // property only.
+    info = cpu.step();
+    EXPECT_EQ(info.status, StepInfo::Status::Ok);
+    EXPECT_EQ(info.read_mask, 0u);
+    EXPECT_EQ(cpu.reg(Reg::rcx), 7u);
+
+    // Resuming stops again at the writer.
+    info = cpu.run(100);
+    EXPECT_EQ(info.status, StepInfo::Status::Ok);
+    EXPECT_EQ(cpu.reg(Reg::rip), kCodeBase + 3);
+    EXPECT_EQ(info.read_mask, 0u);
+    EXPECT_EQ(info.written_mask, reg_bit(Reg::rbx));
+    EXPECT_EQ(cpu.steps_executed(), 3u);
+
+    cpu.set_watch(0);
+    EXPECT_EQ(cpu.run(100).status, StepInfo::Status::Halted);
+    EXPECT_EQ(cpu.steps_executed(), 4u);
+    EXPECT_EQ(cpu.reg(Reg::rbx), 5u);
+  }
 }
 
 }  // namespace

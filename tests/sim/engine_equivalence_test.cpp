@@ -3,11 +3,13 @@
 // observable — final StepInfo, all 18 registers, retired step count, TSC,
 // performance counters, recorded trace, and memory contents — across
 // randomly generated programs, every trap path, and all eight
-// trace/mask/shadow mode combinations.  Also pins down macro-op fusion
-// legality at basic-block boundaries, and fixed programs the generator
-// rarely produces: every tight watchdog budget on a long loop, an indirect
-// jump into the middle of a straight-line run, and out-of-image control
-// transfers.
+// trace/watch/shadow mode combinations (in watch mode the fast engine
+// runs batched under a register watch and single-steps each watched
+// instruction, as the injection path does).  Also pins down macro-op
+// fusion legality at basic-block boundaries, and fixed programs the
+// generator rarely produces: every tight watchdog budget on a long loop, an
+// indirect jump into the middle of a straight-line run, and out-of-image
+// control transfers.
 
 #include <gtest/gtest.h>
 
@@ -116,11 +118,15 @@ struct EngineState {
   PerfSnapshot counters;
   std::vector<Addr> trace;
   Memory::Snapshot memory;
+  std::uint64_t watch_stops = 0;
 };
 
+/// Runs `prog` from a seeded register soup.  A nonzero `watch` (reg_bit
+/// mask) runs batched under that register watch: at each stop the pending
+/// instruction is stepped alone and the run resumes.
 EngineState run_engine(const Program& prog, std::uint64_t seed,
-                       EngineKind kind, bool trace, bool masks, bool shadow,
-                       std::uint64_t max_steps) {
+                       EngineKind kind, bool trace, std::uint32_t watch,
+                       bool shadow, std::uint64_t max_steps) {
   Memory mem = make_memory();
   Cpu cpu(&prog, &mem);
   cpu.reset(prog.base(), kStackTop);
@@ -141,12 +147,24 @@ EngineState run_engine(const Program& prog, std::uint64_t seed,
   }
 
   EngineState st;
-  cpu.set_mask_tracking(masks);
   if (trace) cpu.set_trace(&st.trace);
   if (shadow) cpu.enable_shadow_stack(kShadowOffset);
+  cpu.set_watch(watch);
   cpu.counters().arm();
 
   st.info = cpu.run(max_steps);
+  while (st.info.status == StepInfo::Status::Ok) {
+    ++st.watch_stops;
+    const Instruction& pending = prog.at(cpu.reg(Reg::rip));
+    EXPECT_EQ(st.info.rip_before, cpu.reg(Reg::rip));
+    EXPECT_EQ(st.info.read_mask, regs_read(pending));
+    EXPECT_EQ(st.info.written_mask, regs_written(pending));
+    EXPECT_NE((st.info.read_mask | st.info.written_mask) & watch, 0u);
+    st.info = cpu.step();
+    if (st.info.status == StepInfo::Status::Ok) {
+      st.info = cpu.run(max_steps - cpu.steps_executed());
+    }
+  }
   st.regs = cpu.regs();
   st.steps = cpu.steps_executed();
   st.tsc = cpu.tsc();
@@ -162,8 +180,6 @@ void expect_equivalent(const EngineState& a, const EngineState& b,
   EXPECT_EQ(a.info.trap.fault_addr, b.info.trap.fault_addr) << what;
   EXPECT_EQ(a.info.trap.aux, b.info.trap.aux) << what;
   EXPECT_EQ(a.info.rip_before, b.info.rip_before) << what;
-  EXPECT_EQ(a.info.read_mask, b.info.read_mask) << what;
-  EXPECT_EQ(a.info.written_mask, b.info.written_mask) << what;
   EXPECT_EQ(a.regs, b.regs) << what;
   EXPECT_EQ(a.steps, b.steps) << what;
   EXPECT_EQ(a.tsc, b.tsc) << what;
@@ -175,6 +191,7 @@ void expect_equivalent(const EngineState& a, const EngineState& b,
 TEST(EngineEquivalenceTest, RandomProgramsAllModeCombinations) {
   std::mt19937_64 rng(0x1234abcdu);
   int halted = 0, trapped = 0, watchdogged = 0, fused_programs = 0;
+  std::uint64_t watch_stops = 0;
   for (int p = 0; p < 400; ++p) {
     const std::size_t len = 4 + (p % 60);
     const Program prog = random_program(rng, len);
@@ -186,15 +203,21 @@ TEST(EngineEquivalenceTest, RandomProgramsAllModeCombinations) {
     }
     const std::uint64_t seed = rng();
     const std::uint64_t max_steps = 1 + (seed % 300);
+    // A GPR or rflags (rip is in no instruction's static register sets).
+    const int w = static_cast<int>((seed >> 16) % (kNumGprs + 1));
+    const std::uint32_t watched =
+        reg_bit(w == kNumGprs ? Reg::rflags : static_cast<Reg>(w));
     for (unsigned mode = 0; mode < 8; ++mode) {
-      const bool trace = mode & 1, masks = mode & 2, shadow = mode & 4;
+      const bool trace = mode & 1, shadow = mode & 4;
+      const std::uint32_t watch = (mode & 2) ? watched : 0;
       const std::string what =
           "program " + std::to_string(p) + " mode " + std::to_string(mode);
       const EngineState ref = run_engine(prog, seed, EngineKind::Reference,
-                                         trace, masks, shadow, max_steps);
+                                         trace, 0, shadow, max_steps);
       const EngineState fast = run_engine(prog, seed, EngineKind::Fast, trace,
-                                          masks, shadow, max_steps);
+                                          watch, shadow, max_steps);
       expect_equivalent(fast, ref, what);
+      watch_stops += fast.watch_stops;
       if (mode == 0) {
         if (fast.info.status == StepInfo::Status::Halted) ++halted;
         else if (fast.info.trap.kind == TrapKind::Watchdog) ++watchdogged;
@@ -208,6 +231,7 @@ TEST(EngineEquivalenceTest, RandomProgramsAllModeCombinations) {
   EXPECT_GT(trapped, 0);
   EXPECT_GT(watchdogged, 0);
   EXPECT_GT(fused_programs, 100);
+  EXPECT_GT(watch_stops, 1000u);
 }
 
 TEST(EngineEquivalenceTest, FusedPairRetiresAsTwoInstructions) {
@@ -322,9 +346,9 @@ TEST(EngineEquivalenceTest, WatchdogBoundarySplitsFusedPair) {
 
   for (std::uint64_t max_steps = 1; max_steps <= 5; ++max_steps) {
     const EngineState ref = run_engine(prog, 42, EngineKind::Reference, true,
-                                       true, false, max_steps);
+                                       0, false, max_steps);
     const EngineState fast = run_engine(prog, 42, EngineKind::Fast, true,
-                                        true, false, max_steps);
+                                        0, false, max_steps);
     expect_equivalent(fast, ref, "max_steps " + std::to_string(max_steps));
     EXPECT_EQ(fast.info.trap.kind, TrapKind::Watchdog);
     EXPECT_EQ(fast.steps, max_steps);
@@ -347,8 +371,8 @@ TEST(EngineEquivalenceTest, EveryTightWatchdogBudgetOnLongLoop) {
 
   for (std::uint64_t max_steps = 0; max_steps <= 35; ++max_steps) {
     const EngineState ref = run_engine(prog, 9, EngineKind::Reference, true,
-                                       true, false, max_steps);
-    const EngineState fast = run_engine(prog, 9, EngineKind::Fast, true, true,
+                                       0, false, max_steps);
+    const EngineState fast = run_engine(prog, 9, EngineKind::Fast, true, 0,
                                         false, max_steps);
     expect_equivalent(fast, ref, "budget " + std::to_string(max_steps));
     EXPECT_EQ(fast.info.trap.kind, TrapKind::Watchdog);
@@ -376,8 +400,8 @@ TEST(EngineEquivalenceTest, IndirectEntryIntoStraightLineRun) {
   const Program prog = as.finish();
 
   const EngineState ref = run_engine(prog, 5, EngineKind::Reference, true,
-                                     true, false, 100);
-  const EngineState fast = run_engine(prog, 5, EngineKind::Fast, true, true,
+                                     0, false, 100);
+  const EngineState fast = run_engine(prog, 5, EngineKind::Fast, true, 0,
                                       false, 100);
   expect_equivalent(fast, ref, "mid-run entry");
   EXPECT_EQ(fast.info.status, StepInfo::Status::Halted);
@@ -414,9 +438,9 @@ TEST(EngineEquivalenceTest, OutOfImageControlTransfers) {
       }
       const Program prog = as.finish();
       const EngineState ref = run_engine(prog, 1, EngineKind::Reference, true,
-                                         true, false, 100);
+                                         0, false, 100);
       const EngineState fast = run_engine(prog, 1, EngineKind::Fast, true,
-                                          true, false, 100);
+                                          0, false, 100);
       expect_equivalent(fast, ref,
                         (indirect ? std::string("jmpr ") : std::string("jmp ")) +
                             std::to_string(target));
