@@ -67,16 +67,21 @@ struct CampaignScore {
 
 /// Reads back every persisted record, probing shard files from index 0
 /// (the sink writes one file per shard; a missing index ends the run).
+/// A frame that does not decode exits 1 naming the file and the record:
+/// scoring the intact prefix would report a digest of the wrong stream.
 std::vector<fault::InjectionRecord> read_streamed_records(
     const std::string& base, obs::RecordFormat fmt) {
   std::vector<fault::InjectionRecord> records;
   for (std::size_t shard = 0;; ++shard) {
-    std::ifstream in(obs::ShardedFileSink::shard_path(base, fmt, shard),
-                     std::ios::binary);
+    const std::string path = obs::ShardedFileSink::shard_path(base, fmt, shard);
+    std::ifstream in(path, std::ios::binary);
     if (!in.is_open()) break;
     const std::string data((std::istreambuf_iterator<char>(in)),
                            std::istreambuf_iterator<char>());
-    fault::decode_records(data, fmt, records);
+    if (const auto err = fault::decode_shard_file(data, path, fmt, records)) {
+      std::fprintf(stderr, "micro_campaign: %s\n", err->c_str());
+      std::exit(1);
+    }
   }
   return records;
 }

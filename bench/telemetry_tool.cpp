@@ -78,9 +78,11 @@ std::optional<std::uint64_t> parse_digest(std::string_view text) {
   return v;
 }
 
-/// One worker's persisted stream: per-shard raw bytes, in shard order.
+/// One worker's persisted stream: per-shard file paths and raw bytes, in
+/// shard order.
 struct WorkerStream {
   std::string base;
+  std::vector<std::string> shard_paths;
   std::vector<std::string> shard_data;
 };
 
@@ -89,9 +91,10 @@ std::optional<WorkerStream> load_worker(const std::string& base,
   WorkerStream w;
   w.base = base;
   for (std::size_t shard = 0;; ++shard) {
-    auto data =
-        read_file(obs::ShardedFileSink::shard_path(base, fmt, shard));
+    std::string path = obs::ShardedFileSink::shard_path(base, fmt, shard);
+    auto data = read_file(path);
     if (!data.has_value()) break;
+    w.shard_paths.push_back(std::move(path));
     w.shard_data.push_back(std::move(*data));
   }
   if (w.shard_data.empty()) {
@@ -186,12 +189,10 @@ int cmd_merge(const Flags& f) {
     const auto w = load_worker(base, f.format);
     if (!w.has_value()) return 1;
     std::vector<fault::InjectionRecord> records;
-    for (const std::string& data : w->shard_data) {
-      if (!fault::decode_records(data, f.format, records)) {
-        std::fprintf(stderr,
-                     "telemetry_tool: undecodable trailing bytes in a "
-                     "shard stream of '%s'\n",
-                     base.c_str());
+    for (std::size_t s = 0; s < w->shard_data.size(); ++s) {
+      if (const auto err = fault::decode_shard_file(
+              w->shard_data[s], w->shard_paths[s], f.format, records)) {
+        std::fprintf(stderr, "telemetry_tool: %s\n", err->c_str());
         return 1;
       }
     }
@@ -283,9 +284,9 @@ int cmd_verify(const Flags& f) {
   std::vector<std::vector<fault::InjectionRecord>> per_shard(
       w->shard_data.size());
   for (std::size_t s = 0; s < w->shard_data.size(); ++s) {
-    if (!fault::decode_records(w->shard_data[s], f.format, per_shard[s])) {
-      std::fprintf(stderr,
-                   "FAIL: shard %zu has undecodable trailing bytes\n", s);
+    if (const auto err = fault::decode_shard_file(
+            w->shard_data[s], w->shard_paths[s], f.format, per_shard[s])) {
+      std::fprintf(stderr, "FAIL: %s\n", err->c_str());
       ok = false;
     }
     for (const fault::InjectionRecord& r : per_shard[s]) {
@@ -390,8 +391,12 @@ int cmd_tail(const Flags& f) {
   const auto w = load_worker(f.records[0], f.format);
   if (!w.has_value()) return 1;
   std::vector<fault::InjectionRecord> records;
-  for (const std::string& data : w->shard_data) {
-    fault::decode_records(data, f.format, records);
+  for (std::size_t s = 0; s < w->shard_data.size(); ++s) {
+    if (const auto err = fault::decode_shard_file(
+            w->shard_data[s], w->shard_paths[s], f.format, records)) {
+      std::fprintf(stderr, "telemetry_tool: %s\n", err->c_str());
+      return 1;
+    }
   }
   const auto n = static_cast<std::size_t>(f.tail_n);
   const std::size_t first = records.size() > n ? records.size() - n : 0;

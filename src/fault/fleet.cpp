@@ -327,8 +327,9 @@ FleetResult run_fleet(const FleetOptions& opts_in) {
     const std::string path =
         obs::ShardedFileSink::shard_path(records_base, fmt, u);
     std::vector<InjectionRecord> recs;
-    if (!decode_records(obs::read_file(path), fmt, recs)) {
-      return fail("fleet: unit stream failed to decode: " + path);
+    if (const auto err =
+            decode_shard_file(obs::read_file(path), path, fmt, recs)) {
+      return fail("fleet: unit stream failed to decode: " + *err);
     }
     std::uint64_t unit_digest = kDigestBasis;
     for (const InjectionRecord& r : recs) {

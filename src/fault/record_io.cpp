@@ -1,7 +1,10 @@
 #include "fault/record_io.hpp"
 
 #include <bit>
+#include <charconv>
+#include <type_traits>
 
+#include "hv/layout.hpp"
 #include "obs/json.hpp"
 
 namespace xentry::fault {
@@ -36,6 +39,21 @@ std::uint64_t records_digest(const std::vector<InjectionRecord>& records) {
 }
 
 namespace {
+
+/// Number of reasons in a category; 0 for an unknown category.
+int reasons_in(hv::ExitCategory category) {
+  switch (category) {
+    case hv::ExitCategory::Hypercall: return hv::kNumHypercalls;
+    case hv::ExitCategory::Exception: return hv::kNumGuestExceptions;
+    case hv::ExitCategory::Apic: return hv::kNumApicInterrupts;
+    case hv::ExitCategory::Irq: return hv::kNumIrqLines;
+    case hv::ExitCategory::Softirq:
+    case hv::ExitCategory::Tasklet: return 1;
+  }
+  return 0;
+}
+
+bool is_unit_weight(double w) { return w >= 0.0 && w <= 1.0; }  // not NaN
 
 // -- binary frame -----------------------------------------------------------
 
@@ -95,6 +113,8 @@ constexpr std::uint8_t kFlagInjected = 1u << 0;
 constexpr std::uint8_t kFlagActivated = 1u << 1;
 constexpr std::uint8_t kFlagDetected = 1u << 2;
 constexpr std::uint8_t kFlagDiverged = 1u << 3;
+constexpr std::uint8_t kKnownFlags =
+    kFlagInjected | kFlagActivated | kFlagDetected | kFlagDiverged;
 
 void encode_binary(const InjectionRecord& r, std::string& out) {
   const std::size_t len_at = out.size();
@@ -156,13 +176,7 @@ bool decode_binary(std::string_view data, std::size_t& pos,
   for (std::int64_t& v : f) v = static_cast<std::int64_t>(r.u64());
   rec.weight = std::bit_cast<double>(r.u64());
   rec.masked_weight = std::bit_cast<double>(r.u64());
-  if (!r.ok || r.pos > frame_end) return false;
-  if (cat > static_cast<std::uint8_t>(hv::ExitCategory::Tasklet) ||
-      reg >= static_cast<std::uint8_t>(sim::kNumArchRegs) ||
-      cons >= static_cast<std::uint8_t>(kNumConsequences) ||
-      tech >= static_cast<std::uint8_t>(kNumTechniques) ||
-      trap > static_cast<std::uint8_t>(sim::TrapKind::StackCheck) ||
-      undet > static_cast<std::uint8_t>(UndetectedClass::OtherValues)) {
+  if (!r.ok || r.pos > frame_end || (flags & ~kKnownFlags) != 0) {
     return false;
   }
   rec.reason = {static_cast<hv::ExitCategory>(cat), static_cast<int>(idx)};
@@ -176,6 +190,7 @@ bool decode_binary(std::string_view data, std::size_t& pos,
   rec.trap = static_cast<sim::TrapKind>(trap);
   rec.undetected = static_cast<UndetectedClass>(undet);
   rec.features = {f[0], f[1], f[2], f[3], f[4]};
+  if (!record_in_range(rec)) return false;
   pos = frame_end;  // honour the prefix even if a future writer added bytes
   out = std::move(rec);
   return true;
@@ -236,62 +251,207 @@ void encode_jsonl(const InjectionRecord& r, std::string& out) {
   out += "}\n";
 }
 
+// The writer's member order.  The scanner tries a member's slot in this
+// order first (the fast path for the writer's own lines) and falls back to
+// a search for any other order.
+enum JsonlKey : int {
+  kCat, kIdx, kSeed, kVcpu, kStep, kReg, kBit, kInj, kAct, kCons,
+  kDet, kTech, kLat, kTrap, kAssert, kDiv, kUndet, kF, kW, kMw,
+  kNumJsonlKeys,
+};
+constexpr std::string_view kJsonlKeys[kNumJsonlKeys] = {
+    "cat", "idx", "seed", "vcpu", "step", "reg", "bit",
+    "inj", "act", "cons", "det", "tech", "lat", "trap",
+    "assert", "div", "undet", "f", "w", "mw",
+};
+// Every member but the trailing optional weights.
+constexpr std::uint32_t kRequiredKeys = (1u << kW) - 1;
+
+int jsonl_key(std::string_view key, int member) {
+  if (member < kNumJsonlKeys && kJsonlKeys[member] == key) return member;
+  for (int k = 0; k < kNumJsonlKeys; ++k) {
+    if (kJsonlKeys[k] == key) return k;
+  }
+  return -1;
+}
+
+/// Cursor over one JSONL line.  Each read skips JSON whitespace first and
+/// returns false on a token it does not expect.  Nothing is allocated:
+/// strings come back as views into the line.
+class LineScanner {
+ public:
+  explicit LineScanner(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  bool punct(char c) {
+    skip_ws();
+    if (p_ == end_ || *p_ != c) return false;
+    ++p_;
+    return true;
+  }
+
+  /// A string without escapes or control characters.
+  bool string(std::string_view& out) {
+    if (!punct('"')) return false;
+    const char* const start = p_;
+    for (; p_ != end_ && *p_ != '"'; ++p_) {
+      if (*p_ == '\\' || static_cast<unsigned char>(*p_) < 0x20) {
+        return false;
+      }
+    }
+    if (p_ == end_) return false;
+    out = std::string_view(start, static_cast<std::size_t>(p_ - start));
+    ++p_;
+    return true;
+  }
+
+  /// A string mapped through one of the `*_from_name` tables.
+  template <typename E>
+  bool named(E& out, std::optional<E> (*from_name)(std::string_view)) {
+    std::string_view s;
+    if (!string(s)) return false;
+    const std::optional<E> v = from_name(s);
+    if (v.has_value()) out = *v;
+    return v.has_value();
+  }
+
+  /// A JSON integer that fits `T` (no leading zeros, no '+').
+  template <typename T>
+  bool integer(T& out) {
+    skip_ws();
+    const char* digit = p_ != end_ && *p_ == '-' ? p_ + 1 : p_;
+    if (end_ - digit > 1 && digit[0] == '0' && is_digit(digit[1])) {
+      return false;
+    }
+    return advance(std::from_chars(p_, end_, out));
+  }
+
+  /// An enumerator written as its underlying integer.
+  template <typename E>
+  bool enumerator(E& out) {
+    std::underlying_type_t<E> v{};
+    if (!integer(v)) return false;
+    out = static_cast<E>(v);
+    return true;
+  }
+
+  /// A flag: exactly `0` or `1`.
+  bool flag(bool& out) {
+    skip_ws();
+    if (p_ == end_ || (*p_ != '0' && *p_ != '1')) return false;
+    out = *p_++ == '1';
+    return true;
+  }
+
+  /// A number as %.17g writes it.  The range check rejects the inf/nan
+  /// spellings from_chars also accepts.
+  bool number(double& out) {
+    skip_ws();
+    if (p_ == end_ || (*p_ != '-' && !is_digit(*p_))) return false;
+    return advance(std::from_chars(p_, end_, out));
+  }
+
+  bool at_end() {
+    skip_ws();
+    return p_ == end_;
+  }
+
+ private:
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  void skip_ws() {
+    while (p_ != end_ &&
+           (*p_ == ' ' || *p_ == '\t' || *p_ == '\r' || *p_ == '\n')) {
+      ++p_;
+    }
+  }
+
+  bool advance(std::from_chars_result res) {
+    if (res.ec != std::errc{}) return false;
+    p_ = res.ptr;
+    return true;
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
+bool read_member(LineScanner& in, int key, InjectionRecord& r) {
+  switch (key) {
+    case kCat: return in.enumerator(r.reason.category);
+    case kIdx: return in.integer(r.reason.index);
+    case kSeed: return in.integer(r.activation_seed);
+    case kVcpu: return in.integer(r.vcpu);
+    case kStep: return in.integer(r.injection.at_step);
+    case kReg: return in.enumerator(r.injection.reg);
+    case kBit: return in.integer(r.injection.bit);
+    case kInj: return in.flag(r.injected);
+    case kAct: return in.flag(r.activated);
+    case kDet: return in.flag(r.detected);
+    case kTech: return in.enumerator(r.technique);
+    case kLat: return in.integer(r.latency);
+    case kTrap: return in.enumerator(r.trap);
+    case kAssert: return in.integer(r.assert_id);
+    case kDiv: return in.flag(r.trace_diverged);
+    case kW: return in.number(r.weight);
+    case kMw: return in.number(r.masked_weight);
+    case kCons: return in.named(r.consequence, consequence_from_name);
+    case kUndet: return in.named(r.undetected, undetected_class_from_name);
+    case kF: {
+      std::int64_t f[kNumFeatures] = {};
+      if (!in.punct('[')) return false;
+      for (int i = 0; i < kNumFeatures; ++i) {
+        if ((i > 0 && !in.punct(',')) || !in.integer(f[i])) return false;
+      }
+      if (!in.punct(']')) return false;
+      r.features = {f[0], f[1], f[2], f[3], f[4]};
+      return true;
+    }
+    default: return false;
+  }
+}
+
 bool decode_jsonl(std::string_view data, std::size_t& pos,
                   InjectionRecord& out) {
   const std::size_t eol = data.find('\n', pos);
   if (eol == std::string_view::npos) return false;  // truncated line
-  const std::optional<obs::JsonValue> v =
-      obs::parse_json(data.substr(pos, eol - pos));
-  if (!v.has_value() || !v->is_object()) return false;
+  LineScanner in(data.substr(pos, eol - pos));
   InjectionRecord rec;
-  const std::uint64_t cat = v->get_uint("cat");
-  const std::uint64_t reg = v->get_uint("reg");
-  const std::uint64_t tech = v->get_uint("tech");
-  const std::uint64_t trap = v->get_uint("trap");
-  const std::optional<Consequence> cons =
-      consequence_from_name(v->get_string("cons"));
-  const std::optional<UndetectedClass> undet =
-      undetected_class_from_name(v->get_string("undet"));
-  if (cat > static_cast<std::uint64_t>(hv::ExitCategory::Tasklet) ||
-      reg >= static_cast<std::uint64_t>(sim::kNumArchRegs) ||
-      tech >= static_cast<std::uint64_t>(kNumTechniques) ||
-      trap > static_cast<std::uint64_t>(sim::TrapKind::StackCheck) ||
-      !cons.has_value() || !undet.has_value()) {
+  std::uint32_t seen = 0;
+  if (!in.punct('{')) return false;
+  for (int member = 0;; ++member) {
+    std::string_view name;
+    if (!in.string(name) || !in.punct(':')) return false;
+    const int key = jsonl_key(name, member);
+    if (key < 0 || (seen & (1u << key)) != 0) return false;
+    seen |= 1u << key;
+    if (!read_member(in, key, rec)) return false;
+    if (in.punct('}')) break;
+    if (!in.punct(',')) return false;
+  }
+  if (!in.at_end() || (seen & kRequiredKeys) != kRequiredKeys ||
+      !record_in_range(rec)) {
     return false;
   }
-  rec.reason = {static_cast<hv::ExitCategory>(cat),
-                static_cast<int>(v->get_int("idx"))};
-  rec.activation_seed = v->get_uint("seed");
-  rec.vcpu = static_cast<int>(v->get_int("vcpu"));
-  rec.injection.at_step = v->get_uint("step");
-  rec.injection.reg = static_cast<sim::Reg>(reg);
-  rec.injection.bit = static_cast<int>(v->get_int("bit"));
-  rec.injected = v->get_int("inj") != 0;
-  rec.activated = v->get_int("act") != 0;
-  rec.consequence = *cons;
-  rec.detected = v->get_int("det") != 0;
-  rec.technique = static_cast<Technique>(tech);
-  rec.latency = v->get_uint("lat");
-  rec.trap = static_cast<sim::TrapKind>(trap);
-  rec.assert_id = static_cast<std::uint32_t>(v->get_uint("assert"));
-  rec.trace_diverged = v->get_int("div") != 0;
-  rec.undetected = *undet;
-  const obs::JsonValue* f = v->get("f");
-  if (f == nullptr ||
-      f->as_array().size() != static_cast<std::size_t>(kNumFeatures)) {
-    return false;
-  }
-  const auto& fa = f->as_array();
-  rec.features = {fa[0].as_int(), fa[1].as_int(), fa[2].as_int(),
-                  fa[3].as_int(), fa[4].as_int()};
-  rec.weight = v->get_double("w", 1.0);
-  rec.masked_weight = v->get_double("mw", 0.0);
   pos = eol + 1;
   out = std::move(rec);
   return true;
 }
 
 }  // namespace
+
+bool record_in_range(const InjectionRecord& r) {
+  return r.reason.index >= 0 &&
+         r.reason.index < reasons_in(r.reason.category) &&
+         r.vcpu >= 0 && r.vcpu < hv::layout::kMaxVcpus &&
+         static_cast<int>(r.injection.reg) < sim::kNumArchRegs &&
+         r.injection.bit >= 0 && r.injection.bit < 64 &&
+         static_cast<std::size_t>(r.consequence) < kNumConsequences &&
+         static_cast<int>(r.technique) < kNumTechniques &&
+         r.trap <= sim::TrapKind::StackCheck &&
+         r.undetected <= UndetectedClass::OtherValues &&
+         is_unit_weight(r.weight) && is_unit_weight(r.masked_weight);
+}
 
 void encode_record(const InjectionRecord& r, obs::RecordFormat format,
                    std::string& out) {
@@ -317,6 +477,15 @@ bool decode_records(std::string_view data, obs::RecordFormat format,
     out.push_back(std::move(rec));
   }
   return true;
+}
+
+std::optional<std::string> decode_shard_file(
+    std::string_view data, std::string_view path, obs::RecordFormat format,
+    std::vector<InjectionRecord>& out) {
+  const std::size_t before = out.size();
+  if (decode_records(data, format, out)) return std::nullopt;
+  return std::string(path) + ": record " +
+         std::to_string(out.size() - before + 1) + " does not decode";
 }
 
 }  // namespace xentry::fault

@@ -4,9 +4,9 @@
 // is byte-oriented (obs sits below fault); this module is where records
 // become bytes.  Two formats, decode-equivalent:
 //
-//   - JSONL: one object per line, fixed key order, integers everywhere
-//     except the sampling weights (%.17g — exact double round-trip).
-//     Greppable, and `telemetry_tool tail` prints it as-is.
+//   - JSONL: one object per line, integers everywhere except the
+//     sampling weights (%.17g — exact double round-trip).  Greppable, and
+//     `telemetry_tool tail` prints it as-is.
 //   - binary: a little-endian length-prefixed frame, ~4x denser.  The
 //     length prefix is framing, not compression: frames are fixed-size
 //     today but readers must honour the prefix.
@@ -15,9 +15,24 @@
 // the postmortem payloads (`blackbox`, `forensics`) stay in-memory-only,
 // matching the digest's scope.  Encode→decode round-trips to a record
 // whose digest contribution is bit-identical to the original's.
+//
+// JSONL decoding contract.  A line is decoded in one pass over its bytes,
+// with no allocation beyond the record itself:
+//   - members may come in any key order (the writer's own order is the
+//     fast path), with JSON whitespace between any two tokens;
+//   - every key but `w`/`mw` is required; absent, `w` is 1.0 and `mw` 0.0;
+//   - rejected: an unknown or duplicate key, a flag (`inj`, `act`, `det`,
+//     `div`) other than `0`/`1`, a number that is not a plain JSON
+//     integer fitting its field (no `+`, leading zero, fraction or
+//     exponent; so an `assert` above UINT32_MAX fails), a string with an
+//     escape, an unknown `cons`/`undet` name, a feature array that is not
+//     exactly five integers, and any byte after the closing `}`.
+// Both decoders then apply record_in_range, and a rejected frame leaves
+// `pos` unchanged.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,13 +65,21 @@ std::uint64_t digest_update(std::uint64_t h, const InjectionRecord& r);
 /// sharded stream means chaining shard streams in shard order.
 std::uint64_t records_digest(const std::vector<InjectionRecord>& records);
 
+/// The range checks every decoded record passes: a reason index inside
+/// its category (hypercalls, exceptions, APIC handlers, IRQ lines; 0 for
+/// softirq and tasklet), `vcpu` in [0, layout::kMaxVcpus), `bit` in
+/// [0, 64), every enumerator a known value, and both weights finite and
+/// in [0, 1].  Records the campaign writes always pass.
+bool record_in_range(const InjectionRecord& r);
+
 /// Appends one encoded frame for `r` to `out` (including the framing:
 /// trailing newline for JSONL, length prefix for binary).
 void encode_record(const InjectionRecord& r, obs::RecordFormat format,
                    std::string& out);
 
 /// Decodes one frame from the front of `data`, advancing `pos` past it.
-/// Returns false on a malformed or truncated frame (`pos` unchanged).
+/// Returns false on a malformed, out-of-range or truncated frame (`pos`
+/// unchanged).
 bool decode_record(std::string_view data, obs::RecordFormat format,
                    std::size_t& pos, InjectionRecord& out);
 
@@ -64,5 +87,13 @@ bool decode_record(std::string_view data, obs::RecordFormat format,
 /// trailing bytes remain that do not decode (the intact prefix is kept).
 bool decode_records(std::string_view data, obs::RecordFormat format,
                     std::vector<InjectionRecord>& out);
+
+/// decode_records over the bytes of the shard file `path`.  Returns the
+/// error to report when a frame does not decode: it names `path` and the
+/// 1-based index of the first undecodable record in that file.  nullopt
+/// on success; the intact prefix is kept in `out` either way.
+std::optional<std::string> decode_shard_file(
+    std::string_view data, std::string_view path, obs::RecordFormat format,
+    std::vector<InjectionRecord>& out);
 
 }  // namespace xentry::fault

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/outcome.hpp"
@@ -172,6 +177,272 @@ TEST(RecordIoTest, JsonlFramesAreSingleTerminatedLines) {
   EXPECT_EQ(out.back(), '\n');
   EXPECT_EQ(out.find('\n'), out.size() - 1);  // no embedded newlines
   EXPECT_EQ(out.front(), '{');
+}
+
+// -- JSONL decoding contract ------------------------------------------------
+
+std::string jsonl_line(const InjectionRecord& r) {
+  std::string out;
+  encode_record(r, obs::RecordFormat::kJsonl, out);
+  return out;
+}
+
+/// The members of a writer's line, each `"key":value`.  Only the feature
+/// array holds commas, and those are never followed by a quote.
+std::vector<std::string> jsonl_members(const std::string& line) {
+  const std::string body = line.substr(1, line.size() - 3);  // drop {, }\n
+  std::vector<std::string> members;
+  std::size_t at = 0;
+  for (std::size_t next; (next = body.find(",\"", at)) != std::string::npos;
+       at = next + 1) {
+    members.push_back(body.substr(at, next - at));
+  }
+  members.push_back(body.substr(at));
+  return members;
+}
+
+std::string join_members(const std::vector<std::string>& members) {
+  std::string line = "{";
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (i > 0) line += ',';
+    line += members[i];
+  }
+  return line + "}\n";
+}
+
+/// `line` with the member for `key` rewritten to `"key":value`.
+std::string with_member(const std::string& line, std::string_view key,
+                        std::string_view value) {
+  std::vector<std::string> members = jsonl_members(line);
+  const std::string prefix = "\"" + std::string(key) + "\":";
+  for (std::string& m : members) {
+    if (m.starts_with(prefix)) m = prefix + std::string(value);
+  }
+  return join_members(members);
+}
+
+std::string without_member(const std::string& line, std::string_view key) {
+  std::vector<std::string> members = jsonl_members(line);
+  const std::string prefix = "\"" + std::string(key) + "\":";
+  std::erase_if(members,
+                [&](const std::string& m) { return m.starts_with(prefix); });
+  return join_members(members);
+}
+
+/// Decodes `frame` placed after one good frame, so a rejection can be
+/// seen to leave a nonzero `pos` where it was.
+bool decodes_after_a_good_frame(const std::string& frame,
+                                obs::RecordFormat fmt, InjectionRecord& out) {
+  std::string data;
+  encode_record(sample_record(0), fmt, data);
+  const std::size_t start = data.size();
+  data += frame;
+  std::size_t pos = start;
+  if (!decode_record(data, fmt, pos, out)) {
+    EXPECT_EQ(pos, start) << "a rejected frame moved pos";
+    return false;
+  }
+  EXPECT_EQ(pos, data.size());
+  return true;
+}
+
+bool decodes(const std::string& frame, obs::RecordFormat fmt) {
+  InjectionRecord out;
+  return decodes_after_a_good_frame(frame, fmt, out);
+}
+
+bool jsonl_decodes(const std::string& line) {
+  return decodes(line, obs::RecordFormat::kJsonl);
+}
+
+TEST(RecordIoJsonlTest, AnyKeyOrderAndWhitespaceDecodeToTheSameRecord) {
+  const InjectionRecord r = sample_record(7);
+  const std::string line = jsonl_line(r);
+  std::vector<std::string> members = jsonl_members(line);
+  ASSERT_EQ(members.size(), 20u);
+  std::mt19937 rng(20);
+  std::shuffle(members.begin(), members.end(), rng);
+  std::string spaced = " {\t";
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    std::string m = members[i];
+    m.insert(m.find(':') + 1, " \r ");
+    m.insert(m.find(':'), "\t");
+    std::size_t c = 0;
+    while ((c = m.find(',', c)) != std::string::npos) {
+      m.replace(c, 1, " ,  ");
+      c += 4;
+    }
+    spaced += (i > 0 ? " ,\t" : "") + m;
+  }
+  spaced += " }  \r\n";
+
+  InjectionRecord out;
+  ASSERT_TRUE(decodes_after_a_good_frame(spaced, obs::RecordFormat::kJsonl,
+                                         out));
+  EXPECT_EQ(jsonl_line(out), line);
+  EXPECT_EQ(out.weight, r.weight);
+  EXPECT_EQ(out.masked_weight, r.masked_weight);
+}
+
+TEST(RecordIoJsonlTest, WriterLinesStillDecode) {
+  EXPECT_TRUE(jsonl_decodes(jsonl_line(sample_record(4))));
+}
+
+TEST(RecordIoJsonlTest, RejectsDuplicateUnknownAndMissingKeys) {
+  const std::string line = jsonl_line(sample_record(4));
+  std::vector<std::string> members = jsonl_members(line);
+  members.push_back("\"seed\":1");
+  EXPECT_FALSE(jsonl_decodes(join_members(members)));
+  members.back() = "\"extra\":1";
+  EXPECT_FALSE(jsonl_decodes(join_members(members)));
+  // A missing required key is an error, never a default of 0.
+  EXPECT_FALSE(jsonl_decodes(without_member(line, "seed")));
+  EXPECT_FALSE(jsonl_decodes(without_member(line, "f")));
+  EXPECT_FALSE(jsonl_decodes("{}\n"));
+}
+
+TEST(RecordIoJsonlTest, FlagsAreExactlyZeroOrOne) {
+  const std::string line = jsonl_line(sample_record(4));
+  EXPECT_TRUE(jsonl_decodes(with_member(line, "inj", "0")));
+  EXPECT_FALSE(jsonl_decodes(with_member(line, "inj", "2")));
+  // A JSON boolean is not a flag.
+  EXPECT_FALSE(jsonl_decodes(with_member(line, "inj", "true")));
+  EXPECT_FALSE(jsonl_decodes(with_member(line, "det", "10")));
+  EXPECT_FALSE(jsonl_decodes(with_member(line, "div", "1.0")));
+}
+
+TEST(RecordIoJsonlTest, RejectsEscapesNumbersOutOfSyntaxAndTrailingBytes) {
+  const std::string line = jsonl_line(sample_record(4));
+  EXPECT_FALSE(jsonl_decodes(with_member(line, "cons", "\"m\\u0061sked\"")));
+  EXPECT_FALSE(jsonl_decodes(with_member(line, "cons", "\"nonsense\"")));
+  EXPECT_FALSE(jsonl_decodes(with_member(line, "seed", "-1")));
+  EXPECT_FALSE(jsonl_decodes(with_member(line, "seed", "+1")));
+  EXPECT_FALSE(jsonl_decodes(with_member(line, "seed", "01")));
+  EXPECT_FALSE(jsonl_decodes(with_member(line, "lat", "1e3")));
+  EXPECT_FALSE(jsonl_decodes(with_member(line, "f", "[1,2,3,4]")));
+  EXPECT_FALSE(jsonl_decodes(with_member(line, "f", "[1,2,3,4,5,6]")));
+  EXPECT_FALSE(jsonl_decodes(with_member(line, "w", ".5")));
+
+  std::string trailing = line;
+  trailing.insert(trailing.size() - 1, "x");
+  EXPECT_FALSE(jsonl_decodes(trailing));
+  trailing = line;
+  trailing.insert(trailing.size() - 1, "}");
+  EXPECT_FALSE(jsonl_decodes(trailing));
+}
+
+TEST(RecordIoJsonlTest, AbsentWeightsDefaultToUniformSampling) {
+  InjectionRecord r = sample_record(4);
+  r.weight = 0.25;
+  r.masked_weight = 0.75;
+  const std::string line =
+      without_member(without_member(jsonl_line(r), "w"), "mw");
+  InjectionRecord out;
+  ASSERT_TRUE(decodes_after_a_good_frame(line, obs::RecordFormat::kJsonl,
+                                         out));
+  EXPECT_EQ(out.weight, 1.0);
+  EXPECT_EQ(out.masked_weight, 0.0);
+  EXPECT_EQ(out.activation_seed, r.activation_seed);
+}
+
+TEST(RecordIoJsonlTest, RejectsAssertIdsAboveUint32) {
+  const std::string line = jsonl_line(sample_record(4));
+  EXPECT_TRUE(jsonl_decodes(with_member(line, "assert", "4294967295")));
+  EXPECT_FALSE(jsonl_decodes(with_member(line, "assert", "4294967296")));
+}
+
+// -- range checks, both formats ---------------------------------------------
+
+TEST_P(RecordIoFormatTest, RangeChecksRejectOutOfRangeRecords) {
+  const auto fmt = GetParam();
+  const auto frame = [&](const InjectionRecord& r) {
+    std::string out;
+    encode_record(r, fmt, out);
+    return out;
+  };
+  const auto with_reason = [&](hv::ExitCategory cat, int index) {
+    InjectionRecord r = sample_record(4);
+    r.reason = {cat, index};
+    return frame(r);
+  };
+  using hv::ExitCategory;
+  const std::pair<ExitCategory, int> kCounts[] = {
+      {ExitCategory::Hypercall, hv::kNumHypercalls},
+      {ExitCategory::Exception, hv::kNumGuestExceptions},
+      {ExitCategory::Apic, hv::kNumApicInterrupts},
+      {ExitCategory::Irq, hv::kNumIrqLines},
+      {ExitCategory::Softirq, 1},
+      {ExitCategory::Tasklet, 1},
+  };
+  for (const auto& [cat, count] : kCounts) {
+    const int c = static_cast<int>(cat);
+    EXPECT_TRUE(decodes(with_reason(cat, count - 1), fmt)) << c;
+    EXPECT_FALSE(decodes(with_reason(cat, count), fmt)) << c;
+    EXPECT_FALSE(decodes(with_reason(cat, -1), fmt)) << c;
+  }
+  // hv::handler_symbol indexes its tables with whatever decodes here.
+  EXPECT_FALSE(decodes(with_reason(ExitCategory::Hypercall, 999), fmt));
+  EXPECT_FALSE(decodes(with_reason(static_cast<ExitCategory>(6), 0), fmt));
+
+  const auto mutated = [&](auto&& edit) {
+    InjectionRecord r = sample_record(4);
+    edit(r);
+    return frame(r);
+  };
+  EXPECT_TRUE(decodes(mutated([](auto& r) { r.vcpu = 15; }), fmt));
+  EXPECT_FALSE(decodes(mutated([](auto& r) { r.vcpu = 16; }), fmt));
+  EXPECT_FALSE(decodes(mutated([](auto& r) { r.vcpu = -1; }), fmt));
+  EXPECT_TRUE(decodes(mutated([](auto& r) { r.injection.bit = 63; }), fmt));
+  EXPECT_FALSE(decodes(mutated([](auto& r) { r.injection.bit = 64; }), fmt));
+  EXPECT_FALSE(decodes(mutated([](auto& r) { r.injection.bit = -1; }), fmt));
+  EXPECT_FALSE(decodes(mutated([](auto& r) {
+                         r.injection.reg = static_cast<sim::Reg>(
+                             sim::kNumArchRegs);
+                       }),
+                       fmt));
+
+  const double kBad[] = {-0.5, 1.5, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()};
+  for (double w : kBad) {
+    EXPECT_FALSE(decodes(mutated([&](auto& r) { r.weight = w; }), fmt)) << w;
+    EXPECT_FALSE(decodes(mutated([&](auto& r) { r.masked_weight = w; }), fmt))
+        << w;
+  }
+  EXPECT_TRUE(decodes(mutated([](auto& r) {
+                        r.weight = 0.0;
+                        r.masked_weight = 1.0;
+                      }),
+                      fmt));
+}
+
+TEST(RecordIoBinaryTest, RejectsUnknownFlagBits) {
+  std::string frame;
+  encode_record(sample_record(4), obs::RecordFormat::kBinary, frame);
+  // length(4) cat(1) idx(4) seed(8) vcpu(4) step(8) reg(1) bit(4), then flags.
+  constexpr std::size_t kFlagsAt = 34;
+  ASSERT_TRUE(decodes(frame, obs::RecordFormat::kBinary));
+  frame[kFlagsAt] = static_cast<char>(frame[kFlagsAt] | 0x10);
+  EXPECT_FALSE(decodes(frame, obs::RecordFormat::kBinary));
+}
+
+TEST(RecordIoTest, DecodeShardFileNamesTheFileAndTheFirstBadRecord) {
+  const auto recs = sample_records(3);
+  std::string stream;
+  for (const auto& r : recs) {
+    encode_record(r, obs::RecordFormat::kJsonl, stream);
+  }
+  std::vector<InjectionRecord> out(5);  // indices count within this file
+  EXPECT_EQ(decode_shard_file(stream, "s.jsonl", obs::RecordFormat::kJsonl,
+                              out),
+            std::nullopt);
+  EXPECT_EQ(out.size(), 8u);
+  stream += with_member(jsonl_line(recs[0]), "inj", "true");
+  stream += jsonl_line(recs[1]);
+  out.clear();
+  EXPECT_EQ(decode_shard_file(stream, "s.jsonl", obs::RecordFormat::kJsonl,
+                              out),
+            "s.jsonl: record 4 does not decode");
+  EXPECT_EQ(out.size(), 3u);
 }
 
 }  // namespace
