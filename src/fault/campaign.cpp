@@ -223,6 +223,8 @@ struct CampaignMetricHandles {
   obs::Counter* analytic_slots = nullptr;
   /// Faulted runs resolved from the golden trace (provably unactivated).
   obs::Counter* unactivated_resolved = nullptr;
+  /// Faulted runs the engine proved to hang instead of running them out.
+  obs::Counter* hangs_proven = nullptr;
   // Forensics (null unless obs.forensics && obs.metrics).
   obs::Counter* forensics_replays = nullptr;
   obs::Counter* forensics_replay_steps = nullptr;
@@ -241,6 +243,7 @@ struct CampaignMetricHandles {
     golden_steps = &reg.counter("campaign.golden_steps");
     blackbox_dumps = &reg.counter("campaign.blackbox_dumps");
     unactivated_resolved = &reg.counter("campaign.unactivated_resolved");
+    hangs_proven = &reg.counter("campaign.hangs_proven");
     if (cfg.sampling.importance) {
       analytic_slots = &reg.counter("campaign.analytic_slots");
     }
@@ -523,6 +526,7 @@ class ShardLoop {
     if (!r.executed && cm_.unactivated_resolved != nullptr) {
       cm_.unactivated_resolved->inc();
     }
+    if (r.hang_proven && cm_.hangs_proven != nullptr) cm_.hangs_proven->inc();
     if (sampler_ != nullptr) {
       r.record.weight = prop.live_mass;
       r.record.masked_weight = 1.0 - prop.live_mass;

@@ -140,7 +140,11 @@ InjectionExperiment::Result InjectionExperiment::run_one(
   rec.features = obs.features;
   rec.trap = obs.run.trap.kind;
   rec.assert_id = obs.run.trap.aux;
-  rec.trace_diverged = fault_trace_ != probe.trace;
+  out.hang_proven = obs.run.hang_proven;
+  // A proven hang's trace stops at its proof point, but the run retired
+  // the whole budget: more steps than a golden run that reached VM entry.
+  rec.trace_diverged = (obs.run.hang_proven && probe.reached_vm_entry) ||
+                       fault_trace_ != probe.trace;
 
   if (!rec.activated) {
     // Non-activated faults never affect correctness (Section V-B).

@@ -76,6 +76,9 @@ class InjectionExperiment {
     /// and the record was built without a run; the faulty machine's state
     /// after run_one is defined only when this is true.
     bool executed = false;
+    /// The faulted run was a hang the engine proved instead of running
+    /// out its watchdog budget (hv::RunResult::hang_proven).
+    bool hang_proven = false;
   };
 
   /// Everything one clean execution of an activation yields: dynamic

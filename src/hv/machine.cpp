@@ -16,6 +16,11 @@ using sim::Reg;
 using sim::SplitMix64;
 using sim::Word;
 
+/// Steps the unwatched faulted remainder runs between hang-proof attempts:
+/// short enough that a hang retires little of its budget before one, long
+/// enough that a run which ends on its own pays for few.
+constexpr std::uint64_t kHangProofChunk = 4096;
+
 Machine::Machine(const MicrovisorOptions& options)
     : mv_(build_microvisor(options)), cpu_(&mv_.program, &mem_) {
   map_regions();
@@ -472,10 +477,13 @@ RunResult Machine::run(const Activation& act, const RunOptions& opts) {
   // the budget.  The configured engine runs the fault-free prefix up to
   // the flip; the faulted remainder batches under a register watch to the
   // first instruction that touches the flipped register, which settles
-  // activation, and then runs unwatched.  Every observable (result fields,
-  // trace, counters) equals single-stepping the activation with the flip
-  // applied before step `at_step`; MachineTest's single-step oracle and
-  // the digest pins hold it.
+  // activation, and then runs unwatched, in chunks of kHangProofChunk
+  // steps: at each chunk boundary short of the budget, the Fast engine
+  // tries to prove that the rest is a hang (sim::Cpu::prove_hang).  Every
+  // observable (result fields, trace, counters) equals single-stepping
+  // the activation with the flip applied before step `at_step`, up to the
+  // proof point of a proven hang (see RunResult); MachineTest's
+  // single-step oracle and the digest pins hold it.
   RunResult result;
   const Injection* inj = opts.injection;
   const std::uint64_t budget = opts.max_steps;
@@ -488,26 +496,33 @@ RunResult Machine::run(const Activation& act, const RunOptions& opts) {
     const std::uint32_t target_bit = sim::reg_bit(inj->reg);
     cpu_.flip_bit(inj->reg, inj->bit);
     result.injected = true;
+    info = sim::StepInfo{};
     if (inj->reg == Reg::rip) {
       // The very next fetch consumes the corrupted rip.
       result.activated = true;
       result.activation_step = cpu_.steps_executed();
     } else {
       cpu_.set_watch(target_bit);
-    }
-    info = cpu_.run(budget - cpu_.steps_executed());
-    cpu_.set_watch(0);
-    if (info.status == sim::StepInfo::Status::Ok) {
-      // Watch stop: the pending instruction is the first to read or write
-      // the flipped register.  A read activates the fault; a write
-      // overwrites it.  Step it, then run the rest unwatched.
-      if (info.read_mask & target_bit) {
-        result.activated = true;
-        result.activation_step = cpu_.steps_executed();
-      }
-      info = cpu_.step();
+      info = cpu_.run(budget - cpu_.steps_executed());
+      cpu_.set_watch(0);
       if (info.status == sim::StepInfo::Status::Ok) {
-        info = cpu_.run(budget - cpu_.steps_executed());
+        // Watch stop: the pending instruction is the first to read or
+        // write the flipped register.  A read activates the fault; a
+        // write overwrites it.  Step it, then run the rest unwatched.
+        if (info.read_mask & target_bit) {
+          result.activated = true;
+          result.activation_step = cpu_.steps_executed();
+        }
+        info = cpu_.step();
+      }
+    }
+    // The unwatched remainder: Status::Ok means the run goes on.
+    while (info.status == sim::StepInfo::Status::Ok) {
+      const std::uint64_t left = budget - cpu_.steps_executed();
+      info = cpu_.run(std::min(left, kHangProofChunk));
+      if (info.trap.kind == sim::TrapKind::Watchdog &&
+          left > kHangProofChunk) {
+        info = cpu_.prove_hang(left - kHangProofChunk, result.hang_proven);
       }
     }
   }

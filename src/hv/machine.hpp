@@ -45,10 +45,22 @@ struct Injection {
 struct RunOptions {
   std::uint64_t max_steps = 100000;   ///< watchdog budget
   const Injection* injection = nullptr;
-  std::vector<sim::Addr>* trace = nullptr;  ///< control-flow trace sink
+  /// Control-flow trace sink: one rip per retired instruction, except
+  /// after a proven hang (RunResult::hang_proven), where it stops at the
+  /// proof point.  It then already holds two whole laps of the loop, so
+  /// every edge the rest of the run would add is in it.
+  std::vector<sim::Addr>* trace = nullptr;
   bool arm_counters = true;
 };
 
+/// How one activation ended.  Every field, and so the flight frame, is
+/// exact also for a proven hang: a faulted run whose unwatched remainder
+/// the Fast engine proved to loop until the watchdog
+/// (sim::Cpu::prove_hang) and retired in closed form.  The machine's TSC
+/// is exact too; the trace (see RunOptions::trace), memory and the
+/// registers other than rip stop at the proof point.  Nothing reads them
+/// after a watchdog: campaigns restore the faulty machine before its next
+/// use and diff persistent state only after VM entry.
 struct RunResult {
   /// True when the handler reached the VM-entry gate (hlt); false when a
   /// trap ended the execution in host mode.
@@ -62,6 +74,9 @@ struct RunResult {
   bool activated = false;  ///< the corrupted register was read afterwards
   std::uint64_t activation_step = 0;
   std::uint64_t trap_step = 0;  ///< dynamic index at which the trap fired
+  /// The watchdog ended the run by proof rather than by running out the
+  /// budget.  Never set on the Reference engine.
+  bool hang_proven = false;
 };
 
 /// One word of persistent state that differs between two runs, with its

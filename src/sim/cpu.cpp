@@ -378,31 +378,16 @@ StepInfo Cpu::run_reference(std::uint64_t max_steps) {
     StepInfo info = step();
     if (info.status != StepInfo::Status::Ok) return info;
   }
+  return watchdog();
+}
+
+StepInfo Cpu::watchdog() const {
   StepInfo info;
   info.status = StepInfo::Status::Trapped;
   info.trap = Trap{TrapKind::Watchdog, reg(Reg::rip), 0};
   info.rip_before = reg(Reg::rip);
   return info;
 }
-
-namespace {
-
-/// Taken-condition of a fused conditional branch, evaluated directly on
-/// the flags word the fused head just produced.
-inline bool cond_taken(Opcode jcc, Word f) {
-  switch (jcc) {
-    case Opcode::Je: return (f & kFlagZero) != 0;
-    case Opcode::Jne: return (f & kFlagZero) == 0;
-    case Opcode::Jl: return (f & kFlagSign) != 0;
-    case Opcode::Jle: return (f & (kFlagSign | kFlagZero)) != 0;
-    case Opcode::Jg: return (f & (kFlagSign | kFlagZero)) == 0;
-    case Opcode::Jge: return (f & kFlagSign) == 0;
-    case Opcode::Jb: return (f & kFlagCarry) != 0;
-    default: return (f & kFlagCarry) == 0;  // Jae
-  }
-}
-
-}  // namespace
 
 template <bool Trace, bool Watch, bool Shadow>
 StepInfo Cpu::run_loop(std::uint64_t max_steps) {
@@ -824,10 +809,7 @@ StepInfo Cpu::run_loop(std::uint64_t max_steps) {
   }
 
   flush();
-  info.status = StepInfo::Status::Trapped;
-  info.trap = Trap{TrapKind::Watchdog, reg(Reg::rip), 0};
-  info.rip_before = reg(Reg::rip);
-  return info;
+  return watchdog();
 }
 
 std::size_t diff_regs(const Cpu& a, const Cpu& b, std::vector<RegDiff>& out) {

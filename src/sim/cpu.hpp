@@ -19,6 +19,13 @@
 //     and fusable Cmp*/Test* + Jcc pairs (see Program::fused) execute in
 //     one dispatch while still retiring as two instructions.  Every
 //     architectural observable is bit-identical to the reference engine.
+//
+// prove_hang() (src/sim/hang_proof.cpp) is the Fast engine's shortcut for
+// a run that loops until the watchdog: it steps a few laps of the loop,
+// proves that the rest of the budget repeats the same lap, and retires
+// the rest in closed form.  Every value a watchdog-ended run reports
+// (step count, TSC, counters, trap address) stays exact; the trace,
+// memory and the registers other than rip stop at the proof point.
 #pragma once
 
 #include <array>
@@ -130,6 +137,21 @@ class Cpu {
 
   std::uint64_t steps_executed() const { return steps_; }
 
+  /// Tries to prove that the next `max_steps` steps repeat one lap of at
+  /// most 64 instructions, so the run can only end at the watchdog.  It
+  /// executes up to three laps with step() (counted and traced like any
+  /// other steps), then checks the lap abstractly for every lap up to
+  /// the budget: each branch goes the way it went, no access traps and
+  /// every register the lap depends on is invariant or advances by a
+  /// constant.  On success it sets `proven` and retires the rest of the
+  /// budget in closed form: steps, TSC and counters advance exactly, rip
+  /// lands where the budget ends, and the Watchdog trap is returned; the
+  /// trace, memory and the other registers keep their proof-point
+  /// values.  Otherwise it returns how the run ended while stepping
+  /// (halt, trap or the budget), or Status::Ok when the run goes on.
+  /// Never proves on the Reference engine or with a register watch armed.
+  StepInfo prove_hang(std::uint64_t max_steps, bool& proven);
+
   // -- attachments ------------------------------------------------------------
 
   PerfCounters& counters() { return counters_; }
@@ -174,6 +196,8 @@ class Cpu {
   void set_flags_cmp(Word a, Word b);
   void set_flags_result(Word res);
   bool flag(Word bit) const { return (reg(Reg::rflags) & bit) != 0; }
+  /// The Watchdog trap at the current rip: how a run ends at its budget.
+  StepInfo watchdog() const;
 
   /// The mode-specialized hot loop behind run().  One instantiation per
   /// trace/watch/shadow combination; `Watch` is set exactly when a

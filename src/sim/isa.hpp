@@ -124,6 +124,21 @@ constexpr bool is_cond_branch(Opcode op) {
   }
 }
 
+/// Taken-condition of a direct conditional branch on a flags word: what
+/// the fused run-loop dispatch and the hang prover evaluate.
+constexpr bool cond_taken(Opcode jcc, Word f) {
+  switch (jcc) {
+    case Opcode::Je: return (f & kFlagZero) != 0;
+    case Opcode::Jne: return (f & kFlagZero) == 0;
+    case Opcode::Jl: return (f & kFlagSign) != 0;
+    case Opcode::Jle: return (f & (kFlagSign | kFlagZero)) != 0;
+    case Opcode::Jg: return (f & (kFlagSign | kFlagZero)) == 0;
+    case Opcode::Jge: return (f & kFlagSign) == 0;
+    case Opcode::Jb: return (f & kFlagCarry) != 0;
+    default: return (f & kFlagCarry) == 0;  // Jae
+  }
+}
+
 /// Flag-setting compare/test instructions: legal macro-op fusion heads.
 /// They write only rflags and cannot trap, so a fused pair has exactly the
 /// architectural effects of executing the two instructions back to back.

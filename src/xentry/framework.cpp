@@ -68,7 +68,11 @@ Observation Xentry::observe(hv::Machine& machine,
 
   if (metrics_.observations != nullptr) {
     metrics_.observations->inc();
-    metrics_.handler_length->observe(obs.run.steps);
+    // A watchdog-ended injection run reports steps = 0; its length is
+    // the step the trap fired at.
+    metrics_.handler_length->observe(obs.run.reached_vm_entry
+                                         ? obs.run.steps
+                                         : obs.run.trap_step);
   }
 
   if (!obs.run.reached_vm_entry) {

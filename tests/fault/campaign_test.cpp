@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 #include <memory>
 #include <mutex>
 
 #include "analysis/artifacts.hpp"
+#include "fault/record_io.hpp"
 #include "fault/stats.hpp"
 #include "sim/cpu.hpp"
 #include "fault/training.hpp"
@@ -247,6 +250,90 @@ TEST(CampaignTest, RecordsBitIdenticalAcrossExecutionEngines) {
     ASSERT_TRUE(records_identical(a.records[i], b.records[i]))
         << "record " << i << " differs fast vs reference";
   }
+}
+
+/// `micro_campaign 30000 1 SEED` on both engines, with the flight recorder
+/// on: the pinned digest, and how many faulted runs end in a hang.
+struct HangCampaign {
+  std::uint64_t seed;
+  std::uint64_t digest;
+  std::uint64_t hangs;
+};
+
+class ProvenHangTest : public ::testing::TestWithParam<HangCampaign> {};
+
+TEST_P(ProvenHangTest, EveryHangIsProvenAndMatchesTheReferenceEngine) {
+  const HangCampaign& c = GetParam();
+  CampaignConfig fast;
+  fast.injections = 30000;
+  fast.shards = 1;
+  fast.seed = c.seed;
+  fast.collect_dataset = true;
+  fast.xentry.transition_detection = true;
+  fast.obs.metrics = true;
+  fast.obs.flight_recorder = true;
+  CampaignConfig ref = fast;
+  ref.xentry.engine = sim::EngineKind::Reference;
+  const auto a = run_campaign(fast);
+  const auto b = run_campaign(ref);
+
+  ASSERT_EQ(a.records.size(), 30000u);
+  ASSERT_EQ(b.records.size(), a.records.size());
+  EXPECT_EQ(records_digest(a.records), c.digest);
+  std::uint64_t hangs = 0;
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    const InjectionRecord& x = a.records[i];
+    const InjectionRecord& y = b.records[i];
+    ASSERT_TRUE(records_identical(x, y)) << "record " << i;
+    ASSERT_EQ(x.weight, y.weight) << "record " << i;
+    ASSERT_EQ(x.masked_weight, y.masked_weight) << "record " << i;
+    ASSERT_EQ(x.blackbox, y.blackbox) << "record " << i;
+    hangs += x.consequence == Consequence::HypervisorHang;
+  }
+  EXPECT_EQ(hangs, c.hangs);
+  EXPECT_EQ(a.metrics.find_counter("campaign.hangs_proven")->value(), hangs);
+  EXPECT_EQ(b.metrics.find_counter("campaign.hangs_proven")->value(), 0u);
+  // A hang's handler length is the whole watchdog budget, not the zero its
+  // RunResult::steps reports.
+  const std::uint64_t budget = hv::RunOptions{}.max_steps;
+  for (const auto* res : {&a, &b}) {
+    const obs::Log2Histogram* len =
+        res->metrics.find_histogram("xentry.handler_length");
+    ASSERT_NE(len, nullptr);
+    EXPECT_EQ(len->max(), budget);
+    EXPECT_GE(len->bucket(std::bit_width(budget)), hangs);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ProvenHangTest,
+    ::testing::Values(HangCampaign{7, 0x11d4accb01c80abcull, 54},
+                      HangCampaign{11, 0x30ebc197b4b13868ull, 57},
+                      HangCampaign{43, 0x1985b46acf37eb06ull, 53}),
+    [](const ::testing::TestParamInfo<HangCampaign>& info) {
+      return "Seed" + std::to_string(info.param.seed);
+    });
+
+TEST(CampaignTest, LongestFaultedRunThatExitsIsNotProven) {
+  // Seed 11's longest faulted run takes 98,369 steps (24 proof attempts)
+  // and still reaches VM entry.
+  CampaignConfig cfg;
+  cfg.injections = 30000;
+  cfg.shards = 1;
+  cfg.seed = 11;
+  cfg.collect_dataset = true;
+  cfg.xentry.transition_detection = true;
+  const auto res = run_campaign(cfg);
+  const auto longest = std::max_element(
+      res.records.begin(), res.records.end(),
+      [](const InjectionRecord& x, const InjectionRecord& y) {
+        const bool hx = x.consequence == Consequence::HypervisorHang;
+        const bool hy = y.consequence == Consequence::HypervisorHang;
+        return hx != hy ? hx : x.features.rt < y.features.rt;
+      });
+  ASSERT_NE(longest, res.records.end());
+  EXPECT_EQ(longest->features.rt, 98369);
+  EXPECT_EQ(longest->trap, sim::TrapKind::None);  // reached VM entry
 }
 
 TEST(CampaignTest, RecordsBitIdenticalWithControlFlowDisabledVsAbsent) {
