@@ -1,5 +1,6 @@
 #include "fault/experiment.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "sim/splitmix.hpp"
@@ -68,11 +69,12 @@ hv::Injection InjectionExperiment::draw_activated_injection(
   // Candidate registers: whatever the instruction reads, plus rip (whose
   // flip the next fetch consumes unconditionally).
   std::uint32_t mask = sim::regs_read(insn) | sim::reg_bit(sim::Reg::rip);
-  std::vector<sim::Reg> candidates;
+  std::array<sim::Reg, sim::kNumArchRegs> candidates{};
+  std::size_t count = 0;
   for (int r = 0; r < sim::kNumArchRegs; ++r) {
-    if (mask & (1u << r)) candidates.push_back(static_cast<sim::Reg>(r));
+    if (mask & (1u << r)) candidates[count++] = static_cast<sim::Reg>(r);
   }
-  std::uniform_int_distribution<std::size_t> pick(0, candidates.size() - 1);
+  std::uniform_int_distribution<std::size_t> pick(0, count - 1);
   inj.reg = candidates[pick(rng)];
   return inj;
 }

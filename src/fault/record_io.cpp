@@ -1,7 +1,9 @@
 #include "fault/record_io.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
+#include <cstring>
 #include <type_traits>
 
 #include "hv/layout.hpp"
@@ -116,6 +118,11 @@ constexpr std::uint8_t kFlagDiverged = 1u << 3;
 constexpr std::uint8_t kKnownFlags =
     kFlagInjected | kFlagActivated | kFlagDetected | kFlagDiverged;
 
+// The payload encode_binary writes; a shorter frame does not decode.
+constexpr std::uint32_t kBinaryPayloadBytes =
+    1 + 4 + 8 + 4 + 8 + 1 + 4 + 1 + 1 + 1 + 8 + 1 + 4 + 1 +
+    8 * kNumFeatures + 8 + 8;
+
 void encode_binary(const InjectionRecord& r, std::string& out) {
   const std::size_t len_at = out.size();
   put_u32(out, 0);  // patched below
@@ -151,48 +158,41 @@ void encode_binary(const InjectionRecord& r, std::string& out) {
   }
 }
 
-bool decode_binary(std::string_view data, std::size_t& pos,
-                   InjectionRecord& out) {
+bool decode_binary_into(std::string_view data, std::size_t& pos,
+                        InjectionRecord& rec) {
   ByteReader r{data, pos};
   const std::uint32_t len = r.u32();
-  if (!r.ok || r.pos + len > data.size()) return false;
+  if (!r.ok || len < kBinaryPayloadBytes || len > data.size() - r.pos) {
+    return false;
+  }
   const std::size_t frame_end = r.pos + len;
-  InjectionRecord rec;
   const std::uint8_t cat = r.u8();
   const std::uint32_t idx = r.u32();
   rec.activation_seed = r.u64();
   rec.vcpu = static_cast<int>(r.u32());
   rec.injection.at_step = r.u64();
-  const std::uint8_t reg = r.u8();
+  rec.injection.reg = static_cast<sim::Reg>(r.u8());
   rec.injection.bit = static_cast<int>(r.u32());
   const std::uint8_t flags = r.u8();
-  const std::uint8_t cons = r.u8();
-  const std::uint8_t tech = r.u8();
+  rec.consequence = static_cast<Consequence>(r.u8());
+  rec.technique = static_cast<Technique>(r.u8());
   rec.latency = r.u64();
-  const std::uint8_t trap = r.u8();
+  rec.trap = static_cast<sim::TrapKind>(r.u8());
   rec.assert_id = r.u32();
-  const std::uint8_t undet = r.u8();
+  rec.undetected = static_cast<UndetectedClass>(r.u8());
   std::int64_t f[kNumFeatures];
   for (std::int64_t& v : f) v = static_cast<std::int64_t>(r.u64());
+  rec.features = {f[0], f[1], f[2], f[3], f[4]};
   rec.weight = std::bit_cast<double>(r.u64());
   rec.masked_weight = std::bit_cast<double>(r.u64());
-  if (!r.ok || r.pos > frame_end || (flags & ~kKnownFlags) != 0) {
-    return false;
-  }
+  if (!r.ok || (flags & ~kKnownFlags) != 0) return false;
   rec.reason = {static_cast<hv::ExitCategory>(cat), static_cast<int>(idx)};
-  rec.injection.reg = static_cast<sim::Reg>(reg);
   rec.injected = (flags & kFlagInjected) != 0;
   rec.activated = (flags & kFlagActivated) != 0;
   rec.detected = (flags & kFlagDetected) != 0;
   rec.trace_diverged = (flags & kFlagDiverged) != 0;
-  rec.consequence = static_cast<Consequence>(cons);
-  rec.technique = static_cast<Technique>(tech);
-  rec.trap = static_cast<sim::TrapKind>(trap);
-  rec.undetected = static_cast<UndetectedClass>(undet);
-  rec.features = {f[0], f[1], f[2], f[3], f[4]};
   if (!record_in_range(rec)) return false;
   pos = frame_end;  // honour the prefix even if a future writer added bytes
-  out = std::move(rec);
   return true;
 }
 
@@ -251,29 +251,40 @@ void encode_jsonl(const InjectionRecord& r, std::string& out) {
   out += "}\n";
 }
 
-// The writer's member order.  The scanner tries a member's slot in this
-// order first (the fast path for the writer's own lines) and falls back to
-// a search for any other order.
+// The writer's member order, each name as the writer spells it: quoted and
+// followed by the colon.  The scanner first matches the member slot's
+// literal in this order (the fast path for the writer's own lines) and
+// falls back to a key search for any other order or spacing.
 enum JsonlKey : int {
   kCat, kIdx, kSeed, kVcpu, kStep, kReg, kBit, kInj, kAct, kCons,
   kDet, kTech, kLat, kTrap, kAssert, kDiv, kUndet, kF, kW, kMw,
   kNumJsonlKeys,
 };
-constexpr std::string_view kJsonlKeys[kNumJsonlKeys] = {
-    "cat", "idx", "seed", "vcpu", "step", "reg", "bit",
-    "inj", "act", "cons", "det", "tech", "lat", "trap",
-    "assert", "div", "undet", "f", "w", "mw",
+constexpr std::string_view kJsonlMembers[kNumJsonlKeys] = {
+    "\"cat\":", "\"idx\":", "\"seed\":", "\"vcpu\":", "\"step\":",
+    "\"reg\":", "\"bit\":", "\"inj\":", "\"act\":", "\"cons\":",
+    "\"det\":", "\"tech\":", "\"lat\":", "\"trap\":", "\"assert\":",
+    "\"div\":", "\"undet\":", "\"f\":", "\"w\":", "\"mw\":",
 };
 // Every member but the trailing optional weights.
 constexpr std::uint32_t kRequiredKeys = (1u << kW) - 1;
 
-int jsonl_key(std::string_view key, int member) {
-  if (member < kNumJsonlKeys && kJsonlKeys[member] == key) return member;
+int jsonl_key(std::string_view name) {
   for (int k = 0; k < kNumJsonlKeys; ++k) {
-    if (kJsonlKeys[k] == key) return k;
+    const std::string_view m = kJsonlMembers[k];
+    if (m.substr(1, m.size() - 3) == name) return k;  // drop `"` and `":`
   }
   return -1;
 }
+
+// No line shorter than this decodes: every required member at its
+// shortest, one byte of value (the feature array needs `[0,0,0,0,0]`),
+// the commas between them, the braces and the newline.
+constexpr std::size_t kMinJsonlLine = [] {
+  std::size_t n = 2 + (kW - 1) + 1 + (2 * kNumFeatures);
+  for (int k = 0; k < kW; ++k) n += kJsonlMembers[k].size() + 1;
+  return n;
+}();
 
 /// Cursor over one JSONL line.  Each read skips JSON whitespace first and
 /// returns false on a token it does not expect.  Nothing is allocated:
@@ -282,6 +293,16 @@ class LineScanner {
  public:
   explicit LineScanner(std::string_view line)
       : p_(line.data()), end_(line.data() + line.size()) {}
+
+  /// The exact bytes `s`, with no whitespace skipped before them.
+  bool literal(std::string_view s) {
+    if (static_cast<std::size_t>(end_ - p_) < s.size() ||
+        std::memcmp(p_, s.data(), s.size()) != 0) {
+      return false;
+    }
+    p_ += s.size();
+    return true;
+  }
 
   bool punct(char c) {
     skip_ws();
@@ -411,18 +432,20 @@ bool read_member(LineScanner& in, int key, InjectionRecord& r) {
   }
 }
 
-bool decode_jsonl(std::string_view data, std::size_t& pos,
-                  InjectionRecord& out) {
+bool decode_jsonl_into(std::string_view data, std::size_t& pos,
+                       InjectionRecord& rec) {
   const std::size_t eol = data.find('\n', pos);
   if (eol == std::string_view::npos) return false;  // truncated line
   LineScanner in(data.substr(pos, eol - pos));
-  InjectionRecord rec;
   std::uint32_t seen = 0;
   if (!in.punct('{')) return false;
   for (int member = 0;; ++member) {
-    std::string_view name;
-    if (!in.string(name) || !in.punct(':')) return false;
-    const int key = jsonl_key(name, member);
+    int key = member;
+    if (member >= kNumJsonlKeys || !in.literal(kJsonlMembers[member])) {
+      std::string_view name;
+      if (!in.string(name) || !in.punct(':')) return false;
+      key = jsonl_key(name);
+    }
     if (key < 0 || (seen & (1u << key)) != 0) return false;
     seen |= 1u << key;
     if (!read_member(in, key, rec)) return false;
@@ -434,8 +457,41 @@ bool decode_jsonl(std::string_view data, std::size_t& pos,
     return false;
   }
   pos = eol + 1;
-  out = std::move(rec);
   return true;
+}
+
+bool decode_into(std::string_view data, obs::RecordFormat format,
+                 std::size_t& pos, InjectionRecord& rec) {
+  return format == obs::RecordFormat::kJsonl
+             ? decode_jsonl_into(data, pos, rec)
+             : decode_binary_into(data, pos, rec);
+}
+
+/// The number of frames decode_records will try: every frame up to and
+/// including the first that is too short, too long or truncated to decode.
+/// Each frame it counts before that one holds at least 4 bytes.
+std::size_t count_frames(std::string_view data, obs::RecordFormat format) {
+  std::size_t n = 0;
+  if (format == obs::RecordFormat::kJsonl) {
+    std::size_t pos = 0;
+    while (pos < data.size()) {
+      ++n;
+      const std::size_t eol = data.find('\n', pos);  // memchr
+      if (eol == std::string_view::npos || eol + 1 - pos < kMinJsonlLine) {
+        break;
+      }
+      pos = eol + 1;
+    }
+    return n;
+  }
+  ByteReader r{data};
+  while (r.pos < data.size()) {
+    ++n;
+    const std::uint32_t len = r.u32();
+    if (!r.ok || len < kBinaryPayloadBytes || len > data.size() - r.pos) break;
+    r.pos += len;
+  }
+  return n;
 }
 
 }  // namespace
@@ -464,17 +520,24 @@ void encode_record(const InjectionRecord& r, obs::RecordFormat format,
 
 bool decode_record(std::string_view data, obs::RecordFormat format,
                    std::size_t& pos, InjectionRecord& out) {
-  return format == obs::RecordFormat::kJsonl ? decode_jsonl(data, pos, out)
-                                             : decode_binary(data, pos, out);
+  InjectionRecord rec;
+  if (!decode_into(data, format, pos, rec)) return false;
+  out = std::move(rec);
+  return true;
 }
 
 bool decode_records(std::string_view data, obs::RecordFormat format,
                     std::vector<InjectionRecord>& out) {
+  const std::size_t need = out.size() + count_frames(data, format);
+  if (need > out.capacity()) {
+    out.reserve(out.empty() ? need : std::max(need, 2 * out.capacity()));
+  }
   std::size_t pos = 0;
   while (pos < data.size()) {
-    InjectionRecord rec;
-    if (!decode_record(data, format, pos, rec)) return false;
-    out.push_back(std::move(rec));
+    if (!decode_into(data, format, pos, out.emplace_back())) {
+      out.pop_back();
+      return false;
+    }
   }
   return true;
 }

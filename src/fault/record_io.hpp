@@ -18,8 +18,10 @@
 //
 // JSONL decoding contract.  A line is decoded in one pass over its bytes,
 // with no allocation beyond the record itself:
-//   - members may come in any key order (the writer's own order is the
-//     fast path), with JSON whitespace between any two tokens;
+//   - members may come in any key order, with JSON whitespace between
+//     any two tokens; the fast path is one memcmp of the member slot's
+//     name as the writer spells it (`"cat":`), the fallback a string,
+//     a colon and a key search;
 //   - every key but `w`/`mw` is required; absent, `w` is 1.0 and `mw` 0.0;
 //   - rejected: an unknown or duplicate key, a flag (`inj`, `act`, `det`,
 //     `div`) other than `0`/`1`, a number that is not a plain JSON
@@ -31,6 +33,8 @@
 // `pos` unchanged.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -43,14 +47,28 @@
 namespace xentry::fault {
 
 inline constexpr std::uint64_t kDigestBasis = 0xcbf29ce484222325ull;
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
-/// FNV-1a over a 64-bit value, byte by byte.
+/// kFnvPrimePowers[k] = kFnvPrime^k mod 2^64, for k in [0, 8].
+inline constexpr std::array<std::uint64_t, 9> kFnvPrimePowers = [] {
+  std::array<std::uint64_t, 9> p{};
+  p[0] = 1;
+  for (std::size_t k = 1; k < p.size(); ++k) p[k] = p[k - 1] * kFnvPrime;
+  return p;
+}();
+
+/// FNV-1a over the 8 little-endian bytes of a 64-bit value.  A zero byte
+/// only multiplies, (h ^ 0) * p == h * p, so the run of high zero bytes
+/// folds into one multiply by p^k: the loop hashes the significant low
+/// bytes, and most digested fields have one or two.  Bit-identical to the
+/// byte-at-a-time definition.
 inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ull;
+  std::size_t bytes = 0;
+  for (; v != 0; v >>= 8, ++bytes) {
+    h ^= v & 0xff;
+    h *= kFnvPrime;
   }
-  return h;
+  return h * kFnvPrimePowers[8 - bytes];
 }
 
 /// Folds one record into a running digest.  The digest covers every
@@ -77,14 +95,26 @@ bool record_in_range(const InjectionRecord& r);
 void encode_record(const InjectionRecord& r, obs::RecordFormat format,
                    std::string& out);
 
-/// Decodes one frame from the front of `data`, advancing `pos` past it.
-/// Returns false on a malformed, out-of-range or truncated frame (`pos`
-/// unchanged).
+/// Decodes the frame at `pos` in `data`, advancing `pos` past it.  All or
+/// nothing: on a malformed, out-of-range or truncated frame it returns
+/// false and leaves both `pos` and every field of `out` (blackbox and
+/// forensics included) untouched.
 bool decode_record(std::string_view data, obs::RecordFormat format,
                    std::size_t& pos, InjectionRecord& out);
 
 /// Decodes every frame in `data`, appending to `out`.  Returns false if
-/// trailing bytes remain that do not decode (the intact prefix is kept).
+/// trailing bytes remain that do not decode (the intact prefix is kept,
+/// and no partial record).
+///
+/// Sizing: it first counts the frames (memchr for '\n' in JSONL, a walk
+/// over the length prefixes in binary), stopping at the first frame too
+/// short or too long to decode, so the count never exceeds
+/// data.size() / 4 + 1 whatever the bytes.  It then reserves once: exactly
+/// that many slots on an empty vector, so a successful decode leaves
+/// capacity() == size(); on a non-empty vector that must grow, at least
+/// twice its old capacity, so repeated appends stay amortized O(n).  Each
+/// frame is decoded straight into a new element, popped again if the
+/// frame does not decode.
 bool decode_records(std::string_view data, obs::RecordFormat format,
                     std::vector<InjectionRecord>& out);
 

@@ -170,6 +170,44 @@ TEST(RecordIoTest, StreamDigestIsTheFoldOfRecordDigests) {
   EXPECT_EQ(records_digest({}), kDigestBasis);
 }
 
+/// FNV-1a as defined: every one of the 8 bytes, low byte first.
+std::uint64_t fnv1a_bytewise(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(RecordIoTest, Fnv1aFoldsHighZeroBytesExactly) {
+  const std::uint64_t kStarts[] = {kDigestBasis, 0, 1, ~0ull,
+                                   0x0123456789abcdefull};
+  const std::uint64_t kEdges[] = {0,
+                                  1,
+                                  0xff,
+                                  0x100,
+                                  (1ull << 56) - 1,
+                                  1ull << 56,
+                                  1ull << 63,
+                                  std::numeric_limits<std::uint64_t>::max()};
+  for (std::uint64_t h : kStarts) {
+    for (std::uint64_t v : kEdges) {
+      EXPECT_EQ(fnv1a(h, v), fnv1a_bytewise(h, v)) << h << " " << v;
+    }
+  }
+  // Every significant-byte length, 0 to 8, from several starting h.
+  std::mt19937_64 rng(0xf1a);
+  for (int i = 0; i < 100000; ++i) {
+    const int bytes = i % 9;
+    // `bytes` significant bytes: random low bytes, top one nonzero.
+    const std::uint64_t v =
+        bytes == 0 ? 0
+                   : (rng() >> (8 * (8 - bytes))) | (1ull << (8 * bytes - 1));
+    const std::uint64_t h = kStarts[static_cast<std::size_t>(i / 9) % 5];
+    ASSERT_EQ(fnv1a(h, v), fnv1a_bytewise(h, v)) << h << " " << v;
+  }
+}
+
 TEST(RecordIoTest, JsonlFramesAreSingleTerminatedLines) {
   std::string out;
   encode_record(sample_record(0), obs::RecordFormat::kJsonl, out);
@@ -413,6 +451,127 @@ TEST_P(RecordIoFormatTest, RangeChecksRejectOutOfRangeRecords) {
                         r.masked_weight = 1.0;
                       }),
                       fmt));
+}
+
+// -- decode sizing and the failure contract, both formats --------------------
+
+std::string stream_of(const std::vector<InjectionRecord>& recs,
+                      obs::RecordFormat fmt) {
+  std::string out;
+  for (const auto& r : recs) encode_record(r, fmt, out);
+  return out;
+}
+
+TEST_P(RecordIoFormatTest, DecodeIntoAnEmptyVectorAllocatesExactly) {
+  const auto fmt = GetParam();
+  std::vector<InjectionRecord> out;
+  ASSERT_TRUE(decode_records(stream_of(sample_records(37), fmt), fmt, out));
+  EXPECT_EQ(out.size(), 37u);
+  EXPECT_EQ(out.capacity(), out.size());
+}
+
+TEST_P(RecordIoFormatTest, AppendingAStreamReallocatesAtMostOnce) {
+  const auto fmt = GetParam();
+  const auto recs = sample_records(40);
+  std::vector<InjectionRecord> out;
+  ASSERT_TRUE(decode_records(stream_of(sample_records(10), fmt), fmt, out));
+  // One reserve lands on max(needed, 2 * old capacity) exactly; growing
+  // element by element would double past `needed` (10 -> 20 -> 40 -> 80).
+  for (const int n : {40, 3}) {
+    const std::vector<InjectionRecord> more(recs.begin(), recs.begin() + n);
+    const std::size_t needed = out.size() + static_cast<std::size_t>(n);
+    const std::size_t cap = out.capacity();
+    ASSERT_TRUE(decode_records(stream_of(more, fmt), fmt, out));
+    EXPECT_EQ(out.size(), needed);
+    EXPECT_EQ(out.capacity(),
+              needed <= cap ? cap : std::max(needed, 2 * cap)) << n;
+  }
+  EXPECT_EQ(records_digest(std::vector<InjectionRecord>(out.begin() + 10,
+                                                        out.begin() + 50)),
+            records_digest(recs));
+}
+
+TEST_P(RecordIoFormatTest, CorruptKthFrameAppendsExactlyTheFramesBeforeIt) {
+  const auto fmt = GetParam();
+  const auto recs = sample_records(6);
+  const auto head = sample_records(2);
+  for (int k = 1; k <= 6; ++k) {
+    // Framing intact, every field decoded, then the range check fails.
+    auto bad = recs;
+    bad[static_cast<std::size_t>(k - 1)].vcpu = 16;
+    std::vector<InjectionRecord> out = head;
+    EXPECT_FALSE(decode_records(stream_of(bad, fmt), fmt, out)) << k;
+    ASSERT_EQ(out.size(), head.size() + static_cast<std::size_t>(k - 1)) << k;
+    EXPECT_EQ(stream_of(out, fmt),
+              stream_of(head, fmt) +
+                  stream_of({recs.begin(), recs.begin() + (k - 1)}, fmt))
+        << k;
+  }
+}
+
+TEST_P(RecordIoFormatTest, FailedDecodeRecordLeavesOutAndPosUntouched) {
+  const auto fmt = GetParam();
+  InjectionRecord out = sample_record(3);
+  out.blackbox.resize(2);
+  out.blackbox[1].seq = 99;
+  out.blackbox[1].trap_addr = 0x4000;
+  out.forensics.emplace();
+  out.forensics->attributed = 2;
+  const InjectionRecord before = out;
+
+  // A frame whose every field decodes before its range check fails.
+  InjectionRecord bad = sample_record(4);
+  bad.vcpu = 16;
+  std::string data;
+  encode_record(sample_record(0), fmt, data);
+  const std::size_t start = data.size();
+  encode_record(bad, fmt, data);
+  std::size_t pos = start;
+  EXPECT_FALSE(decode_record(data, fmt, pos, out));
+  EXPECT_EQ(pos, start);
+  EXPECT_EQ(stream_of({out}, fmt), stream_of({before}, fmt));
+  EXPECT_EQ(out.blackbox, before.blackbox);
+  ASSERT_TRUE(out.forensics.has_value());
+  EXPECT_EQ(out.forensics->attributed, 2);
+}
+
+TEST_P(RecordIoFormatTest, FramePreCountIsBoundedOnHostileBytes) {
+  const auto fmt = GetParam();
+  std::string stream;
+  std::vector<std::size_t> frame_at;
+  for (const auto& r : sample_records(16)) {
+    frame_at.push_back(stream.size());
+    encode_record(r, fmt, stream);
+  }
+  std::vector<std::string> mutants = {std::string(64, '\0'),
+                                      std::string(64, '\n'), "\n", "x"};
+  std::mt19937_64 rng(0xc0c0);
+  const std::uint32_t kPrefixes[] = {0, 1, 3, 4, 102, 103, 104, 0xffffffffu};
+  for (int i = 0; i < 400; ++i) {
+    std::string m = stream;
+    // A length prefix in binary, a stray newline in JSONL, at a frame start
+    // or anywhere.
+    const std::size_t at = i % 4 < 2 ? frame_at[rng() % frame_at.size()]
+                                     : rng() % m.size();
+    const std::uint32_t len =
+        i % 2 == 0 ? kPrefixes[rng() % 8] : static_cast<std::uint32_t>(rng());
+    if (fmt == obs::RecordFormat::kJsonl) {
+      m.insert(at, i % 3 == 0 ? "\n\n\n" : "\n");
+    } else {
+      for (int b = 0; b < 4 && at + static_cast<std::size_t>(b) < m.size();
+           ++b) {
+        m[at + static_cast<std::size_t>(b)] =
+            static_cast<char>((len >> (8 * b)) & 0xff);
+      }
+    }
+    mutants.push_back(m);
+  }
+  for (const std::string& m : mutants) {
+    std::vector<InjectionRecord> out;
+    decode_records(m, fmt, out);
+    // On an empty vector the one reserve is exactly the pre-count.
+    EXPECT_LE(out.capacity(), m.size() / 4 + 1) << m.size();
+  }
 }
 
 TEST(RecordIoBinaryTest, RejectsUnknownFlagBits) {
