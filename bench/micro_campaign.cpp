@@ -19,8 +19,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
-#include <iterator>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -65,25 +65,17 @@ struct CampaignScore {
   fault::WeightedRates weighted;
 };
 
-/// Reads back every persisted record, probing shard files from index 0
-/// (the sink writes one file per shard; a missing index ends the run).
-/// A frame that does not decode exits 1 naming the file and the record:
-/// scoring the intact prefix would report a digest of the wrong stream.
+/// Reads back every persisted record (fault::read_shard_stream).  A frame
+/// that does not decode exits 1 naming the file and the record: scoring
+/// the intact prefix would report a digest of the wrong stream.
 std::vector<fault::InjectionRecord> read_streamed_records(
-    const std::string& base, obs::RecordFormat fmt) {
-  std::vector<fault::InjectionRecord> records;
-  for (std::size_t shard = 0;; ++shard) {
-    const std::string path = obs::ShardedFileSink::shard_path(base, fmt, shard);
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) break;
-    const std::string data((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    if (const auto err = fault::decode_shard_file(data, path, fmt, records)) {
-      std::fprintf(stderr, "micro_campaign: %s\n", err->c_str());
-      std::exit(1);
-    }
+    const std::string& base) {
+  fault::ShardStream stream;
+  if (const auto err = fault::read_shard_stream(base, stream)) {
+    std::fprintf(stderr, "micro_campaign: %s\n", err->c_str());
+    std::exit(1);
   }
-  return records;
+  return std::move(stream.records);
 }
 
 /// Progress heartbeat on stderr, one line per sample, so a long campaign
@@ -155,8 +147,7 @@ CampaignScore time_campaign(int injections, int shards, std::uint64_t seed,
   // stream lives in the sink files, so score from those instead.
   std::vector<fault::InjectionRecord> streamed;
   if (res.resumed) {
-    streamed = read_streamed_records(streaming.records_out,
-                                     streaming.records_format);
+    streamed = read_streamed_records(streaming.records_out);
   }
   const std::vector<fault::InjectionRecord>& records =
       res.resumed ? streamed : res.records;
@@ -329,9 +320,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const CampaignScore campaign =
-      time_campaign(injections, shards, seed, heartbeat_sec, engine,
-                    sampling, metrics_out, forensics_out, streaming);
+  CampaignScore campaign;
+  try {
+    campaign = time_campaign(injections, shards, seed, heartbeat_sec, engine,
+                             sampling, metrics_out, forensics_out, streaming);
+  } catch (const std::exception& e) {
+    // A configuration or a resume the campaign refuses, such as a
+    // corrupt checkpoint journal: report it instead of aborting.
+    std::fprintf(stderr, "micro_campaign: %s\n", e.what());
+    return 1;
+  }
 
   std::printf(
       "{\n"

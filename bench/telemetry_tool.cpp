@@ -21,17 +21,18 @@
 //   tail    decode the stream and print the last N records as JSONL
 //           (whatever the on-disk format), for eyeballing a campaign.
 //
-// Shard discovery probes `<base>.shard<N>.<ext>` from N = 0 upward; the
-// first missing index ends the worker.  Streams are read in shard order,
-// which is the campaign's deterministic merge order.
+// Shard discovery (fault::read_shard_stream) probes `<base>.shard<N>.<ext>`
+// from N = 0 upward; the first missing index ends the worker, and the
+// extension tells the format.  Streams are read in shard order, which is
+// the campaign's deterministic merge order.  A journal or sidecar line
+// that does not parse fails the command, naming the file and the line.
 //
 // Usage:
 //   telemetry_tool merge  --records BASE [--records BASE ...]
-//                         [--format jsonl|bin] [--snapshots FILE ...]
-//                         [-o REPORT.json]
-//   telemetry_tool verify --records BASE [--format jsonl|bin]
-//                         [--checkpoint JOURNAL] [--digest HEX16]
-//   telemetry_tool tail   --records BASE [--format jsonl|bin] [-n N]
+//                         [--snapshots FILE ...] [-o REPORT.json]
+//   telemetry_tool verify --records BASE [--checkpoint JOURNAL]
+//                         [--digest HEX16]
+//   telemetry_tool tail   --records BASE [-n N]
 //
 // A malformed -n or --digest exits 2 naming the flag.
 #include <cinttypes>
@@ -39,7 +40,7 @@
 #include <cstring>
 #include <algorithm>
 #include <charconv>
-#include <fstream>
+#include <filesystem>
 #include <iterator>
 #include <limits>
 #include <optional>
@@ -53,19 +54,12 @@
 #include "fault/checkpoint.hpp"
 #include "fault/record_io.hpp"
 #include "fault/stats.hpp"
-#include "obs/record_sink.hpp"
+#include "obs/atomic_file.hpp"
 #include "obs/snapshot.hpp"
 
 namespace {
 
 using namespace xentry;
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return std::nullopt;
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
 
 /// A records digest as micro_campaign prints it: 1-16 hex digits, with
 /// or without a 0x prefix, and nothing else.
@@ -78,37 +72,9 @@ std::optional<std::uint64_t> parse_digest(std::string_view text) {
   return v;
 }
 
-/// One worker's persisted stream: per-shard file paths and raw bytes, in
-/// shard order.
-struct WorkerStream {
-  std::string base;
-  std::vector<std::string> shard_paths;
-  std::vector<std::string> shard_data;
-};
-
-std::optional<WorkerStream> load_worker(const std::string& base,
-                                        obs::RecordFormat fmt) {
-  WorkerStream w;
-  w.base = base;
-  for (std::size_t shard = 0;; ++shard) {
-    std::string path = obs::ShardedFileSink::shard_path(base, fmt, shard);
-    auto data = read_file(path);
-    if (!data.has_value()) break;
-    w.shard_paths.push_back(std::move(path));
-    w.shard_data.push_back(std::move(*data));
-  }
-  if (w.shard_data.empty()) {
-    std::fprintf(stderr, "telemetry_tool: no shard files found for '%s'\n",
-                 base.c_str());
-    return std::nullopt;
-  }
-  return w;
-}
-
 struct Flags {
   std::vector<std::string> records;
   std::vector<std::string> snapshots;
-  obs::RecordFormat format = obs::RecordFormat::kJsonl;
   std::string checkpoint;
   std::string out;
   std::optional<std::uint64_t> digest;
@@ -157,15 +123,6 @@ Flags parse_flags(int argc, char** argv, int first) {
                      v);
         f.ok = false;
       }
-    } else if (arg == "--format") {
-      const auto fmt = obs::record_format_from_name(value());
-      if (!fmt.has_value()) {
-        std::fprintf(stderr,
-                     "telemetry_tool: unknown --format (want jsonl|bin)\n");
-        f.ok = false;
-      } else {
-        f.format = *fmt;
-      }
     } else {
       std::fprintf(stderr, "telemetry_tool: unknown argument '%s'\n",
                    arg.c_str());
@@ -186,17 +143,13 @@ int cmd_merge(const Flags& f) {
   std::vector<fault::InjectionRecord> all;
   std::vector<std::pair<std::string, std::uint64_t>> worker_digests;
   for (const std::string& base : f.records) {
-    const auto w = load_worker(base, f.format);
-    if (!w.has_value()) return 1;
-    std::vector<fault::InjectionRecord> records;
-    for (std::size_t s = 0; s < w->shard_data.size(); ++s) {
-      if (const auto err = fault::decode_shard_file(
-              w->shard_data[s], w->shard_paths[s], f.format, records)) {
-        std::fprintf(stderr, "telemetry_tool: %s\n", err->c_str());
-        return 1;
-      }
+    fault::ShardStream stream;
+    if (const auto err = fault::read_shard_stream(base, stream)) {
+      std::fprintf(stderr, "telemetry_tool: %s\n", err->c_str());
+      return 1;
     }
-    total_shards += w->shard_data.size();
+    std::vector<fault::InjectionRecord>& records = stream.records;
+    total_shards += stream.shard_ends.size();
     total_records += records.size();
     worker_digests.emplace_back(base, fault::records_digest(records));
     // Rates merge by field-wise sum: the merged answer equals the rates
@@ -209,13 +162,19 @@ int cmd_merge(const Flags& f) {
 
   obs::MetricsRegistry metrics;
   for (const std::string& path : f.snapshots) {
-    const auto text = read_file(path);
-    if (!text.has_value()) {
+    std::error_code ec;
+    if (!std::filesystem::exists(path, ec)) {
       std::fprintf(stderr, "telemetry_tool: cannot read snapshots '%s'\n",
                    path.c_str());
       return 1;
     }
-    metrics.merge_from(obs::merge_snapshots(obs::read_snapshots(*text)));
+    std::vector<obs::MetricsSnapshot> snaps;
+    if (const auto err =
+            obs::read_snapshots(obs::read_file(path), path, snaps)) {
+      std::fprintf(stderr, "telemetry_tool: %s\n", err->c_str());
+      return 1;
+    }
+    metrics.merge_from(obs::merge_snapshots(snaps));
   }
 
   std::FILE* os = stdout;
@@ -275,50 +234,47 @@ int cmd_verify(const Flags& f) {
                  "(the journal is per campaign)\n");
     return 2;
   }
-  const auto w = load_worker(f.records[0], f.format);
-  if (!w.has_value()) return 1;
+  fault::ShardStream stream;
+  if (const auto err = fault::read_shard_stream(f.records[0], stream)) {
+    std::fprintf(stderr, "FAIL: %s\n", err->c_str());
+    return 1;
+  }
+  const std::vector<fault::InjectionRecord>& records = stream.records;
+  const std::size_t shards = stream.shard_ends.size();
+  const auto shard_begin = [&stream](std::size_t s) {
+    return s == 0 ? std::size_t{0} : stream.shard_ends[s - 1];
+  };
 
   bool ok = true;
-  std::uint64_t full_digest = fault::kDigestBasis;
-  std::size_t total = 0;
-  std::vector<std::vector<fault::InjectionRecord>> per_shard(
-      w->shard_data.size());
-  for (std::size_t s = 0; s < w->shard_data.size(); ++s) {
-    if (const auto err = fault::decode_shard_file(
-            w->shard_data[s], w->shard_paths[s], f.format, per_shard[s])) {
-      std::fprintf(stderr, "FAIL: %s\n", err->c_str());
-      ok = false;
-    }
-    for (const fault::InjectionRecord& r : per_shard[s]) {
-      full_digest = fault::digest_update(full_digest, r);
-    }
-    total += per_shard[s].size();
-  }
+  const std::uint64_t full_digest = fault::records_digest(records);
 
   if (!f.checkpoint.empty()) {
     const fault::JournalContents journal = fault::read_journal(f.checkpoint);
-    if (!journal.valid) {
+    if (!journal.error.empty()) {
+      std::fprintf(stderr, "FAIL: %s\n", journal.error.c_str());
+      ok = false;
+    } else if (!journal.valid) {
       std::fprintf(stderr, "FAIL: no parseable journal at '%s'\n",
                    f.checkpoint.c_str());
       ok = false;
     } else {
-      if (journal.shards.size() != w->shard_data.size()) {
+      if (journal.shards.size() != shards) {
         std::fprintf(stderr,
                      "FAIL: journal expects %zu shards, found %zu stream "
                      "files\n",
-                     journal.shards.size(), w->shard_data.size());
+                     journal.shards.size(), shards);
         ok = false;
       }
-      const std::size_t n =
-          std::min(journal.shards.size(), w->shard_data.size());
+      const std::size_t n = std::min(journal.shards.size(), shards);
       for (std::size_t s = 0; s < n; ++s) {
         if (!journal.shards[s].has_value()) continue;  // never checkpointed
         const fault::ShardCheckpoint& ck = *journal.shards[s];
-        if (per_shard[s].size() < ck.records_written) {
+        const std::size_t held = stream.shard_ends[s] - shard_begin(s);
+        if (held < ck.records_written) {
           std::fprintf(stderr,
                        "FAIL: shard %zu holds %zu records, journal says "
                        ">= %" PRIu64 "\n",
-                       s, per_shard[s].size(), ck.records_written);
+                       s, held, ck.records_written);
           ok = false;
           continue;
         }
@@ -326,7 +282,7 @@ int cmd_verify(const Flags& f) {
         // frames past it are post-checkpoint (rewritten on resume).
         std::uint64_t h = fault::kDigestBasis;
         for (std::uint64_t i = 0; i < ck.records_written; ++i) {
-          h = fault::digest_update(h, per_shard[s][i]);
+          h = fault::digest_update(h, records[shard_begin(s) + i]);
         }
         if (h != ck.digest) {
           std::fprintf(stderr,
@@ -344,11 +300,16 @@ int cmd_verify(const Flags& f) {
       // another fleet worker).
       obs::MetricsRegistry side;
       for (std::size_t s = 0; s < journal.shards.size(); ++s) {
-        const auto text =
-            read_file(fault::snapshot_sidecar_path(f.checkpoint,
-                                                   static_cast<int>(s)));
-        if (!text.has_value() || text->empty()) continue;
-        side.merge_from(obs::merge_snapshots(obs::read_snapshots(*text)));
+        const std::string path =
+            fault::snapshot_sidecar_path(f.checkpoint, static_cast<int>(s));
+        std::vector<obs::MetricsSnapshot> snaps;
+        if (const auto err =
+                obs::read_snapshots(obs::read_file(path), path, snaps)) {
+          std::fprintf(stderr, "FAIL: %s\n", err->c_str());
+          ok = false;
+          continue;
+        }
+        side.merge_from(obs::merge_snapshots(snaps));
       }
       if (const obs::Counter* dropped = side.find_counter("obs.sink.dropped");
           dropped != nullptr && dropped->value() > 0) {
@@ -379,7 +340,7 @@ int cmd_verify(const Flags& f) {
       "  \"records_digest\": \"%016" PRIx64 "\",\n"
       "  \"ok\": %s\n"
       "}\n",
-      w->shard_data.size(), total, full_digest, ok ? "true" : "false");
+      shards, records.size(), full_digest, ok ? "true" : "false");
   return ok ? 0 : 1;
 }
 
@@ -388,16 +349,12 @@ int cmd_tail(const Flags& f) {
     std::fprintf(stderr, "telemetry_tool: tail takes one --records BASE\n");
     return 2;
   }
-  const auto w = load_worker(f.records[0], f.format);
-  if (!w.has_value()) return 1;
-  std::vector<fault::InjectionRecord> records;
-  for (std::size_t s = 0; s < w->shard_data.size(); ++s) {
-    if (const auto err = fault::decode_shard_file(
-            w->shard_data[s], w->shard_paths[s], f.format, records)) {
-      std::fprintf(stderr, "telemetry_tool: %s\n", err->c_str());
-      return 1;
-    }
+  fault::ShardStream stream;
+  if (const auto err = fault::read_shard_stream(f.records[0], stream)) {
+    std::fprintf(stderr, "telemetry_tool: %s\n", err->c_str());
+    return 1;
   }
+  const std::vector<fault::InjectionRecord>& records = stream.records;
   const auto n = static_cast<std::size_t>(f.tail_n);
   const std::size_t first = records.size() > n ? records.size() - n : 0;
   std::string line;
@@ -416,10 +373,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: telemetry_tool merge|verify|tail [flags]\n"
                  "  merge  --records BASE [--records BASE ...] "
-                 "[--format jsonl|bin] [--snapshots FILE ...] [-o FILE]\n"
-                 "  verify --records BASE [--format jsonl|bin] "
-                 "[--checkpoint JOURNAL] [--digest HEX16]\n"
-                 "  tail   --records BASE [--format jsonl|bin] [-n N]\n");
+                 "[--snapshots FILE ...] [-o FILE]\n"
+                 "  verify --records BASE [--checkpoint JOURNAL] "
+                 "[--digest HEX16]\n"
+                 "  tail   --records BASE [-n N]\n");
     return 2;
   }
   const std::string cmd = argv[1];

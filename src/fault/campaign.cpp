@@ -437,8 +437,13 @@ class ShardLoop {
         // append).
         std::string text = obs::read_file(spath);
         text.resize(std::min<std::size_t>(text.size(), resume->snap_offset));
-        const obs::MetricsRegistry restored =
-            obs::merge_snapshots(obs::read_snapshots(text));
+        std::vector<obs::MetricsSnapshot> snaps;
+        if (const auto err = obs::read_snapshots(text, spath, snaps)) {
+          throw std::runtime_error(
+              "campaign: cannot resume from a corrupt metrics sidecar: " +
+              *err);
+        }
+        const obs::MetricsRegistry restored = obs::merge_snapshots(snaps);
         // Merged into the registry the handles already point into, so
         // they stay valid; merged into empty metrics it is `restored`.
         result_.metrics.merge_from(restored);
@@ -772,6 +777,11 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
   bool resuming = false;
   if (!st.checkpoint_path.empty()) {
     journal_state = read_journal(st.checkpoint_path);
+    if (!journal_state.error.empty()) {
+      throw std::runtime_error("campaign: cannot resume from a corrupt "
+                               "checkpoint journal: " +
+                               journal_state.error);
+    }
     if (journal_state.valid) {
       // An existing journal means "continue this campaign" — but only the
       // exact same campaign.  Resuming under a different identity would
@@ -820,9 +830,16 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
 
   std::unique_ptr<CheckpointJournal> journal;
   if (!st.checkpoint_path.empty()) {
+    // Resume cuts a torn final line away first: the next line would be
+    // glued onto it.
+    std::error_code ec;
+    if (resuming) {
+      std::filesystem::resize_file(st.checkpoint_path,
+                                   journal_state.intact_bytes, ec);
+    }
     journal = resuming ? CheckpointJournal::append_to(st.checkpoint_path)
                        : CheckpointJournal::create(st.checkpoint_path, header);
-    if (journal == nullptr || !journal->ok()) {
+    if (ec || journal == nullptr || !journal->ok()) {
       throw std::runtime_error(
           "campaign: cannot open checkpoint journal at " + st.checkpoint_path);
     }

@@ -1,5 +1,6 @@
 #include "fault/checkpoint.hpp"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
@@ -40,37 +41,30 @@ void encode_words(std::string& out, const std::vector<std::uint64_t>& words) {
   }
 }
 
+// Every region of the machine layout (hv/layout.hpp) is far smaller than
+// 2^20 words, so a longer image is corrupt; the bound also keeps a corrupt
+// zero-run length from allocating without limit.
+constexpr std::uint64_t kMaxRegionWords = std::uint64_t{1} << 20;
+
+/// Inverse of encode_words.  Refuses an empty token, a token that is not
+/// hex or `z` and a decimal run length, and an image longer than
+/// kMaxRegionWords.
 bool decode_words(std::string_view text, std::vector<std::uint64_t>& out) {
   out.clear();
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find(',', pos);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view tok = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (tok.empty()) return false;
-    if (tok[0] == 'z') {
-      std::uint64_t run = 0;
-      for (char c : tok.substr(1)) {
-        if (c < '0' || c > '9') return false;
-        run = run * 10 + static_cast<std::uint64_t>(c - '0');
-      }
-      out.insert(out.end(), run, 0);
-    } else {
-      std::uint64_t v = 0;
-      for (char c : tok) {
-        std::uint64_t d = 0;
-        if (c >= '0' && c <= '9') {
-          d = static_cast<std::uint64_t>(c - '0');
-        } else if (c >= 'a' && c <= 'f') {
-          d = static_cast<std::uint64_t>(c - 'a' + 10);
-        } else {
-          return false;
-        }
-        v = (v << 4) | d;
-      }
-      out.push_back(v);
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (p != end) {
+    const bool run = *p == 'z';
+    std::uint64_t v = 0;
+    const auto [next, ec] =
+        std::from_chars(run ? p + 1 : p, end, v, run ? 10 : 16);
+    const std::uint64_t words = run ? v : 1;
+    if (ec != std::errc{} || words > kMaxRegionWords - out.size() ||
+        (next != end && (*next != ',' || next + 1 == end))) {
+      return false;
     }
+    out.insert(out.end(), words, run ? 0 : v);
+    p = next == end ? end : next + 1;
   }
   return true;
 }
@@ -191,76 +185,150 @@ void CheckpointJournal::append(const ShardCheckpoint& ckpt) {
   }
 }
 
+namespace {
+
+// Member tables, each name spelled as header_line/checkpoint_line write it.
+enum HeaderKey : std::size_t {
+  kHType, kHSeed, kHInjections, kHShards, kHBias, kHWarmup, kHGap,
+  kHImportance, kHEvery, kHFmt, kHUnits};
+constexpr std::string_view kHeaderMembers[] = {
+    "\"type\":", "\"seed\":", "\"injections\":", "\"shards\":",
+    "\"bias\":", "\"warmup\":", "\"gap\":", "\"importance\":",
+    "\"every\":", "\"fmt\":", "\"units\":"};
+// Every member but `units`, which only fleet workers' journals carry.
+constexpr std::uint64_t kHeaderRequired = (1u << kHUnits) - 1;
+
+enum CheckpointKey : std::size_t {
+  kCType, kCShard, kCIter, kCRecords, kCDigest, kCEff, kCSinkOff, kCSnapOff,
+  kCSnapCount, kCForensics, kCActs, kCGenRng, kCMainRng, kCAuxRng, kCTsc,
+  kCMem};
+constexpr std::string_view kCheckpointMembers[] = {
+    "\"type\":", "\"shard\":", "\"iter\":", "\"records\":",
+    "\"digest\":", "\"eff\":", "\"sink_off\":", "\"snap_off\":",
+    "\"snap_count\":", "\"forensics\":", "\"acts\":", "\"gen_rng\":",
+    "\"main_rng\":", "\"aux_rng\":", "\"tsc\":", "\"mem\":"};
+constexpr std::uint64_t kCheckpointRequired = (1u << (kCMem + 1)) - 1;
+
+bool read_type(obs::LineScanner& in, std::string_view want) {
+  std::string_view type;
+  return in.string(type) && type == want;
+}
+
+bool read_text(obs::LineScanner& in, std::string& out) {
+  std::string_view s;
+  if (!in.string(s)) return false;
+  out.assign(s);
+  return true;
+}
+
+/// An `int` the writer prints as unsigned, so never negative.
+bool read_count(obs::LineScanner& in, int& out) {
+  return in.integer(out) && out >= 0;
+}
+
+bool read_header_member(obs::LineScanner& in, std::size_t key,
+                        CheckpointHeader& h) {
+  switch (key) {
+    case kHType: return read_type(in, "header");
+    case kHSeed: return in.integer(h.seed);
+    case kHInjections: return read_count(in, h.injections);
+    case kHShards: return read_count(in, h.shards);
+    case kHBias: return in.number(h.activation_bias);
+    case kHWarmup: return read_count(in, h.warmup_activations);
+    case kHGap: return read_count(in, h.stream_gap);
+    case kHImportance: return in.flag(h.importance);
+    case kHEvery: return read_count(in, h.checkpoint_every);
+    case kHFmt: return in.integer(h.records_format);
+    case kHUnits: {
+      if (!in.punct('[')) return false;
+      do {
+        if (!read_count(in, h.units.emplace_back())) return false;
+      } while (in.punct(','));
+      return in.punct(']');
+    }
+    default: return false;
+  }
+}
+
+bool read_checkpoint_member(obs::LineScanner& in, std::size_t key,
+                            ShardCheckpoint& c) {
+  switch (key) {
+    case kCType: return read_type(in, "ckpt");
+    case kCShard: return read_count(in, c.shard);
+    case kCIter: return in.integer(c.iterations);
+    case kCRecords: return in.integer(c.records_written);
+    case kCDigest: return in.integer(c.digest);
+    case kCEff: return in.number(c.effective);
+    case kCSinkOff: return in.integer(c.sink_offset);
+    case kCSnapOff: return in.integer(c.snap_offset);
+    case kCSnapCount: return in.integer(c.snap_count);
+    case kCForensics: return in.integer(c.forensics_counter);
+    case kCActs: return in.integer(c.activations_generated);
+    case kCGenRng: return read_text(in, c.gen_rng);
+    case kCMainRng: return read_text(in, c.main_rng);
+    case kCAuxRng: return read_text(in, c.aux_rng);
+    case kCTsc: return in.integer(c.tsc);
+    case kCMem: {
+      if (!in.punct('[')) return false;
+      if (in.punct(']')) return true;
+      do {
+        std::string_view words;
+        if (!in.string(words) ||
+            !decode_words(words, c.memory.emplace_back())) {
+          return in.fail("corrupt memory image in", "mem");
+        }
+      } while (in.punct(','));
+      return in.punct(']');
+    }
+    default: return false;
+  }
+}
+
+}  // namespace
+
 JournalContents read_journal(const std::string& path) {
   JournalContents out;
   const std::string text = obs::read_file(path);  // missing: no header
-
-  std::size_t pos = 0;
   bool have_header = false;
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) break;  // torn tail
-    const std::string_view line(text.data() + pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    const std::optional<obs::JsonValue> v = obs::parse_json(line);
-    if (!v.has_value() || !v->is_object()) break;  // torn/corrupt: stop
-    const std::string& type = v->get_string("type");
+  const auto read_line = [&](obs::LineScanner& in) {
     if (!have_header) {
-      if (type != "header") break;
-      out.header.seed = v->get_uint("seed");
-      out.header.injections = static_cast<int>(v->get_int("injections"));
-      out.header.shards = static_cast<int>(v->get_int("shards"));
-      out.header.activation_bias = v->get_double("bias");
-      out.header.warmup_activations = static_cast<int>(v->get_int("warmup"));
-      out.header.stream_gap = static_cast<int>(v->get_int("gap"));
-      out.header.importance = v->get_int("importance") != 0;
-      out.header.checkpoint_every = static_cast<int>(v->get_int("every"));
-      out.header.records_format =
-          static_cast<std::uint8_t>(v->get_uint("fmt"));
-      if (const obs::JsonValue* units = v->get("units");
-          units != nullptr && units->is_array()) {
-        for (const obs::JsonValue& u : units->as_array()) {
-          out.header.units.push_back(static_cast<int>(u.as_int()));
-        }
+      CheckpointHeader& h = out.header;
+      if (!in.members(kHeaderMembers, kHeaderRequired,
+                      [&](std::size_t k) {
+                        return read_header_member(in, k, h);
+                      }) ||
+          !in.end()) {
+        return false;
       }
-      if (out.header.shards <= 0) break;
-      out.shards.resize(static_cast<std::size_t>(out.header.shards));
+      // A campaign clamps its shards to its injections.
+      if (h.shards <= 0 || (h.injections > 0 && h.shards > h.injections)) {
+        return in.fail("shard count out of range");
+      }
+      out.shards.resize(static_cast<std::size_t>(h.shards));
       have_header = true;
-      out.valid = true;
-      continue;
+      return true;
     }
-    if (type != "ckpt") break;
     ShardCheckpoint c;
-    c.shard = static_cast<int>(v->get_int("shard"));
-    if (c.shard < 0 || c.shard >= out.header.shards) break;
-    c.iterations = v->get_uint("iter");
-    c.records_written = v->get_uint("records");
-    c.digest = v->get_uint("digest");
-    c.effective = v->get_double("eff");
-    c.sink_offset = v->get_uint("sink_off");
-    c.snap_offset = v->get_uint("snap_off");
-    c.snap_count = v->get_uint("snap_count");
-    c.forensics_counter = v->get_uint("forensics");
-    c.activations_generated = v->get_uint("acts");
-    c.gen_rng = v->get_string("gen_rng");
-    c.main_rng = v->get_string("main_rng");
-    c.aux_rng = v->get_string("aux_rng");
-    c.tsc = v->get_uint("tsc");
-    const obs::JsonValue* mem = v->get("mem");
-    if (mem == nullptr || !mem->is_array()) break;
-    bool mem_ok = true;
-    for (const obs::JsonValue& region : mem->as_array()) {
-      std::vector<std::uint64_t> words;
-      if (!decode_words(region.as_string(), words)) {
-        mem_ok = false;
-        break;
-      }
-      c.memory.push_back(std::move(words));
+    if (!in.members(kCheckpointMembers, kCheckpointRequired,
+                    [&](std::size_t k) {
+                      return read_checkpoint_member(in, k, c);
+                    }) ||
+        !in.end()) {
+      return false;
     }
-    if (!mem_ok) break;
+    if (c.shard >= out.header.shards) {
+      return in.fail("shard index out of range");
+    }
     out.shards[static_cast<std::size_t>(c.shard)] = std::move(c);
+    return true;
+  };
+  std::size_t intact = 0;
+  if (std::optional<std::string> err =
+          obs::read_lines(text, path, read_line, &intact)) {
+    out.error = std::move(*err);
   }
+  out.valid = have_header && out.error.empty();
+  out.intact_bytes = intact;
   return out;
 }
 

@@ -21,8 +21,9 @@
 // The journal itself is JSONL: a header line (the campaign's identity —
 // resuming under a different config is an error, not a silent divergence)
 // followed by checkpoint lines from all shards interleaved in completion
-// order.  The reader takes each shard's last intact line; a torn final
-// line is expected input, not corruption.
+// order.  The reader takes each shard's last line.  A torn final line is
+// expected input, not corruption: resume truncates it away before it
+// appends.  A corrupt line that ends in a newline is an error.
 #pragma once
 
 #include <cstdint>
@@ -113,16 +114,27 @@ class CheckpointJournal {
   bool failed_ = false;
 };
 
-/// Parsed journal state: the header plus each shard's latest intact
-/// checkpoint line (nullopt for shards that never checkpointed).
+/// Parsed journal state: the header plus each shard's latest checkpoint
+/// line (nullopt for shards that never checkpointed).
 struct JournalContents {
-  bool valid = false;  ///< file existed and carried a parseable header
+  bool valid = false;  ///< a header was read and no line is corrupt
   CheckpointHeader header;
   std::vector<std::optional<ShardCheckpoint>> shards;  ///< size = header.shards
+  /// Why the journal is refused: the first corrupt line that ends in a
+  /// newline, as "path:line: reason".  Empty when the file is missing,
+  /// when only its final line is torn, and when every line reads.
+  std::string error;
+  /// Length of the journal up to the end of its last intact line.  Resume
+  /// truncates the file here before appending, so a torn final line is
+  /// not spliced onto the next checkpoint line.
+  std::uint64_t intact_bytes = 0;
 };
 
-/// Reads a journal, tolerating a torn final line.  `valid` is false when
-/// the file is missing or its header does not parse.
+/// Reads a journal strictly (obs::LineScanner::members): an unknown,
+/// duplicate or missing key, a value of the wrong type or range, a shard
+/// index past the header's shard count, or trailing bytes make a line
+/// corrupt.  A final line with no newline is torn and ignored.  `valid` is
+/// false for a missing file, a torn header line, or a set `error`.
 JournalContents read_journal(const std::string& path);
 
 /// Path of one shard's metrics-snapshot sidecar stream, derived from the

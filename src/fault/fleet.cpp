@@ -319,6 +319,9 @@ FleetResult run_fleet(const FleetOptions& opts_in) {
   journals.reserve(static_cast<std::size_t>(opts.workers));
   for (int w = 0; w < opts.workers; ++w) {
     journals.push_back(read_journal(fleet_checkpoint_path(opts.dir, w)));
+    if (!journals.back().error.empty()) {
+      return fail("fleet: " + journals.back().error);
+    }
   }
   out.digest = kDigestBasis;
   out.digest_cross_checked = true;
@@ -371,11 +374,12 @@ FleetResult run_fleet(const FleetOptions& opts_in) {
   for (int u = 0; u < opts.units; ++u) {
     const std::string sidecar = snapshot_sidecar_path(
         fleet_checkpoint_path(opts.dir, u % opts.workers), u);
-    const std::string text = obs::read_file(sidecar);
-    if (!text.empty()) {
-      out.metrics.merge_from(
-          obs::merge_snapshots(obs::read_snapshots(text)));
+    std::vector<obs::MetricsSnapshot> snaps;
+    if (const auto err =
+            obs::read_snapshots(obs::read_file(sidecar), sidecar, snaps)) {
+      return fail("fleet: " + *err);
     }
+    out.metrics.merge_from(obs::merge_snapshots(snaps));
   }
   out.metrics.gauge("campaign.shards").set(opts.units);
   out.ok = true;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
-#include <cstring>
-#include <type_traits>
+#include <filesystem>
+#include <system_error>
 
 #include "hv/layout.hpp"
+#include "obs/atomic_file.hpp"
 #include "obs/json.hpp"
 
 namespace xentry::fault {
@@ -252,9 +252,7 @@ void encode_jsonl(const InjectionRecord& r, std::string& out) {
 }
 
 // The writer's member order, each name as the writer spells it: quoted and
-// followed by the colon.  The scanner first matches the member slot's
-// literal in this order (the fast path for the writer's own lines) and
-// falls back to a key search for any other order or spacing.
+// followed by the colon (the table obs::LineScanner::members reads).
 enum JsonlKey : int {
   kCat, kIdx, kSeed, kVcpu, kStep, kReg, kBit, kInj, kAct, kCons,
   kDet, kTech, kLat, kTrap, kAssert, kDiv, kUndet, kF, kW, kMw,
@@ -267,15 +265,7 @@ constexpr std::string_view kJsonlMembers[kNumJsonlKeys] = {
     "\"div\":", "\"undet\":", "\"f\":", "\"w\":", "\"mw\":",
 };
 // Every member but the trailing optional weights.
-constexpr std::uint32_t kRequiredKeys = (1u << kW) - 1;
-
-int jsonl_key(std::string_view name) {
-  for (int k = 0; k < kNumJsonlKeys; ++k) {
-    const std::string_view m = kJsonlMembers[k];
-    if (m.substr(1, m.size() - 3) == name) return k;  // drop `"` and `":`
-  }
-  return -1;
-}
+constexpr std::uint64_t kRequiredKeys = (std::uint64_t{1} << kW) - 1;
 
 // No line shorter than this decodes: every required member at its
 // shortest, one byte of value (the feature array needs `[0,0,0,0,0]`),
@@ -286,118 +276,7 @@ constexpr std::size_t kMinJsonlLine = [] {
   return n;
 }();
 
-/// Cursor over one JSONL line.  Each read skips JSON whitespace first and
-/// returns false on a token it does not expect.  Nothing is allocated:
-/// strings come back as views into the line.
-class LineScanner {
- public:
-  explicit LineScanner(std::string_view line)
-      : p_(line.data()), end_(line.data() + line.size()) {}
-
-  /// The exact bytes `s`, with no whitespace skipped before them.
-  bool literal(std::string_view s) {
-    if (static_cast<std::size_t>(end_ - p_) < s.size() ||
-        std::memcmp(p_, s.data(), s.size()) != 0) {
-      return false;
-    }
-    p_ += s.size();
-    return true;
-  }
-
-  bool punct(char c) {
-    skip_ws();
-    if (p_ == end_ || *p_ != c) return false;
-    ++p_;
-    return true;
-  }
-
-  /// A string without escapes or control characters.
-  bool string(std::string_view& out) {
-    if (!punct('"')) return false;
-    const char* const start = p_;
-    for (; p_ != end_ && *p_ != '"'; ++p_) {
-      if (*p_ == '\\' || static_cast<unsigned char>(*p_) < 0x20) {
-        return false;
-      }
-    }
-    if (p_ == end_) return false;
-    out = std::string_view(start, static_cast<std::size_t>(p_ - start));
-    ++p_;
-    return true;
-  }
-
-  /// A string mapped through one of the `*_from_name` tables.
-  template <typename E>
-  bool named(E& out, std::optional<E> (*from_name)(std::string_view)) {
-    std::string_view s;
-    if (!string(s)) return false;
-    const std::optional<E> v = from_name(s);
-    if (v.has_value()) out = *v;
-    return v.has_value();
-  }
-
-  /// A JSON integer that fits `T` (no leading zeros, no '+').
-  template <typename T>
-  bool integer(T& out) {
-    skip_ws();
-    const char* digit = p_ != end_ && *p_ == '-' ? p_ + 1 : p_;
-    if (end_ - digit > 1 && digit[0] == '0' && is_digit(digit[1])) {
-      return false;
-    }
-    return advance(std::from_chars(p_, end_, out));
-  }
-
-  /// An enumerator written as its underlying integer.
-  template <typename E>
-  bool enumerator(E& out) {
-    std::underlying_type_t<E> v{};
-    if (!integer(v)) return false;
-    out = static_cast<E>(v);
-    return true;
-  }
-
-  /// A flag: exactly `0` or `1`.
-  bool flag(bool& out) {
-    skip_ws();
-    if (p_ == end_ || (*p_ != '0' && *p_ != '1')) return false;
-    out = *p_++ == '1';
-    return true;
-  }
-
-  /// A number as %.17g writes it.  The range check rejects the inf/nan
-  /// spellings from_chars also accepts.
-  bool number(double& out) {
-    skip_ws();
-    if (p_ == end_ || (*p_ != '-' && !is_digit(*p_))) return false;
-    return advance(std::from_chars(p_, end_, out));
-  }
-
-  bool at_end() {
-    skip_ws();
-    return p_ == end_;
-  }
-
- private:
-  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
-
-  void skip_ws() {
-    while (p_ != end_ &&
-           (*p_ == ' ' || *p_ == '\t' || *p_ == '\r' || *p_ == '\n')) {
-      ++p_;
-    }
-  }
-
-  bool advance(std::from_chars_result res) {
-    if (res.ec != std::errc{}) return false;
-    p_ = res.ptr;
-    return true;
-  }
-
-  const char* p_;
-  const char* end_;
-};
-
-bool read_member(LineScanner& in, int key, InjectionRecord& r) {
+bool read_member(obs::LineScanner& in, std::size_t key, InjectionRecord& r) {
   switch (key) {
     case kCat: return in.enumerator(r.reason.category);
     case kIdx: return in.integer(r.reason.index);
@@ -436,24 +315,10 @@ bool decode_jsonl_into(std::string_view data, std::size_t& pos,
                        InjectionRecord& rec) {
   const std::size_t eol = data.find('\n', pos);
   if (eol == std::string_view::npos) return false;  // truncated line
-  LineScanner in(data.substr(pos, eol - pos));
-  std::uint32_t seen = 0;
-  if (!in.punct('{')) return false;
-  for (int member = 0;; ++member) {
-    int key = member;
-    if (member >= kNumJsonlKeys || !in.literal(kJsonlMembers[member])) {
-      std::string_view name;
-      if (!in.string(name) || !in.punct(':')) return false;
-      key = jsonl_key(name);
-    }
-    if (key < 0 || (seen & (1u << key)) != 0) return false;
-    seen |= 1u << key;
-    if (!read_member(in, key, rec)) return false;
-    if (in.punct('}')) break;
-    if (!in.punct(',')) return false;
-  }
-  if (!in.at_end() || (seen & kRequiredKeys) != kRequiredKeys ||
-      !record_in_range(rec)) {
+  obs::LineScanner in(data.substr(pos, eol - pos));
+  if (!in.members(kJsonlMembers, kRequiredKeys,
+                  [&](std::size_t key) { return read_member(in, key, rec); }) ||
+      !in.end() || !record_in_range(rec)) {
     return false;
   }
   pos = eol + 1;
@@ -549,6 +414,35 @@ std::optional<std::string> decode_shard_file(
   if (decode_records(data, format, out)) return std::nullopt;
   return std::string(path) + ": record " +
          std::to_string(out.size() - before + 1) + " does not decode";
+}
+
+std::optional<std::string> read_shard_stream(std::string_view base,
+                                             ShardStream& out) {
+  const auto exists = [base](obs::RecordFormat f, std::size_t shard) {
+    std::error_code ec;
+    return std::filesystem::exists(
+        obs::ShardedFileSink::shard_path(base, f, shard), ec);
+  };
+  const bool jsonl = exists(obs::RecordFormat::kJsonl, 0);
+  if (!jsonl && !exists(obs::RecordFormat::kBinary, 0)) {
+    return "no shard files found for '" + std::string(base) + "'";
+  }
+  const obs::RecordFormat format =
+      jsonl ? obs::RecordFormat::kJsonl : obs::RecordFormat::kBinary;
+  const obs::RecordFormat other =
+      jsonl ? obs::RecordFormat::kBinary : obs::RecordFormat::kJsonl;
+  for (std::size_t shard = 0; !exists(other, shard); ++shard) {
+    if (!exists(format, shard)) return std::nullopt;
+    const std::string path =
+        obs::ShardedFileSink::shard_path(base, format, shard);
+    if (auto err = decode_shard_file(obs::read_file(path), path, format,
+                                     out.records)) {
+      return err;
+    }
+    out.shard_ends.push_back(out.records.size());
+  }
+  return "both .jsonl and .bin shard files found for '" + std::string(base) +
+         "'";
 }
 
 }  // namespace xentry::fault

@@ -16,12 +16,10 @@
 // matching the digest's scope.  Encode→decode round-trips to a record
 // whose digest contribution is bit-identical to the original's.
 //
-// JSONL decoding contract.  A line is decoded in one pass over its bytes,
-// with no allocation beyond the record itself:
+// JSONL decoding contract.  A line is decoded in one pass over its bytes
+// by obs::LineScanner::members, with no allocation beyond the record:
 //   - members may come in any key order, with JSON whitespace between
-//     any two tokens; the fast path is one memcmp of the member slot's
-//     name as the writer spells it (`"cat":`), the fallback a string,
-//     a colon and a key search;
+//     any two tokens;
 //   - every key but `w`/`mw` is required; absent, `w` is 1.0 and `mw` 0.0;
 //   - rejected: an unknown or duplicate key, a flag (`inj`, `act`, `det`,
 //     `div`) other than `0`/`1`, a number that is not a plain JSON
@@ -125,5 +123,21 @@ bool decode_records(std::string_view data, obs::RecordFormat format,
 std::optional<std::string> decode_shard_file(
     std::string_view data, std::string_view path, obs::RecordFormat format,
     std::vector<InjectionRecord>& out);
+
+/// A campaign's persisted record stream, decoded.
+struct ShardStream {
+  std::vector<InjectionRecord> records;  ///< every shard's, in shard order
+  std::vector<std::size_t> shard_ends;   ///< records.size() after each shard
+};
+
+/// Finds and decodes the shard files obs::ShardedFileSink wrote under
+/// `base`: `<base>.shard<N>.<jsonl|bin>` from N = 0 up to the first
+/// missing index, read in shard order (the campaign's merge order).  The
+/// extension tells the format.  Returns the error to report, nullopt on
+/// success: no shard file at all, a `.jsonl` and a `.bin` shard both
+/// under `base`, or decode_shard_file's error for the first frame that
+/// does not decode (the intact prefix stays in `out`).
+std::optional<std::string> read_shard_stream(std::string_view base,
+                                             ShardStream& out);
 
 }  // namespace xentry::fault

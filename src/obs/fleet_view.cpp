@@ -43,6 +43,52 @@ std::string_view worker_lifecycle_name(WorkerLifecycle s) {
   return "unknown";
 }
 
+namespace {
+
+// The heartbeat's members, spelled as fault/fleet.cpp's heartbeat_json
+// writes them.
+enum HeartbeatKey : std::size_t {
+  kWorker, kCompleted, kTotal, kRecentPerSec, kSinkLagBytes, kSinkDropped,
+  kCheckpointed, kStragglers, kElapsedSec};
+constexpr std::string_view kHeartbeatMembers[] = {
+    "\"worker\":", "\"completed\":", "\"total\":",
+    "\"recent_per_sec\":", "\"sink_lag_bytes\":", "\"sink_dropped\":",
+    "\"checkpointed\":", "\"stragglers\":", "\"elapsed_sec\":"};
+constexpr std::uint64_t kHeartbeatRequired = (1u << (kElapsedSec + 1)) - 1;
+
+/// Reads one heartbeat into `w`'s heartbeat fields.  All or nothing: a
+/// heartbeat that does not parse leaves `w` untouched.
+void read_heartbeat(std::string_view text, FleetView::WorkerStatus& w) {
+  FleetView::WorkerStatus hb = w;
+  int worker = 0;
+  std::uint64_t checkpointed = 0;
+  double elapsed = 0;
+  LineScanner in(text);
+  if (!in.members(kHeartbeatMembers, kHeartbeatRequired,
+                  [&](std::size_t k) {
+                    switch (k) {
+                      case kWorker: return in.integer(worker);
+                      case kCompleted: return in.integer(hb.completed);
+                      case kTotal: return in.integer(hb.total);
+                      case kRecentPerSec: return in.number(hb.recent_per_sec);
+                      case kSinkLagBytes: return in.integer(hb.sink_lag_bytes);
+                      case kSinkDropped: return in.integer(hb.sink_dropped);
+                      case kCheckpointed: return in.integer(checkpointed);
+                      case kStragglers:
+                        return in.integer(hb.shard_stragglers);
+                      case kElapsedSec: return in.number(elapsed);
+                      default: return false;
+                    }
+                  }) ||
+      !in.end()) {
+    return;
+  }
+  hb.checkpointed = std::max(hb.checkpointed, checkpointed);
+  w = hb;
+}
+
+}  // namespace
+
 FleetView::FleetView(Options opts) : opts_(std::move(opts)) {
   assert(opts_.worker_units.size() ==
          static_cast<std::size_t>(opts_.workers));
@@ -95,27 +141,20 @@ void FleetView::poll(double now_sec) {
       signal = true;
       prev_heartbeat_[wi] = hb;
     }
-    if (!hb.empty()) {
-      if (const std::optional<JsonValue> v = parse_json(hb);
-          v.has_value() && v->is_object()) {
-        w.completed = v->get_uint("completed");
-        w.total = v->get_uint("total");
-        w.recent_per_sec = v->get_double("recent_per_sec");
-        w.sink_lag_bytes = v->get_uint("sink_lag_bytes");
-        w.sink_dropped = v->get_uint("sink_dropped");
-        w.shard_stragglers = v->get_uint("stragglers");
-        w.checkpointed = std::max(w.checkpointed, v->get_uint("checkpointed"));
-      }
-    }
+    // A heartbeat or sidecar that does not parse is left out of this
+    // poll: the worker keeps its previous heartbeat fields.
+    if (!hb.empty()) read_heartbeat(hb, w);
 
-    // Sidecars: the per-unit snapshot streams.  read_snapshots stops at
-    // a torn tail, so tailing a live stream merges the intact prefix.
+    // Sidecars: the per-unit snapshot streams.  read_snapshots ignores a
+    // torn tail, so tailing a live stream merges the intact prefix.
     std::uint64_t sidecar_bytes = 0;
     for (const std::string& path : opts_.sidecar_paths[wi]) {
       const std::string text = read_file(path);
       sidecar_bytes += text.size();
-      if (text.empty()) continue;
-      merged_.merge_from(merge_snapshots(read_snapshots(text)));
+      std::vector<MetricsSnapshot> snaps;
+      if (!read_snapshots(text, path, snaps).has_value()) {
+        merged_.merge_from(merge_snapshots(snaps));
+      }
     }
     if (sidecar_bytes != prev_sidecar_bytes_[wi]) {
       signal = true;

@@ -1,108 +1,285 @@
-// Minimal JSON reader for the telemetry pipeline's own output, and the
-// number writers every hand-rolled JSON writer in the repo shares.
+// The one JSON reader for the files this repo persists, and the number
+// writers its hand-rolled JSON writers share.
 //
-// Everything the observability layer persists (metrics snapshots, the
-// checkpoint journal, JSONL record streams) is JSON this repo wrote
-// itself, and the streaming/resume machinery must read it back without
-// external dependencies.  This parser covers exactly RFC-8259 value
-// syntax (objects, arrays, strings with the escapes our writers emit,
-// numbers, booleans, null) with two deliberate simplifications: numbers
-// are held as both int64 and double (writers only emit integers, a few
-// fixed-precision doubles, and %.17g round-trip doubles), and \uXXXX
-// escapes outside the control range decode to '?' (our writers never
-// emit them).  Parse failures return nullopt instead of throwing — a
-// torn tail line of a killed process's journal is an expected input,
-// not an error.
+// Records (fault/record_io), the checkpoint journal (fault/checkpoint),
+// the metrics-snapshot sidecars (obs/snapshot) and the fleet heartbeats
+// (obs/fleet_view) are JSON this repo wrote itself, one object per line,
+// and all are read by `LineScanner`: a strict cursor over one line whose
+// readers name their members in a table and refuse, with a named error,
+// an unknown, duplicate or missing required key, a value of the wrong
+// type or range, and any byte after the closing brace.  `read_lines`
+// walks a JSONL file: a final line with no newline is a torn write (a
+// killed process's last line) and is ignored, while a corrupt line that
+// ends in a newline is an error naming `path:line`.
 #pragma once
 
+#include <bit>
 #include <charconv>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <type_traits>
 
 namespace xentry::obs {
 
-class JsonValue {
+/// Cursor over one line.  Each read skips JSON whitespace first (except
+/// `literal`) and returns false on a token it does not expect.  Strings
+/// without escapes come back as views into the line.
+class LineScanner {
  public:
-  enum class Kind : std::uint8_t { Null, Bool, Number, String, Array, Object };
+  explicit LineScanner(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
 
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::Null; }
-  bool is_bool() const { return kind_ == Kind::Bool; }
-  bool is_number() const { return kind_ == Kind::Number; }
-  bool is_string() const { return kind_ == Kind::String; }
-  bool is_array() const { return kind_ == Kind::Array; }
-  bool is_object() const { return kind_ == Kind::Object; }
-
-  bool as_bool(bool fallback = false) const {
-    return is_bool() ? bool_ : fallback;
-  }
-  std::int64_t as_int(std::int64_t fallback = 0) const {
-    return is_number() ? int_ : fallback;
-  }
-  std::uint64_t as_uint(std::uint64_t fallback = 0) const {
-    return is_number() ? uint_ : fallback;
-  }
-  double as_double(double fallback = 0.0) const {
-    return is_number() ? double_ : fallback;
-  }
-  const std::string& as_string() const {
-    static const std::string empty;
-    return is_string() ? string_ : empty;
-  }
-  const std::vector<JsonValue>& as_array() const {
-    static const std::vector<JsonValue> empty;
-    return is_array() ? array_ : empty;
-  }
-  const std::map<std::string, JsonValue>& as_object() const {
-    static const std::map<std::string, JsonValue> empty;
-    return is_object() ? object_ : empty;
+  /// The exact bytes `s`, with no whitespace skipped before them.
+  bool literal(std::string_view s) {
+    if (static_cast<std::size_t>(end_ - p_) < s.size() ||
+        std::memcmp(p_, s.data(), s.size()) != 0) {
+      return false;
+    }
+    p_ += s.size();
+    return true;
   }
 
-  /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* get(std::string_view key) const;
+  bool punct(char c) {
+    skip_ws();
+    if (p_ == end_ || *p_ != c) return false;
+    ++p_;
+    return true;
+  }
 
-  /// Convenience: member value with typed fallback.
-  std::int64_t get_int(std::string_view key, std::int64_t fallback = 0) const;
-  std::uint64_t get_uint(std::string_view key,
-                         std::uint64_t fallback = 0) const;
-  double get_double(std::string_view key, double fallback = 0.0) const;
-  bool get_bool(std::string_view key, bool fallback = false) const;
-  const std::string& get_string(std::string_view key) const;
+  /// A string without escapes or control characters.
+  bool string(std::string_view& out) {
+    if (!punct('"')) return false;
+    const char* const start = p_;
+    for (; p_ != end_ && *p_ != '"'; ++p_) {
+      if (*p_ == '\\' || static_cast<unsigned char>(*p_) < 0x20) {
+        return false;
+      }
+    }
+    if (p_ == end_) return false;
+    out = std::string_view(start, static_cast<std::size_t>(p_ - start));
+    ++p_;
+    return true;
+  }
 
-  // Construction (used by the parser; tests may build values directly).
-  static JsonValue null();
-  static JsonValue boolean(bool b);
-  static JsonValue number(std::int64_t i);
-  static JsonValue number_u(std::uint64_t u);
-  static JsonValue number_d(double d);
-  static JsonValue string(std::string s);
-  static JsonValue array(std::vector<JsonValue> a);
-  static JsonValue object(std::map<std::string, JsonValue> o);
+  /// A string with exactly the escapes SnapshotWriter writes: `\"`,
+  /// `\\`, `\n`, `\t`, and `\u00XX` (lowercase hex) for any other
+  /// control byte.  A raw control byte or any other escape is refused.
+  bool escaped(std::string& out) {
+    if (!punct('"')) return false;
+    out.clear();
+    while (p_ != end_) {
+      const char c = *p_++;
+      if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (p_ == end_) return false;
+      switch (*p_++) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'u': {  // \u0000 to \u001f
+          const int lo = end_ - p_ < 4 ? -1 : hex_digit(p_[3]);
+          if (lo < 0 || p_[0] != '0' || p_[1] != '0' || p_[2] < '0' ||
+              p_[2] > '1') {
+            return false;
+          }
+          out += static_cast<char>((p_[2] - '0') * 16 + lo);
+          p_ += 4;
+          break;
+        }
+        default: return false;
+      }
+    }
+    return false;
+  }
+
+  /// A string mapped through one of the `*_from_name` tables.
+  template <typename E>
+  bool named(E& out, std::optional<E> (*from_name)(std::string_view)) {
+    std::string_view s;
+    if (!string(s)) return false;
+    const std::optional<E> v = from_name(s);
+    if (v.has_value()) out = *v;
+    return v.has_value();
+  }
+
+  /// A JSON integer that fits `T` (no leading zeros, no '+').
+  template <typename T>
+  bool integer(T& out) {
+    skip_ws();
+    const char* digit = p_ != end_ && *p_ == '-' ? p_ + 1 : p_;
+    if (end_ - digit > 1 && digit[0] == '0' && is_digit(digit[1])) {
+      return false;
+    }
+    return advance(std::from_chars(p_, end_, out));
+  }
+
+  /// An enumerator written as its underlying integer.
+  template <typename E>
+  bool enumerator(E& out) {
+    std::underlying_type_t<E> v{};
+    if (!integer(v)) return false;
+    out = static_cast<E>(v);
+    return true;
+  }
+
+  /// A flag: exactly `0` or `1`.
+  bool flag(bool& out) {
+    skip_ws();
+    if (p_ == end_ || (*p_ != '0' && *p_ != '1')) return false;
+    out = *p_++ == '1';
+    return true;
+  }
+
+  /// A number as %.17g writes it.  The range check rejects the inf/nan
+  /// spellings from_chars also accepts.
+  bool number(double& out) {
+    skip_ws();
+    if (p_ == end_ || (*p_ != '-' && !is_digit(*p_))) return false;
+    return advance(std::from_chars(p_, end_, out));
+  }
+
+  /// Nothing but whitespace is left; else records "trailing bytes".
+  bool end() {
+    skip_ws();
+    return p_ == end_ || fail("trailing bytes");
+  }
+
+  /// Reads an object whose members are named in `names`, spelled as the
+  /// writer spells them (`"cat":`), in any order: one memcmp per member in
+  /// the writer's order, else a key search.  `read(k)` reads member k's
+  /// value.  Refuses an unknown or duplicate key, a value `read` refuses,
+  /// and a missing key whose bit is set in `required`.
+  template <std::size_t N, typename Read>
+  bool members(const std::string_view (&names)[N], std::uint64_t required,
+               Read&& read) {
+    static_assert(N <= 64, "the seen-key set is one 64-bit word");
+    if (!punct('{')) return fail("not an object");
+    std::uint64_t seen = 0;
+    if (!punct('}')) {
+      for (std::size_t member = 0;; ++member) {
+        std::size_t key = member;
+        if (member >= N || !literal(names[member])) {
+          std::string_view name;
+          if (!string(name) || !punct(':')) return fail("malformed key");
+          key = 0;
+          while (key < N && name_of(names[key]) != name) ++key;
+          if (key == N) return fail("unknown key", name);
+        }
+        const std::uint64_t bit = std::uint64_t{1} << key;
+        const std::string_view name = name_of(names[key]);
+        if ((seen & bit) != 0) return fail("duplicate key", name);
+        seen |= bit;
+        if (!read(key)) return fail("bad value for", name);
+        if (punct('}')) break;
+        if (!punct(',')) return fail("expected ',' or '}'");
+      }
+    }
+    if ((seen & required) == required) return true;
+    return fail("missing key",
+                name_of(names[std::countr_zero(required & ~seen)]));
+  }
+
+  /// Reads an object whose keys are not known ahead (a metric map):
+  /// `read(key)` reads the value of each member, its key decoded by
+  /// `escaped`.
+  template <typename Read>
+  bool map(Read&& read) {
+    if (!punct('{')) return fail("not an object");
+    if (punct('}')) return true;
+    std::string key;
+    do {
+      skip_ws();
+      const char* const open = p_;
+      if (!escaped(key)) return fail("malformed key");
+      // The key as written, between its quotes, for errors.
+      const std::string_view written(
+          open + 1, static_cast<std::size_t>(p_ - open - 2));
+      if (!punct(':')) return fail("malformed key");
+      if (!read(key)) return fail("bad value for", written);
+    } while (punct(','));
+    return punct('}') || fail("expected ',' or '}'");
+  }
+
+  /// Records why the line is refused and returns false.  The first reason
+  /// and key stick: a nested reader's error survives the members() or
+  /// map() call that holds it, which adds its key if the error has none.
+  /// `key` must view the line or a static table.
+  bool fail(std::string_view what, std::string_view key = {}) {
+    if (what_.empty()) what_ = what;
+    if (key_.empty()) key_ = key;
+    return false;
+  }
+
+  /// The recorded reason, with the key it concerns; "malformed JSON"
+  /// when a token read failed outside any member.
+  std::string error() const {
+    if (what_.empty()) return "malformed JSON";
+    if (key_.empty()) return std::string(what_);
+    return std::string(what_) + " '" + std::string(key_) + "'";
+  }
 
  private:
-  Kind kind_ = Kind::Null;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  std::uint64_t uint_ = 0;
-  double double_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> array_;
-  std::map<std::string, JsonValue> object_;
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+  static int hex_digit(char c) {
+    if (is_digit(c)) return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    return -1;
+  }
+  /// A member table entry without its quotes and colon.
+  static std::string_view name_of(std::string_view m) {
+    return std::string_view(m.data() + 1, m.size() - 3);
+  }
+
+  void skip_ws() {
+    while (p_ != end_ &&
+           (*p_ == ' ' || *p_ == '\t' || *p_ == '\r' || *p_ == '\n')) {
+      ++p_;
+    }
+  }
+
+  bool advance(std::from_chars_result res) {
+    if (res.ec != std::errc{}) return false;
+    p_ = res.ptr;
+    return true;
+  }
+
+  const char* p_;
+  const char* end_;
+  std::string_view what_;
+  std::string_view key_;
 };
 
-/// Parses one JSON value from `text` (surrounding whitespace allowed).
-/// Returns nullopt on any syntax error or trailing garbage.
-std::optional<JsonValue> parse_json(std::string_view text);
-
-/// Parses one JSON value from the front of `text`, advancing `pos` past
-/// it; trailing content is left unconsumed.  nullopt on syntax error.
-std::optional<JsonValue> parse_json_prefix(std::string_view text,
-                                           std::size_t& pos);
+/// Reads a JSONL file's lines in order through `read(in)`, which returns
+/// false to refuse a line (and checks `end()` before it keeps anything).
+/// A final line with no newline is a torn write and is ignored.  Returns
+/// the first refusal as "path:line: reason", or nullopt.  `intact_end`
+/// gets the end of the last line read: where to truncate before appending.
+template <typename Read>
+std::optional<std::string> read_lines(std::string_view text,
+                                      std::string_view path, Read&& read,
+                                      std::size_t* intact_end = nullptr) {
+  std::size_t pos = 0;
+  for (std::size_t line = 1;; ++line) {
+    if (intact_end != nullptr) *intact_end = pos;
+    const std::size_t eol = text.find('\n', pos);
+    if (eol == std::string_view::npos) return std::nullopt;
+    LineScanner in(text.substr(pos, eol - pos));
+    if (!read(in) || !in.end()) {
+      return std::string(path) + ":" + std::to_string(line) + ": " +
+             in.error();
+    }
+    pos = eol + 1;
+  }
+}
 
 // Number writers.  std::to_chars, not snprintf: the record encoder runs
 // them ~20 times per record on the campaign hot path.  Integers come out

@@ -1,6 +1,7 @@
 #include "obs/snapshot.hpp"
 
 #include <bit>
+#include <charconv>
 #include <ostream>
 
 #include "obs/json.hpp"
@@ -103,59 +104,104 @@ void SnapshotWriter::prime(const MetricsRegistry& restored,
   wrote_any_ = true;
 }
 
-std::vector<MetricsSnapshot> read_snapshots(std::string_view text) {
-  std::vector<MetricsSnapshot> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) break;  // torn tail: no terminator
-    const std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    const std::optional<JsonValue> v = parse_json(line);
-    if (!v.has_value() || !v->is_object()) break;  // torn/corrupt: stop here
+namespace {
+
+// Member tables, each name spelled as SnapshotWriter writes it.
+enum SnapshotKey : std::size_t { kSeq, kKind, kCounters, kGauges, kHistograms };
+constexpr std::string_view kSnapshotMembers[] = {
+    "\"seq\":", "\"kind\":", "\"counters\":", "\"gauges\":",
+    "\"histograms\":"};
+constexpr std::uint64_t kSnapshotRequired = (1u << (kHistograms + 1)) - 1;
+
+enum HistogramKey : std::size_t { kCount, kSum, kMin, kMax, kBuckets };
+constexpr std::string_view kHistogramMembers[] = {
+    "\"count\":", "\"sum\":", "\"min\":", "\"max\":", "\"buckets\":"};
+// min and max are written only once the histogram has observations.
+constexpr std::uint64_t kHistogramRequired =
+    (1u << kCount) | (1u << kSum) | (1u << kBuckets);
+
+/// One bucket delta, keyed by the bucket's decimal lower bound.  The
+/// writer skips empty buckets, so a zero count is refused too.
+bool read_bucket(LineScanner& in, const std::string& key,
+                 MetricsSnapshot::HistogramDelta& d) {
+  std::uint64_t lb = 0;
+  const char* const end = key.data() + key.size();
+  const auto [p, ec] = std::from_chars(key.data(), end, lb);
+  // bucket_lower_bound is invertible: index = bit_width(lb).
+  const int idx = static_cast<int>(std::bit_width(lb));
+  if (key.empty() || ec != std::errc{} || p != end ||
+      Log2Histogram::bucket_lower_bound(idx) != lb) {
+    return in.fail("bad bucket key");
+  }
+  std::uint64_t& n = d.buckets[idx];
+  if (n != 0) return in.fail("duplicate bucket");
+  return in.integer(n) && n != 0;
+}
+
+bool read_histogram(LineScanner& in, MetricsSnapshot::HistogramDelta& d) {
+  return in.members(kHistogramMembers, kHistogramRequired, [&](std::size_t k) {
+    switch (k) {
+      case kCount: return in.integer(d.count);
+      case kSum: return in.integer(d.sum);
+      case kMin: return in.integer(d.min);
+      case kMax: return in.integer(d.max);
+      case kBuckets:
+        return in.map(
+            [&](const std::string& key) { return read_bucket(in, key, d); });
+      default: return false;
+    }
+  });
+}
+
+/// A metric map: every name once, each value read by `read_value`.
+template <typename V, typename ReadValue>
+bool read_metrics(LineScanner& in, std::map<std::string, V>& out,
+                  ReadValue&& read_value) {
+  return in.map([&](const std::string& name) {
+    V v{};
+    if (!read_value(v)) return false;
+    return out.emplace(name, v).second || in.fail("duplicate metric");
+  });
+}
+
+bool read_snapshot_member(LineScanner& in, std::size_t key,
+                          MetricsSnapshot& snap) {
+  const auto integer = [&in](auto& v) { return in.integer(v); };
+  switch (key) {
+    case kSeq: return in.integer(snap.seq);
+    case kKind: {
+      std::string_view kind;
+      snap.full = in.string(kind) && kind == "full";
+      return snap.full || kind == "delta";
+    }
+    case kCounters: return read_metrics(in, snap.counters, integer);
+    case kGauges: return read_metrics(in, snap.gauges, integer);
+    case kHistograms:
+      return read_metrics(in, snap.histograms,
+                          [&](MetricsSnapshot::HistogramDelta& d) {
+                            return read_histogram(in, d);
+                          });
+    default: return false;
+  }
+}
+
+}  // namespace
+
+std::optional<std::string> read_snapshots(std::string_view text,
+                                          std::string_view path,
+                                          std::vector<MetricsSnapshot>& out) {
+  return read_lines(text, path, [&](LineScanner& in) {
     MetricsSnapshot snap;
-    snap.seq = v->get_uint("seq");
-    snap.full = v->get_string("kind") == "full";
-    if (const JsonValue* counters = v->get("counters")) {
-      for (const auto& [name, val] : counters->as_object()) {
-        snap.counters.emplace(name, val.as_uint());
-      }
-    }
-    if (const JsonValue* gauges = v->get("gauges")) {
-      for (const auto& [name, val] : gauges->as_object()) {
-        snap.gauges.emplace(name, val.as_int());
-      }
-    }
-    if (const JsonValue* hists = v->get("histograms")) {
-      for (const auto& [name, hv] : hists->as_object()) {
-        MetricsSnapshot::HistogramDelta d;
-        d.count = hv.get_uint("count");
-        d.sum = hv.get_uint("sum");
-        d.min = hv.get_uint("min");
-        d.max = hv.get_uint("max");
-        if (const JsonValue* buckets = hv.get("buckets")) {
-          for (const auto& [lb_str, n] : buckets->as_object()) {
-            std::uint64_t lb = 0;
-            for (char c : lb_str) {
-              if (c < '0' || c > '9') {
-                lb = ~std::uint64_t{0};
-                break;
-              }
-              lb = lb * 10 + static_cast<std::uint64_t>(c - '0');
-            }
-            if (lb == ~std::uint64_t{0}) continue;
-            // bucket_lower_bound is invertible: index = bit_width(lb).
-            const int idx = static_cast<int>(std::bit_width(lb));
-            if (idx < Log2Histogram::kNumBuckets) d.buckets[idx] = n.as_uint();
-          }
-        }
-        snap.histograms.emplace(name, d);
-      }
+    if (!in.members(kSnapshotMembers, kSnapshotRequired,
+                    [&](std::size_t k) {
+                      return read_snapshot_member(in, k, snap);
+                    }) ||
+        !in.end()) {
+      return false;
     }
     out.push_back(std::move(snap));
-  }
-  return out;
+    return true;
+  });
 }
 
 MetricsRegistry merge_snapshots(const std::vector<MetricsSnapshot>& snaps) {

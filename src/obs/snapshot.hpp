@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,10 +79,18 @@ class SnapshotWriter {
   bool wrote_any_ = false;
 };
 
-/// Parses a snapshot sidecar stream.  Tolerant of a torn final line
-/// (a killed process's last write): parsing stops there and returns the
-/// intact prefix.
-std::vector<MetricsSnapshot> read_snapshots(std::string_view text);
+/// Parses a snapshot sidecar stream read from `path`, appending to `out`.
+/// A final line with no newline is a torn write (a killed process's last
+/// line) and is ignored.  Every other line is read strictly: an unknown,
+/// duplicate or missing key (a histogram's `min`/`max` are optional), a
+/// repeated metric name or bucket, a bucket key that is not the decimal
+/// lower bound of a Log2Histogram bucket, a value of the wrong type or
+/// range, or trailing bytes is refused.  Returns the first refusal as
+/// "path:line: reason" (the snapshots before that line stay in `out`);
+/// nullopt on success.
+std::optional<std::string> read_snapshots(std::string_view text,
+                                          std::string_view path,
+                                          std::vector<MetricsSnapshot>& out);
 
 /// Reconstructs the registry state as of the last snapshot in `snaps`.
 /// Replay starts at the latest `full` snapshot (earlier entries are

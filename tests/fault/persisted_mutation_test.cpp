@@ -1,0 +1,294 @@
+// Deterministic mutation test for the persisted formats other than the
+// record streams: the checkpoint journal, the metrics-snapshot sidecars
+// and a fleet heartbeat, all taken from one real 2-shard checkpointed
+// fleet-worker campaign.  Each file takes seeded single-bit flips,
+// truncations at every byte offset of one line, and splices of two lines,
+// the same mutations RecordIoMutationTest applies to record streams.
+// Every read must return either a typed error or a value that is valid:
+// a journal that reads back rewrites to a stable journal, a sidecar
+// merges into a registry that survives a snapshot round trip, and a
+// heartbeat poll leaves finite fields.  Run under the ASan/UBSan job, an
+// out-of-bounds read fails the test too.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <random>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "fault/campaign.hpp"
+#include "fault/checkpoint.hpp"
+#include "fault/fleet.hpp"
+#include "obs/atomic_file.hpp"
+#include "obs/fleet_view.hpp"
+#include "obs/snapshot.hpp"
+
+namespace xentry::fault {
+namespace {
+
+enum class Persisted { kJournal, kSidecar0, kSidecar1, kHeartbeat };
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void spill(const std::string& path, std::string_view text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+std::string registry_json(const obs::MetricsRegistry& reg) {
+  std::ostringstream os;
+  reg.write_json(os);
+  return os.str();
+}
+
+class PersistedMutationTest : public ::testing::TestWithParam<Persisted> {
+ protected:
+  /// One fleet worker owning both units of a 96-injection campaign,
+  /// checkpointing every 16 iterations: a header and six checkpoint
+  /// lines, two sidecars, and the worker's final heartbeat.
+  void SetUp() override {
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    dir_ = ::testing::TempDir() + "persisted_" + name;
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    FleetOptions opts;
+    opts.dir = dir_;
+    opts.workers = 1;
+    opts.units = 2;
+    opts.worker_heartbeat_sec = 60;  // only the final heartbeat
+    opts.base.injections = 96;
+    opts.base.seed = 29;
+    opts.base.xentry.transition_detection = false;
+    opts.base.streaming.checkpoint_every = 16;
+    run_campaign(make_worker_config(opts, 0));
+    const std::string journal = fleet_checkpoint_path(dir_, 0);
+    switch (GetParam()) {
+      case Persisted::kJournal: text_ = slurp(journal); break;
+      case Persisted::kSidecar0:
+        text_ = slurp(snapshot_sidecar_path(journal, 0));
+        break;
+      case Persisted::kSidecar1:
+        text_ = slurp(snapshot_sidecar_path(journal, 1));
+        break;
+      case Persisted::kHeartbeat:
+        text_ = slurp(fleet_heartbeat_path(dir_, 0));
+        break;
+    }
+    ASSERT_FALSE(text_.empty());
+    for (std::size_t pos = 0; pos < text_.size();) {
+      line_at_.push_back(pos);
+      pos = text_.find('\n', pos) + 1;
+      ASSERT_NE(pos, 0u) << "every line of a finished file ends in '\\n'";
+    }
+    line_at_.push_back(text_.size());
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::size_t lines() const { return line_at_.size() - 1; }
+  std::string_view line(std::size_t i) const {
+    return std::string_view(text_).substr(line_at_[i],
+                                          line_at_[i + 1] - line_at_[i]);
+  }
+  /// Fewer mutants for the journal, whose lines carry a machine image.
+  int scaled(int n) const {
+    return GetParam() == Persisted::kJournal ? n / 3 : n;
+  }
+
+  /// Reads one mutant with the matching reader and checks the outcome.
+  void check(const std::string& mutant) {
+    switch (GetParam()) {
+      case Persisted::kJournal: return check_journal(mutant);
+      case Persisted::kSidecar0:
+      case Persisted::kSidecar1: return check_sidecar(mutant);
+      case Persisted::kHeartbeat: return check_heartbeat(mutant);
+    }
+  }
+
+  void check_journal(const std::string& mutant) {
+    const std::string path = dir_ + "/mutant.ckpt";
+    spill(path, mutant);
+    const JournalContents j = read_journal(path);
+    ASSERT_LE(j.intact_bytes, mutant.size());
+    if (!j.error.empty()) {
+      ASSERT_FALSE(j.valid);
+      ASSERT_EQ(j.error.rfind(path + ":", 0), 0u) << j.error;
+      return;
+    }
+    if (!j.valid) return;  // no intact header line
+    ASSERT_EQ(j.shards.size(), static_cast<std::size_t>(j.header.shards));
+    // A journal that reads is one the writer can write back, and the
+    // rewritten journal reads back to itself.
+    const std::string once = rewrite(j);
+    const JournalContents again = read_journal(dir_ + "/rewrite.ckpt");
+    ASSERT_TRUE(again.valid) << again.error;
+    ASSERT_EQ(again.header, j.header);
+    ASSERT_EQ(rewrite(again), once);
+  }
+
+  std::string rewrite(const JournalContents& j) const {
+    const std::string path = dir_ + "/rewrite.ckpt";
+    auto w = CheckpointJournal::create(path, j.header);
+    for (const auto& ck : j.shards) {
+      if (ck.has_value()) w->append(*ck);
+    }
+    w.reset();
+    return slurp(path);
+  }
+
+  void check_sidecar(const std::string& mutant) {
+    std::vector<obs::MetricsSnapshot> snaps;
+    if (const auto err = obs::read_snapshots(mutant, "s.jsonl", snaps)) {
+      ASSERT_EQ(err->rfind("s.jsonl:", 0), 0u) << *err;
+      return;
+    }
+    // The merged registry survives a full snapshot and a re-read.
+    const obs::MetricsRegistry reg = obs::merge_snapshots(snaps);
+    std::ostringstream os;
+    obs::SnapshotWriter w(os);
+    w.write(reg);
+    std::vector<obs::MetricsSnapshot> again;
+    ASSERT_FALSE(obs::read_snapshots(os.str(), "again", again).has_value());
+    ASSERT_EQ(registry_json(obs::merge_snapshots(again)), registry_json(reg));
+  }
+
+  void check_heartbeat(const std::string& mutant) {
+    const std::string path = dir_ + "/hb.json";
+    spill(path, mutant);
+    obs::FleetView::Options o;
+    o.workers = 1;
+    o.unit_count = 2;
+    o.worker_units = {{0, 1}};
+    o.heartbeat_paths = {path};
+    o.sidecar_paths = {{}};
+    obs::FleetView view(o);
+    view.poll(0.0);
+    ASSERT_TRUE(std::isfinite(view.worker(0).recent_per_sec));
+  }
+
+  std::string dir_;
+  std::string text_;
+  std::vector<std::size_t> line_at_;  ///< line offsets, then the end
+};
+
+TEST_P(PersistedMutationTest, IntactFileReads) {
+  switch (GetParam()) {
+    case Persisted::kJournal: {
+      const std::string path = dir_ + "/intact.ckpt";
+      spill(path, text_);
+      const JournalContents j = read_journal(path);
+      ASSERT_TRUE(j.valid) << j.error;
+      EXPECT_EQ(j.header.units, (std::vector<int>{0, 1}));
+      EXPECT_EQ(lines(), 7u);
+      for (const auto& ck : j.shards) {
+        ASSERT_TRUE(ck.has_value());
+        EXPECT_EQ(ck->iterations, 48u);
+      }
+      break;
+    }
+    case Persisted::kSidecar0:
+    case Persisted::kSidecar1: {
+      std::vector<obs::MetricsSnapshot> snaps;
+      ASSERT_FALSE(obs::read_snapshots(text_, "s", snaps).has_value());
+      EXPECT_EQ(snaps.size(), lines());
+      EXPECT_EQ(snaps.size(), 3u);
+      break;
+    }
+    case Persisted::kHeartbeat: {
+      const std::string path = dir_ + "/hb.json";
+      spill(path, text_);
+      obs::FleetView::Options o;
+      o.workers = 1;
+      o.worker_units = {{0, 1}};
+      o.heartbeat_paths = {path};
+      o.sidecar_paths = {{}};
+      obs::FleetView view(o);
+      view.poll(0.0);
+      EXPECT_EQ(view.worker(0).completed, 96u);
+      EXPECT_EQ(view.worker(0).total, 96u);
+      break;
+    }
+  }
+  check(text_);
+}
+
+TEST_P(PersistedMutationTest, SingleBitFlipsYieldErrorsOrValidValues) {
+  std::mt19937_64 rng(0xf11b);
+  for (int i = 0; i < scaled(1500); ++i) {
+    std::string mutant = text_;
+    const std::size_t at = rng() % mutant.size();
+    mutant[at] = static_cast<char>(mutant[at] ^ (1 << (rng() % 8)));
+    check(mutant);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST_P(PersistedMutationTest, TruncationAtEveryOffsetOfALineIsATornTail) {
+  // The second line: for a journal, the first line after its header.
+  const std::size_t k = lines() > 1 ? 1 : 0;
+  if (GetParam() == Persisted::kJournal) {
+    // One file, cut shorter step by step: no mutant is written out.
+    const std::string path = dir_ + "/torn.ckpt";
+    spill(path, std::string_view(text_).substr(0, line_at_[k + 1]));
+    for (std::size_t cut = line_at_[k + 1]; cut-- > line_at_[k];) {
+      std::filesystem::resize_file(path, cut);
+      const JournalContents j = read_journal(path);
+      ASSERT_TRUE(j.valid) << j.error;
+      ASSERT_EQ(j.intact_bytes, line_at_[k]) << cut;
+    }
+    return;
+  }
+  for (std::size_t cut = line_at_[k]; cut < line_at_[k + 1]; ++cut) {
+    const std::string mutant = text_.substr(0, cut);
+    check(mutant);
+    if (HasFatalFailure()) return;
+    if (GetParam() != Persisted::kHeartbeat) {
+      std::vector<obs::MetricsSnapshot> snaps;
+      ASSERT_FALSE(obs::read_snapshots(mutant, "s", snaps).has_value());
+      ASSERT_EQ(snaps.size(), k) << cut;
+    }
+  }
+}
+
+TEST_P(PersistedMutationTest, SplicedLinesYieldErrorsOrValidValues) {
+  std::mt19937_64 rng(0x5b1c);
+  for (int i = 0; i < scaled(1000); ++i) {
+    const std::string_view a = line(rng() % lines());
+    const std::string_view b = line(rng() % lines());
+    std::string mutant = text_.substr(0, line_at_[rng() % lines()]);
+    mutant += a.substr(0, rng() % (a.size() + 1));
+    mutant += b.substr(rng() % (b.size() + 1));
+    mutant += line(rng() % lines());
+    check(mutant);
+    if (HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Files, PersistedMutationTest,
+                         ::testing::Values(Persisted::kJournal,
+                                           Persisted::kSidecar0,
+                                           Persisted::kSidecar1,
+                                           Persisted::kHeartbeat),
+                         [](const auto& info) -> std::string {
+                           switch (info.param) {
+                             case Persisted::kJournal: return "Journal";
+                             case Persisted::kSidecar0: return "Sidecar0";
+                             case Persisted::kSidecar1: return "Sidecar1";
+                             case Persisted::kHeartbeat: return "Heartbeat";
+                           }
+                           return "Unknown";
+                         });
+
+}  // namespace
+}  // namespace xentry::fault

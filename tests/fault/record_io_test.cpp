@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <random>
 #include <string>
@@ -602,6 +604,45 @@ TEST(RecordIoTest, DecodeShardFileNamesTheFileAndTheFirstBadRecord) {
                               out),
             "s.jsonl: record 4 does not decode");
   EXPECT_EQ(out.size(), 3u);
+}
+
+TEST(RecordIoTest, ReadShardStreamTellsTheFormatByExtension) {
+  const std::string dir = ::testing::TempDir() + "read_shard_stream";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string base = dir + "/run";
+  const auto recs = sample_records(5);
+  const auto write_shard = [&](obs::RecordFormat fmt, std::size_t shard,
+                               std::size_t first, std::size_t end) {
+    std::string bytes;
+    for (std::size_t i = first; i < end; ++i) {
+      encode_record(recs[i], fmt, bytes);
+    }
+    std::ofstream(obs::ShardedFileSink::shard_path(base, fmt, shard),
+                  std::ios::binary)
+        << bytes;
+  };
+  ShardStream none;
+  EXPECT_EQ(read_shard_stream(base, none),
+            "no shard files found for '" + base + "'");
+
+  for (const obs::RecordFormat fmt :
+       {obs::RecordFormat::kBinary, obs::RecordFormat::kJsonl}) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    write_shard(fmt, 0, 0, 2);
+    write_shard(fmt, 1, 2, 5);
+    ShardStream stream;
+    ASSERT_EQ(read_shard_stream(base, stream), std::nullopt);
+    EXPECT_EQ(stream.shard_ends, (std::vector<std::size_t>{2, 5}));
+    EXPECT_EQ(records_digest(stream.records), records_digest(recs));
+  }
+  // A second kind of shard under the same base, at any index, is refused.
+  write_shard(obs::RecordFormat::kBinary, 2, 0, 1);
+  ShardStream mixed;
+  EXPECT_EQ(read_shard_stream(base, mixed),
+            "both .jsonl and .bin shard files found for '" + base + "'");
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -377,6 +377,165 @@ TEST_F(ResumeTest, JournalRoundTripsShardState) {
   EXPECT_EQ(records, stream.size());
 }
 
+TEST_F(ResumeTest, TornJournalLineIsCutAwayBeforeResumeAppends) {
+  // A kill can tear the journal's last line (a long line is written in
+  // more than one write).  Resume must cut the torn bytes away before it
+  // appends; otherwise its first line is glued onto them, and every later
+  // line goes unread by the next resume.
+  const CampaignConfig ref_cfg = make_cfg("ref", 2, false);
+  const auto ref = run_campaign(ref_cfg);
+  CampaignConfig victim = make_cfg("victim", 2, false);
+  const std::string& journal = victim.streaming.checkpoint_path;
+  victim.streaming.abort_after = 40;
+  run_campaign(victim);
+  {
+    const std::string text = slurp(journal);
+    const std::size_t last = text.rfind('\n', text.size() - 2) + 1;
+    ASSERT_GT(last, 0u);
+    std::filesystem::resize_file(journal, last + (text.size() - last) / 2);
+  }
+
+  victim.streaming.abort_after = 100;  // killed again after checkpoint 96
+  const auto first = run_campaign(victim);
+  EXPECT_TRUE(first.resumed);
+  const JournalContents j = read_journal(journal);
+  ASSERT_TRUE(j.valid) << j.error;
+  EXPECT_EQ(j.intact_bytes, std::filesystem::file_size(journal));
+  std::uint64_t journaled = 0;
+  for (const auto& ck : j.shards) {
+    ASSERT_TRUE(ck.has_value());
+    EXPECT_EQ(ck->iterations, 96u);  // the first resume's latest checkpoint
+    journaled += ck->records_written;
+  }
+
+  victim.streaming.abort_after = 0;
+  const auto second = run_campaign(victim);
+  EXPECT_TRUE(second.resumed);
+  // The second resume starts from those checkpoints: it holds only the
+  // records after them.
+  EXPECT_EQ(second.records.size(), ref.records.size() - journaled);
+  for (int s = 0; s < 2; ++s) {
+    const auto sp = static_cast<std::size_t>(s);
+    EXPECT_EQ(slurp(obs::ShardedFileSink::shard_path(
+                  victim.streaming.records_path, obs::RecordFormat::kJsonl,
+                  sp)),
+              slurp(obs::ShardedFileSink::shard_path(
+                  ref_cfg.streaming.records_path, obs::RecordFormat::kJsonl,
+                  sp)))
+        << "shard " << s;
+  }
+  EXPECT_EQ(stripped_metrics_json(second.metrics),
+            stripped_metrics_json(ref.metrics));
+}
+
+TEST_F(ResumeTest, CorruptJournalLineRefusesResumeNamingTheLine) {
+  CampaignConfig victim = make_cfg("victim", 2, false);
+  victim.streaming.abort_after = 40;
+  run_campaign(victim);
+  const std::string& journal = victim.streaming.checkpoint_path;
+  std::string text = slurp(journal);
+  const std::size_t second_line = text.find('\n') + 1;
+  text.replace(text.find("\"iter\":", second_line), 7, "\"iter\":-");
+  std::ofstream(journal, std::ios::binary | std::ios::trunc) << text;
+
+  victim.streaming.abort_after = 0;
+  try {
+    run_campaign(victim);
+    FAIL() << "resume accepted a corrupt journal";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(journal + ":2: bad value for 'iter'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(slurp(journal), text);  // refused before anything is written
+}
+
+/// A journal written by CheckpointJournal: the header and one checkpoint
+/// line per shard.
+std::string write_journal(const std::string& path, int shards) {
+  CheckpointHeader h;
+  h.seed = 5;
+  h.injections = 100;
+  h.shards = shards;
+  h.checkpoint_every = 16;
+  auto journal = CheckpointJournal::create(path, h);
+  for (int s = 0; s < shards; ++s) {
+    ShardCheckpoint c;
+    c.shard = s;
+    c.iterations = 16;
+    c.records_written = 15;
+    c.digest = 0xfeedu + static_cast<unsigned>(s);
+    c.effective = 15.5;
+    c.gen_rng = "1 2 3";
+    c.main_rng = "4 5 6";
+    c.tsc = 99;
+    c.memory = {{0, 0, 7, 0xdeadbeefull, 0}, {}, {1}};
+    journal->append(c);
+  }
+  journal.reset();
+  return slurp(path);
+}
+
+TEST_F(ResumeTest, JournalReaderRefusesCorruptLines) {
+  const std::string path = dir_ + "/j.ckpt";
+  const std::string good = write_journal(path, 2);
+  const JournalContents j = read_journal(path);
+  ASSERT_TRUE(j.valid) << j.error;
+  EXPECT_EQ(j.intact_bytes, good.size());
+  ASSERT_TRUE(j.shards[1].has_value());
+  EXPECT_EQ(j.shards[1]->digest, 0xfeedu + 1);
+  EXPECT_EQ(j.shards[1]->memory,
+            (std::vector<std::vector<std::uint64_t>>{
+                {0, 0, 7, 0xdeadbeefull, 0}, {}, {1}}));
+
+  const auto refusal = [&](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+    const JournalContents bad = read_journal(path);
+    EXPECT_FALSE(bad.valid);
+    return bad.error.substr(std::min(bad.error.size(), path.size()));
+  };
+  // 4294967298 is 2 modulo 2^32: it must not read as 2 shards.
+  EXPECT_EQ(refusal("\"shards\":2", "\"shards\":4294967298"),
+            ":1: bad value for 'shards'");
+  EXPECT_EQ(refusal("\"shards\":2", "\"shards\":0"),
+            ":1: shard count out of range");
+  EXPECT_EQ(refusal("\"shards\":2", "\"shards\":101"),
+            ":1: shard count out of range");
+  EXPECT_EQ(refusal("\"seed\":5", "\"seed\":\"5\""),
+            ":1: bad value for 'seed'");
+  EXPECT_EQ(refusal("\"type\":\"header\"", "\"type\":\"ckpt\""),
+            ":1: bad value for 'type'");
+  EXPECT_EQ(refusal("\"iter\":16", "\"iter\":16,\"extra\":1"),
+            ":2: unknown key 'extra'");
+  EXPECT_EQ(refusal("\"iter\":16", "\"iter\":16,\"iter\":16"),
+            ":2: duplicate key 'iter'");
+  EXPECT_EQ(refusal(",\"mem\":[\"z2,7,deadbeef,z1\",\"\",\"1\"]", ""),
+            ":2: missing key 'mem'");
+  EXPECT_EQ(refusal("\"shard\":1", "\"shard\":2"),
+            ":3: shard index out of range");
+  EXPECT_EQ(refusal("z2,7", "z2,,7"), ":2: corrupt memory image in 'mem'");
+  EXPECT_EQ(refusal("z2,7", "z2097153,7"),
+            ":2: corrupt memory image in 'mem'");
+  EXPECT_EQ(refusal("deadbeef", "deadbeefdeadbeef0"),
+            ":2: corrupt memory image in 'mem'");
+  EXPECT_EQ(refusal("]}\n", "]}}\n"), ":2: trailing bytes");
+  EXPECT_EQ(refusal("\n{", "\n\n{"), ":2: not an object");
+
+  // A torn final line is not an error; intact_bytes stops before it.
+  const std::size_t last = good.rfind('\n', good.size() - 2) + 1;
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << good.substr(0, last + 10);
+  const JournalContents torn = read_journal(path);
+  EXPECT_TRUE(torn.valid) << torn.error;
+  EXPECT_EQ(torn.intact_bytes, last);
+  EXPECT_TRUE(torn.shards[0].has_value());
+  EXPECT_FALSE(torn.shards[1].has_value());
+}
+
 TEST_F(ResumeTest, StreamingConfigValidation) {
   const auto valid = [this] { return make_cfg("v", 1, false); };
   EXPECT_NO_THROW(validate_campaign_config(valid()));

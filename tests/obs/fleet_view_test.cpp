@@ -3,21 +3,20 @@
 // concurrently-growing and torn-tail snapshot sidecars into one merged
 // registry, stall detection by signal staleness, straggler flagging
 // against the fleet median, and the status.json schema (checked by
-// parsing the document with the in-tree JSON parser).
+// parsing the document with the tests' JSON reader, test_json.hpp).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/atomic_file.hpp"
 #include "obs/fleet_view.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
+#include "test_json.hpp"
 
 namespace xentry::obs {
 namespace {
@@ -193,6 +192,57 @@ TEST_F(FleetViewTest, AggregatesHeartbeatsIntoFleetTotals) {
   EXPECT_FALSE(view.dashboard_line().empty());
 }
 
+TEST_F(FleetViewTest, CorruptHeartbeatOrSidecarIsLeftOutOfThePoll) {
+  FleetView view = make_view();
+  view.set_lifecycle(0, WorkerLifecycle::kRunning, 100, 0);
+  view.set_lifecycle(1, WorkerLifecycle::kRunning, 101, 0);
+  write_file_atomic(path("hb0.json"), hb_json(0, 120, 200, 50.0, 64, 2, 96));
+  MetricsRegistry reg;
+  reg.counter("fault.injected").inc(7);
+  std::ostringstream os;
+  SnapshotWriter w(os);
+  w.write(reg);
+  write_file_atomic(path("s0.jsonl"), os.str());
+  write_file_atomic(path("s1.jsonl"), os.str());
+  view.poll(1.0);
+  ASSERT_EQ(view.worker(0).completed, 120u);
+  ASSERT_EQ(view.merged_metrics().find_counter("fault.injected")->value(),
+            14u);
+
+  // A string where a count belongs: the heartbeat is refused, and the
+  // worker keeps the fields of its last good heartbeat instead of zeros.
+  std::string hb = hb_json(0, 130, 200, 60.0, 8, 2, 100);
+  hb.replace(hb.find("130"), 3, "\"130\"");
+  write_file_atomic(path("hb0.json"), hb);
+  // Unit 1's sidecar grows a line with an unknown key: left out whole.
+  append_file(path("s1.jsonl"),
+              "{\"seq\":1,\"kind\":\"delta\",\"counters\":{},"
+              "\"gauges\":{},\"histograms\":{},\"extra\":0}\n");
+  view.poll(2.0);
+  EXPECT_EQ(view.worker(0).completed, 120u);
+  EXPECT_EQ(view.worker(0).total, 200u);
+  EXPECT_DOUBLE_EQ(view.worker(0).recent_per_sec, 50.0);
+  EXPECT_EQ(view.worker(0).sink_lag_bytes, 64u);
+  EXPECT_EQ(view.worker(0).checkpointed, 96u);
+  EXPECT_EQ(view.merged_metrics().find_counter("fault.injected")->value(),
+            7u);
+
+  // A missing key, an extra key and trailing bytes are refused as well.
+  std::string missing = hb_json(0, 140, 200, 1.0);
+  missing.erase(missing.find(",\"stragglers\":0"), 15);
+  std::string extra = hb_json(0, 140, 200, 1.0);
+  extra.insert(1, "\"x\":1,");
+  const std::string trailing = hb_json(0, 140, 200, 1.0) + "{}\n";
+  for (const std::string& bad : {missing, extra, trailing}) {
+    write_file_atomic(path("hb0.json"), bad);
+    view.poll(3.0);
+    EXPECT_EQ(view.worker(0).completed, 120u) << bad;
+  }
+  write_file_atomic(path("hb0.json"), hb_json(0, 140, 200, 1.0));
+  view.poll(4.0);
+  EXPECT_EQ(view.worker(0).completed, 140u);
+}
+
 TEST_F(FleetViewTest, StatusJsonMatchesSchema) {
   FleetView view = make_view();
   view.set_lifecycle(0, WorkerLifecycle::kRunning, 100, 0);
@@ -211,48 +261,38 @@ TEST_F(FleetViewTest, StatusJsonMatchesSchema) {
   view.poll(1.0);
 
   const std::string doc = view.status_json("running");
-  const std::optional<JsonValue> parsed = parse_json(doc);
-  ASSERT_TRUE(parsed.has_value()) << doc;
-  EXPECT_EQ(parsed->get_string("schema"), "xentry.fleet.status.v1");
-  EXPECT_EQ(parsed->get_string("state"), "running");
+  const test::JsonValue root = test::JsonParser(doc).parse();
+  ASSERT_TRUE(root.is_object()) << doc;
+  const test::JsonObject& top = root.obj();
+  EXPECT_EQ(top.at("schema").str(), "xentry.fleet.status.v1");
+  EXPECT_EQ(top.at("state").str(), "running");
 
-  const JsonValue* fleet = parsed->get("fleet");
-  ASSERT_NE(fleet, nullptr);
-  EXPECT_EQ(fleet->get_uint("seed"), 31u);
-  EXPECT_EQ(fleet->get_uint("injections"), 400u);
-  EXPECT_EQ(fleet->get_int("units"), 4);
-  EXPECT_EQ(fleet->get_int("workers"), 2);
+  const test::JsonObject& fleet = top.at("fleet").obj();
+  EXPECT_EQ(fleet.at("seed").num(), 31);
+  EXPECT_EQ(fleet.at("injections").num(), 400);
+  EXPECT_EQ(fleet.at("units").num(), 4);
+  EXPECT_EQ(fleet.at("workers").num(), 2);
 
-  const JsonValue* progress = parsed->get("progress");
-  ASSERT_NE(progress, nullptr);
-  EXPECT_EQ(progress->get_uint("completed"), 200u);
-  EXPECT_EQ(progress->get_uint("total"), 400u);
+  const test::JsonObject& progress = top.at("progress").obj();
+  EXPECT_EQ(progress.at("completed").num(), 200);
+  EXPECT_EQ(progress.at("total").num(), 400);
 
-  const JsonValue* sink = parsed->get("sink");
-  ASSERT_NE(sink, nullptr);
-  EXPECT_EQ(sink->get_uint("dropped"), 0u);
+  EXPECT_EQ(top.at("sink").obj().at("dropped").num(), 0);
 
-  const JsonValue* health = parsed->get("health");
-  ASSERT_NE(health, nullptr);
-  EXPECT_EQ(health->get_int("stalled"), 0);
-  EXPECT_EQ(health->get_int("restarts"), 0);
+  const test::JsonObject& health = top.at("health").obj();
+  EXPECT_EQ(health.at("stalled").num(), 0);
+  EXPECT_EQ(health.at("restarts").num(), 0);
 
-  const JsonValue* workers = parsed->get("workers");
-  ASSERT_NE(workers, nullptr);
-  ASSERT_TRUE(workers->is_array());
-  ASSERT_EQ(workers->as_array().size(), 2u);
-  const JsonValue& w0 = workers->as_array()[0];
-  EXPECT_EQ(w0.get_int("worker"), 0);
-  EXPECT_EQ(w0.get_string("state"), "running");
-  EXPECT_EQ(w0.get_uint("completed"), 120u);
-  const JsonValue* units = w0.get("units");
-  ASSERT_NE(units, nullptr);
-  ASSERT_TRUE(units->is_array());
-  EXPECT_EQ(units->as_array().size(), 2u);
+  const test::JsonArray& workers = top.at("workers").arr();
+  ASSERT_EQ(workers.size(), 2u);
+  const test::JsonObject& w0 = workers[0].obj();
+  EXPECT_EQ(w0.at("worker").num(), 0);
+  EXPECT_EQ(w0.at("state").str(), "running");
+  EXPECT_EQ(w0.at("completed").num(), 120);
+  EXPECT_EQ(w0.at("units").arr().size(), 2u);
 
   // The merged registry rides along, histogram percentiles included.
-  const JsonValue* metrics = parsed->get("metrics");
-  ASSERT_NE(metrics, nullptr);
+  EXPECT_TRUE(top.at("metrics").is_object());
   EXPECT_NE(doc.find("fault.latency_steps"), std::string::npos);
   EXPECT_NE(doc.find("p99"), std::string::npos);
 
