@@ -4,7 +4,8 @@
 // The paper's headline experiment is a 30,000-injection campaign; the
 // injections/sec of `run_campaign` bounds every study we can afford.
 // This bench runs one campaign and reports its records digest, outcome
-// rates and end-to-end injections/sec.  Per-layer costs (engine steps,
+// rates, end-to-end injections/sec, the process's peak RSS and the
+// in-memory size of one kept record.  Per-layer costs (engine steps,
 // snapshot/restore) are measured in context by perfbench/.
 //
 // Output is a single JSON object, suitable for seeding a BENCH_*.json
@@ -16,6 +17,8 @@
 //                        [--records-out PATH] [--records-format jsonl|bin]
 //                        [--checkpoint PATH] [--help]
 // Run `micro_campaign --help` for the flag reference.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +47,13 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// The process's peak resident set so far, in MiB (as perfbench reads it).
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
 }
 
 struct StreamingFlags {
@@ -155,7 +165,7 @@ CampaignScore time_campaign(int injections, int shards, std::uint64_t seed,
   for (const auto& r : records) {
     score.manifested += fault::is_manifested(r.consequence);
     score.detected += r.detected;
-    score.forensics += r.forensics.has_value();
+    score.forensics += r.forensics() != nullptr;
   }
   score.digest = bench::records_digest(records);
   score.weighted = fault::weighted_rates(records);
@@ -354,7 +364,9 @@ int main(int argc, char** argv) {
       "  \"weighted_detected_rate\": %.6f,\n"
       "  \"campaign_elapsed_sec\": %.4f,\n"
       "  \"injections_per_sec\": %.1f,\n"
-      "  \"effective_injections_per_sec\": %.1f\n"
+      "  \"effective_injections_per_sec\": %.1f,\n"
+      "  \"peak_rss_mb\": %.2f,\n"
+      "  \"record_bytes\": %zu\n"
       "}\n",
       injections, shards, static_cast<unsigned long long>(seed),
       std::string(sim::engine_name(engine)).c_str(), campaign.records,
@@ -370,6 +382,7 @@ int main(int argc, char** argv) {
       campaign.weighted.manifested_rate(),
       campaign.weighted.detected_rate(), campaign.elapsed,
       static_cast<double>(campaign.records) / campaign.elapsed,
-      campaign.weighted.effective_injections / campaign.elapsed);
+      campaign.weighted.effective_injections / campaign.elapsed,
+      peak_rss_mb(), sizeof(fault::InjectionRecord));
   return 0;
 }

@@ -564,9 +564,9 @@ class ShardLoop {
       if (rec.activated) cm_.activated->inc();
       if (is_manifested(rec.consequence)) cm_.manifested->inc();
       if (rec.detected) cm_.detected->inc();
-      if (!rec.blackbox.empty()) cm_.blackbox_dumps->inc();
-      if (rec.forensics.has_value() && cm_.forensics_replays != nullptr) {
-        const obs::ForensicsRecord& fx = *rec.forensics;
+      if (!rec.blackbox().empty()) cm_.blackbox_dumps->inc();
+      if (rec.forensics() != nullptr && cm_.forensics_replays != nullptr) {
+        const obs::ForensicsRecord& fx = *rec.forensics();
         cm_.forensics_replays->inc();
         cm_.forensics_replay_steps->inc(fx.replay_steps);
         if (!fx.heuristic_agrees) cm_.forensics_mismatch->inc();

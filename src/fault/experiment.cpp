@@ -183,7 +183,7 @@ InjectionExperiment::Result InjectionExperiment::run_one(
   // record so Table 2-style analysis needs no re-run.  The faulted run
   // that produced this outcome is the ring's newest frame.
   if (flight_ != nullptr && is_blackbox_worthy(rec.consequence)) {
-    flight_->dump_into(rec.blackbox);
+    flight_->dump_into(rec.postmortem.fill().blackbox);
   }
 
   if (forensics_.enabled && needs_forensics(rec.consequence, rec.detected)) {
@@ -218,7 +218,7 @@ void InjectionExperiment::run_forensics(InjectionRecord& rec,
                    : attribute_from_evidence(fx, rec);
   fx.attributed = static_cast<std::uint8_t>(attributed);
   fx.heuristic_agrees = attributed == rec.undetected;
-  rec.forensics = std::move(fx);
+  rec.postmortem.fill().forensics = std::move(fx);
 }
 
 UndetectedClass InjectionExperiment::attribute_from_evidence(

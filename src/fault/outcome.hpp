@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -77,26 +79,76 @@ std::string_view undetected_class_name(UndetectedClass c);
 std::optional<UndetectedClass> undetected_class_from_name(
     std::string_view name);
 
+/// The postmortem payloads of one record: in-memory only, telemetry-
+/// dependent, and excluded from the determinism digest and from both wire
+/// formats, so records stay bit-identical across telemetry modes.
+struct Postmortem {
+  /// Flight-recorder dump (oldest VM exit first), captured automatically
+  /// when the outcome is SDC / crash class and a flight recorder is
+  /// attached (obs::Options::flight_recorder).
+  std::vector<obs::FlightFrame> blackbox;
+
+  /// Lockstep-replay evidence (obs::Options::forensics): first
+  /// architectural divergence, taint map, and evidence-based escape
+  /// attribution.  `InjectionRecord::undetected` always keeps the
+  /// heuristic value; consumers read the evidence-based class through
+  /// effective_undetected().
+  std::optional<obs::ForensicsRecord> forensics;
+};
+
+/// Owning, deep-copying pointer to a record's Postmortem.  Null until
+/// something stores a payload, so a record without one allocates
+/// nothing; a copy clones the payload and a move transfers it, which
+/// keeps InjectionRecord a rule-of-zero value type.
+class PostmortemBox {
+ public:
+  PostmortemBox() = default;
+  PostmortemBox(const PostmortemBox& other)
+      : p_(other.p_ ? std::make_unique<Postmortem>(*other.p_) : nullptr) {}
+  PostmortemBox(PostmortemBox&&) noexcept = default;
+  PostmortemBox& operator=(const PostmortemBox& other) {
+    return *this = PostmortemBox(other);
+  }
+  PostmortemBox& operator=(PostmortemBox&&) noexcept = default;
+
+  /// The payload, or null when the record carries none.
+  const Postmortem* get() const { return p_.get(); }
+  /// The payload, allocated empty first when the record carries none.
+  Postmortem& fill() {
+    if (!p_) p_ = std::make_unique<Postmortem>();
+    return *p_;
+  }
+
+ private:
+  std::unique_ptr<Postmortem> p_;
+};
+
 /// Complete record of one injection experiment.
+///
+/// Campaigns keep one per injection, so the layout is part of its cost:
+/// the digested scalars sit inline with no padding beyond the 3 bytes
+/// inside hv::Injection (the 4-byte fields paired, the eight one-byte
+/// fields together), and the rarely-filled postmortem payloads live out
+/// of line behind one pointer.  The static_assert below holds the record
+/// to 128 bytes.
 struct InjectionRecord {
   hv::ExitReason reason;
   std::uint64_t activation_seed = 0;
-  int vcpu = 0;
   hv::Injection injection;
+  int vcpu = 0;
+  std::uint32_t assert_id = 0;
 
   bool injected = false;
   bool activated = false;
   Consequence consequence = Consequence::Masked;
-
   bool detected = false;
   Technique technique = Technique::None;
-  /// Dynamic instructions between error activation and detection.
-  std::uint64_t latency = 0;
-
   sim::TrapKind trap = sim::TrapKind::None;
-  std::uint32_t assert_id = 0;
   bool trace_diverged = false;
   UndetectedClass undetected = UndetectedClass::NotApplicable;
+
+  /// Dynamic instructions between error activation and detection.
+  std::uint64_t latency = 0;
 
   FeatureVector features;
 
@@ -106,34 +158,41 @@ struct InjectionRecord {
   /// to Masked without execution.  weight + masked_weight == 1 under
   /// importance sampling; weight == 1, masked_weight == 0 under uniform
   /// sampling, where weighted_rates() reduces to plain counts.  Derived
-  /// metadata: excluded from the determinism digest (like blackbox), which
-  /// hashes only the executed record stream.
+  /// metadata: excluded from the determinism digest (like the postmortem),
+  /// which hashes only the executed record stream.
   double weight = 1.0;
   double masked_weight = 0.0;
 
-  /// Flight-recorder dump (oldest VM exit first), captured automatically
-  /// when the outcome is SDC / crash class and a flight recorder is
-  /// attached (obs::Options::flight_recorder).  Postmortem payload only:
-  /// excluded from the determinism digest, so records stay bit-identical
-  /// across telemetry modes.
-  std::vector<obs::FlightFrame> blackbox;
+  /// SDC / crash / escape postmortems; null for every other record and
+  /// whenever neither the flight recorder nor forensics is on.
+  PostmortemBox postmortem;
 
-  /// Lockstep-replay evidence (obs::Options::forensics): first
-  /// architectural divergence, taint map, and evidence-based escape
-  /// attribution.  Like `blackbox`, excluded from the determinism digest
-  /// — `undetected` always keeps the heuristic value, and consumers read
-  /// the evidence-based class through effective_undetected().
-  std::optional<obs::ForensicsRecord> forensics;
+  /// The flight-recorder dump; empty when none was captured.
+  std::span<const obs::FlightFrame> blackbox() const {
+    const Postmortem* p = postmortem.get();
+    return p != nullptr ? std::span<const obs::FlightFrame>(p->blackbox)
+                        : std::span<const obs::FlightFrame>();
+  }
+  /// The lockstep-replay evidence; null when no replay ran.
+  const obs::ForensicsRecord* forensics() const {
+    const Postmortem* p = postmortem.get();
+    return p != nullptr && p->forensics.has_value() ? &*p->forensics
+                                                    : nullptr;
+  }
 };
+
+static_assert(sizeof(InjectionRecord) <= 128,
+              "InjectionRecord is kept per injection: move rarely-filled "
+              "payloads into Postmortem");
 
 /// The escape class analysis should use: the replay-evidence attribution
 /// when forensics ran, the heuristic otherwise.  The digested `undetected`
 /// field is never rewritten, so record digests stay bit-identical whether
 /// forensics ran or not.
 inline UndetectedClass effective_undetected(const InjectionRecord& r) {
-  return r.forensics.has_value()
-             ? static_cast<UndetectedClass>(r.forensics->attributed)
-             : r.undetected;
+  const obs::ForensicsRecord* fx = r.forensics();
+  return fx != nullptr ? static_cast<UndetectedClass>(fx->attributed)
+                       : r.undetected;
 }
 
 /// True for outcomes the forensics replay investigates: silent data

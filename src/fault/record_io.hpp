@@ -12,7 +12,7 @@
 //     today but readers must honour the prefix.
 //
 // Both encode every determinism-relevant field plus the sampling weights;
-// the postmortem payloads (`blackbox`, `forensics`) stay in-memory-only,
+// the postmortem payload (`InjectionRecord::postmortem`) stays in memory,
 // matching the digest's scope.  Encode→decode round-trips to a record
 // whose digest contribution is bit-identical to the original's.
 //
@@ -71,7 +71,7 @@ inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
 
 /// Folds one record into a running digest.  The digest covers every
 /// determinism-relevant field in a fixed order and deliberately excludes
-/// `blackbox`/`forensics` (telemetry-dependent payloads) and the sampling
+/// the postmortem (telemetry-dependent payloads) and the sampling
 /// weights (derived metadata), so digests are bit-identical across
 /// telemetry modes and checkpointable per shard.
 std::uint64_t digest_update(std::uint64_t h, const InjectionRecord& r);
@@ -95,8 +95,8 @@ void encode_record(const InjectionRecord& r, obs::RecordFormat format,
 
 /// Decodes the frame at `pos` in `data`, advancing `pos` past it.  All or
 /// nothing: on a malformed, out-of-range or truncated frame it returns
-/// false and leaves both `pos` and every field of `out` (blackbox and
-/// forensics included) untouched.
+/// false and leaves both `pos` and every field of `out` (its postmortem
+/// payload included) untouched.
 bool decode_record(std::string_view data, obs::RecordFormat format,
                    std::size_t& pos, InjectionRecord& out);
 

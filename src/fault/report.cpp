@@ -98,7 +98,8 @@ void write_forensics_jsonl(std::ostream& os,
   // symbols, register/consequence/class names), so no JSON escaping is
   // needed.
   for (const InjectionRecord& r : records) {
-    if (!r.forensics.has_value()) continue;
+    const obs::ForensicsRecord* fx = r.forensics();
+    if (fx == nullptr) continue;
     os << "{\"handler\": \"" << hv::handler_symbol(r.reason)
        << "\", \"reason_code\": " << r.reason.code()
        << ", \"seed\": " << r.activation_seed << ", \"vcpu\": " << r.vcpu
@@ -111,7 +112,7 @@ void write_forensics_jsonl(std::ostream& os,
        << undetected_class_name(r.undetected) << "\", \"undetected\": \""
        << undetected_class_name(effective_undetected(r))
        << "\", \"forensics\": ";
-    r.forensics->write_json(os);
+    fx->write_json(os);
     os << "}\n";
   }
 }

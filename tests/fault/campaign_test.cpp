@@ -287,7 +287,8 @@ TEST_P(ProvenHangTest, EveryHangIsProvenAndMatchesTheReferenceEngine) {
     ASSERT_TRUE(records_identical(x, y)) << "record " << i;
     ASSERT_EQ(x.weight, y.weight) << "record " << i;
     ASSERT_EQ(x.masked_weight, y.masked_weight) << "record " << i;
-    ASSERT_EQ(x.blackbox, y.blackbox) << "record " << i;
+    ASSERT_TRUE(std::ranges::equal(x.blackbox(), y.blackbox()))
+        << "record " << i;
     hangs += x.consequence == Consequence::HypervisorHang;
   }
   EXPECT_EQ(hangs, c.hangs);
@@ -606,22 +607,27 @@ TEST(CampaignTest, FlightRecorderPopulatesBlackboxOnSdcAndCrash) {
   for (const auto& r : res.records) {
     if (is_blackbox_worthy(r.consequence)) {
       ++worthy;
-      EXPECT_FALSE(r.blackbox.empty());
-      EXPECT_LE(r.blackbox.size(), 8u);
-      for (std::size_t i = 1; i < r.blackbox.size(); ++i) {
-        EXPECT_EQ(r.blackbox[i].seq, r.blackbox[i - 1].seq + 1)
+      const auto frames = r.blackbox();
+      EXPECT_FALSE(frames.empty());
+      EXPECT_LE(frames.size(), 8u);
+      for (std::size_t i = 1; i < frames.size(); ++i) {
+        EXPECT_EQ(frames[i].seq, frames[i - 1].seq + 1)
             << "frames must be consecutive, oldest first";
       }
     } else {
-      EXPECT_TRUE(r.blackbox.empty());
+      EXPECT_EQ(r.postmortem.get(), nullptr);
     }
   }
   ASSERT_GT(worthy, 0u) << "campaign produced no SDC/crash outcomes to dump";
 
-  // With the recorder off, no record carries a postmortem.
+  // With the recorder off, no record carries a postmortem: not even an
+  // empty payload is allocated.
   cfg.obs = {};
   const auto off = run_campaign(cfg);
-  for (const auto& r : off.records) EXPECT_TRUE(r.blackbox.empty());
+  for (const auto& r : off.records) {
+    EXPECT_TRUE(r.blackbox().empty());
+    EXPECT_EQ(r.postmortem.get(), nullptr);
+  }
 }
 
 TEST(CampaignTest, MetricsMatchRecordStream) {

@@ -140,7 +140,7 @@ TEST(DigestPinTest, FlightRecorderBlackbox) {
   std::uint64_t h = kDigestBasis;
   std::size_t frames = 0;
   for (const InjectionRecord& r : res.records) {
-    for (const obs::FlightFrame& f : r.blackbox) {
+    for (const obs::FlightFrame& f : r.blackbox()) {
       for (const std::uint64_t v :
            {f.seq, static_cast<std::uint64_t>(f.exit_code), f.steps,
             f.inst_retired, f.branches, f.loads, f.stores,

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <type_traits>
+#include <utility>
+
 #include "fault/campaign.hpp"
 #include "fault/outcome.hpp"
 #include "sim/assembler.hpp"
@@ -52,9 +56,97 @@ TEST(ForensicsEnums, EffectiveUndetectedPrefersForensicsAttribution) {
   EXPECT_EQ(effective_undetected(r), UndetectedClass::OtherValues);
   obs::ForensicsRecord fx;
   fx.attributed = static_cast<std::uint8_t>(UndetectedClass::StackValues);
-  r.forensics = fx;
+  r.postmortem.fill().forensics = fx;
   EXPECT_EQ(effective_undetected(r), UndetectedClass::StackValues);
   EXPECT_EQ(r.undetected, UndetectedClass::OtherValues);  // never rewritten
+}
+
+// -- the out-of-line postmortem payload -------------------------------------
+
+/// A record carrying both payloads: two flight frames and a replay.
+InjectionRecord record_with_postmortem() {
+  InjectionRecord r;
+  r.undetected = UndetectedClass::OtherValues;
+  Postmortem& pm = r.postmortem.fill();
+  pm.blackbox.resize(2);
+  pm.blackbox[0].seq = 10;
+  pm.blackbox[1].seq = 11;
+  pm.forensics.emplace();
+  pm.forensics->attributed =
+      static_cast<std::uint8_t>(UndetectedClass::TimeValues);
+  pm.forensics->taint.resize(1);
+  return r;
+}
+
+TEST(PostmortemTest, RecordWithoutPayloadAllocatesNothing) {
+  InjectionRecord r;
+  r.undetected = UndetectedClass::StackValues;
+  EXPECT_EQ(r.postmortem.get(), nullptr);
+  EXPECT_TRUE(r.blackbox().empty());
+  EXPECT_EQ(r.forensics(), nullptr);
+  EXPECT_EQ(effective_undetected(r), UndetectedClass::StackValues);
+
+  const InjectionRecord copy = r;
+  EXPECT_EQ(copy.postmortem.get(), nullptr);
+  InjectionRecord assigned = record_with_postmortem();
+  assigned = r;
+  EXPECT_EQ(assigned.postmortem.get(), nullptr);
+  EXPECT_EQ(effective_undetected(assigned), UndetectedClass::StackValues);
+}
+
+TEST(PostmortemTest, BlackboxAloneKeepsTheHeuristicClass) {
+  InjectionRecord r;
+  r.undetected = UndetectedClass::OtherValues;
+  r.postmortem.fill().blackbox.resize(3);
+  EXPECT_EQ(r.blackbox().size(), 3u);
+  EXPECT_EQ(r.forensics(), nullptr);
+  EXPECT_EQ(effective_undetected(r), UndetectedClass::OtherValues);
+}
+
+TEST(PostmortemTest, CopyClonesThePayload) {
+  const InjectionRecord original = record_with_postmortem();
+  InjectionRecord copy = original;
+  ASSERT_NE(copy.postmortem.get(), nullptr);
+  EXPECT_NE(copy.postmortem.get(), original.postmortem.get());
+  EXPECT_TRUE(std::ranges::equal(copy.blackbox(), original.blackbox()));
+  EXPECT_EQ(effective_undetected(copy), UndetectedClass::TimeValues);
+
+  Postmortem& pm = copy.postmortem.fill();
+  pm.blackbox[0].seq = 99;
+  pm.blackbox.pop_back();
+  pm.forensics->attributed =
+      static_cast<std::uint8_t>(UndetectedClass::StackValues);
+  pm.forensics->taint.clear();
+  ASSERT_EQ(original.blackbox().size(), 2u);
+  EXPECT_EQ(original.blackbox()[0].seq, 10u);
+  EXPECT_EQ(original.blackbox()[1].seq, 11u);
+  ASSERT_NE(original.forensics(), nullptr);
+  EXPECT_EQ(original.forensics()->taint.size(), 1u);
+  EXPECT_EQ(effective_undetected(original), UndetectedClass::TimeValues);
+
+  // Copy-assignment onto a record with a payload of its own clones too.
+  InjectionRecord target = record_with_postmortem();
+  target = copy;
+  EXPECT_NE(target.postmortem.get(), copy.postmortem.get());
+  EXPECT_EQ(target.blackbox().size(), 1u);
+  EXPECT_EQ(effective_undetected(target), UndetectedClass::StackValues);
+}
+
+TEST(PostmortemTest, MoveTransfersThePayload) {
+  static_assert(std::is_nothrow_move_constructible_v<InjectionRecord>,
+                "vector growth must move records, not clone payloads");
+  InjectionRecord source = record_with_postmortem();
+  const Postmortem* payload = source.postmortem.get();
+  InjectionRecord moved = std::move(source);
+  EXPECT_EQ(moved.postmortem.get(), payload);
+  EXPECT_EQ(source.postmortem.get(), nullptr);
+  EXPECT_EQ(moved.blackbox().size(), 2u);
+
+  InjectionRecord target;
+  target = std::move(moved);
+  EXPECT_EQ(target.postmortem.get(), payload);
+  EXPECT_EQ(moved.postmortem.get(), nullptr);
+  EXPECT_EQ(effective_undetected(target), UndetectedClass::TimeValues);
 }
 
 // -- divergence scan on hand-built programs ---------------------------------
@@ -186,11 +278,11 @@ TEST(ForensicsCampaign, EverySdcHasDivergenceAndTaint) {
   auto res = run_campaign(forensics_config(2000));
   std::size_t sdc = 0, replayed = 0;
   for (const auto& r : res.records) {
-    if (r.forensics.has_value()) ++replayed;
+    if (r.forensics() != nullptr) ++replayed;
     if (r.consequence != Consequence::AppSdc) continue;
     ++sdc;
-    ASSERT_TRUE(r.forensics.has_value());
-    const obs::ForensicsRecord& fx = *r.forensics;
+    ASSERT_NE(r.forensics(), nullptr);
+    const obs::ForensicsRecord& fx = *r.forensics();
     // An SDC means persistent state really differed at run end, so the
     // replay must find the propagation and sample it at least once.
     EXPECT_TRUE(fx.diverged);
@@ -207,8 +299,8 @@ TEST(ForensicsCampaign, TaintSamplesAreMonotonicAndConsistent) {
   const auto res = run_campaign(forensics_config(400));
   std::size_t samples = 0;
   for (const auto& r : res.records) {
-    if (!r.forensics.has_value() || !r.forensics->diverged) continue;
-    const auto& taint = r.forensics->taint;
+    if (r.forensics() == nullptr || !r.forensics()->diverged) continue;
+    const auto& taint = r.forensics()->taint;
     for (std::size_t i = 0; i < taint.size(); ++i, ++samples) {
       if (i > 0) {
         EXPECT_GT(taint[i].step, taint[i - 1].step);
@@ -225,8 +317,8 @@ TEST(ForensicsCampaign, AttributionAgreesWithTaintEvidence) {
   const auto res = run_campaign(forensics_config(400));
   std::size_t checked = 0;
   for (const auto& r : res.records) {
-    if (!r.forensics.has_value()) continue;
-    const obs::ForensicsRecord& fx = *r.forensics;
+    if (r.forensics() == nullptr) continue;
+    const obs::ForensicsRecord& fx = *r.forensics();
     const auto attributed = static_cast<UndetectedClass>(fx.attributed);
     EXPECT_LE(fx.attributed,
               static_cast<std::uint8_t>(UndetectedClass::OtherValues));
@@ -270,7 +362,7 @@ TEST(ForensicsCampaign, DigestedFieldsIdenticalWithForensicsOnOrOff) {
   for (std::size_t i = 0; i < a.records.size(); ++i) {
     const InjectionRecord& x = a.records[i];
     const InjectionRecord& y = b.records[i];
-    EXPECT_FALSE(x.forensics.has_value());
+    EXPECT_EQ(x.forensics(), nullptr);
     // Every digested field, including the heuristic `undetected`.
     EXPECT_EQ(x.reason.code(), y.reason.code());
     EXPECT_EQ(x.activation_seed, y.activation_seed);

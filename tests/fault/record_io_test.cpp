@@ -151,7 +151,7 @@ TEST(RecordIoTest, DigestIgnoresPostmortemPayloadsAndWeights) {
   InjectionRecord b = a;
   b.weight = 0.125;
   b.masked_weight = 0.875;
-  b.blackbox.resize(3);
+  b.postmortem.fill().blackbox.resize(3);
   const std::uint64_t da = digest_update(kDigestBasis, a);
   EXPECT_EQ(da, digest_update(kDigestBasis, b));
 
@@ -302,17 +302,24 @@ TEST(RecordIoJsonlTest, AnyKeyOrderAndWhitespaceDecodeToTheSameRecord) {
   ASSERT_EQ(members.size(), 20u);
   std::mt19937 rng(20);
   std::shuffle(members.begin(), members.end(), rng);
+  // Each member becomes `key\t: \r value`, every ',' inside it " ,  ".
+  const auto spread_commas = [](std::string_view s) {
+    std::string out;
+    for (const char ch : s) {
+      if (ch == ',') {
+        out += " ,  ";
+      } else {
+        out += ch;
+      }
+    }
+    return out;
+  };
   std::string spaced = " {\t";
   for (std::size_t i = 0; i < members.size(); ++i) {
-    std::string m = members[i];
-    m.insert(m.find(':') + 1, " \r ");
-    m.insert(m.find(':'), "\t");
-    std::size_t c = 0;
-    while ((c = m.find(',', c)) != std::string::npos) {
-      m.replace(c, 1, " ,  ");
-      c += 4;
-    }
-    spaced += (i > 0 ? " ,\t" : "") + m;
+    const std::string_view m = members[i];
+    const std::size_t colon = m.find(':');
+    spaced += (i > 0 ? " ,\t" : "") + spread_commas(m.substr(0, colon)) +
+              "\t: \r " + spread_commas(m.substr(colon + 1));
   }
   spaced += " }  \r\n";
 
@@ -514,11 +521,13 @@ TEST_P(RecordIoFormatTest, CorruptKthFrameAppendsExactlyTheFramesBeforeIt) {
 TEST_P(RecordIoFormatTest, FailedDecodeRecordLeavesOutAndPosUntouched) {
   const auto fmt = GetParam();
   InjectionRecord out = sample_record(3);
-  out.blackbox.resize(2);
-  out.blackbox[1].seq = 99;
-  out.blackbox[1].trap_addr = 0x4000;
-  out.forensics.emplace();
-  out.forensics->attributed = 2;
+  Postmortem& pm = out.postmortem.fill();
+  pm.blackbox.resize(2);
+  pm.blackbox[1].seq = 99;
+  pm.blackbox[1].trap_addr = 0x4000;
+  pm.forensics.emplace();
+  pm.forensics->attributed = 2;
+  const Postmortem* payload = out.postmortem.get();
   const InjectionRecord before = out;
 
   // A frame whose every field decodes before its range check fails.
@@ -532,9 +541,11 @@ TEST_P(RecordIoFormatTest, FailedDecodeRecordLeavesOutAndPosUntouched) {
   EXPECT_FALSE(decode_record(data, fmt, pos, out));
   EXPECT_EQ(pos, start);
   EXPECT_EQ(stream_of({out}, fmt), stream_of({before}, fmt));
-  EXPECT_EQ(out.blackbox, before.blackbox);
-  ASSERT_TRUE(out.forensics.has_value());
-  EXPECT_EQ(out.forensics->attributed, 2);
+  // The payload is the same allocation, with the same contents.
+  EXPECT_EQ(out.postmortem.get(), payload);
+  EXPECT_TRUE(std::ranges::equal(out.blackbox(), before.blackbox()));
+  ASSERT_NE(out.forensics(), nullptr);
+  EXPECT_EQ(out.forensics()->attributed, 2);
 }
 
 TEST_P(RecordIoFormatTest, FramePreCountIsBoundedOnHostileBytes) {

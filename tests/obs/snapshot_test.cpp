@@ -222,8 +222,9 @@ TEST(SnapshotTest, UnknownDuplicateAndMissingKeysAreRefused) {
             "s.jsonl:1: bad value for 'seq'");
   EXPECT_EQ(refusal("{\"seq\":0,\"kind\":\"full\"," + tail + "x\n"),
             "s.jsonl:2: not an object");
-  std::string trailing = "{\"seq\":0,\"kind\":\"full\"," + tail;
-  trailing.insert(trailing.size() - 1, "}");
+  // One '}' too many before the newline.
+  const std::string trailing = "{\"seq\":0,\"kind\":\"full\"," +
+                               tail.substr(0, tail.size() - 1) + "}\n";
   EXPECT_EQ(refusal(trailing), "s.jsonl:1: trailing bytes");
   // A repeated metric name, and a counter that is not an unsigned count.
   EXPECT_EQ(refusal("{\"seq\":0,\"kind\":\"full\",\"counters\":"
