@@ -170,8 +170,8 @@ CampaignScore time_campaign(int injections, int shards, std::uint64_t seed,
   score.digest = bench::records_digest(records);
   score.weighted = fault::weighted_rates(records);
   if (!metrics_out.empty()) {
-    // Atomic publication: tailing readers (the fleet plane's pattern)
-    // see either the previous report or this one, never a torn write.
+    // Atomic publication: a reader polling the file sees either the
+    // previous report or this one, never a torn write.
     std::ostringstream os;
     res.metrics.write_json(os);
     obs::write_file_atomic(metrics_out, os.str());

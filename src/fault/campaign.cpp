@@ -4,7 +4,6 @@
 #include "fault/record_io.hpp"
 #include "fault/sampler.hpp"
 #include "obs/atomic_file.hpp"
-#include "obs/fleet_view.hpp"
 #include "obs/snapshot.hpp"
 
 #include <algorithm>
@@ -16,7 +15,6 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -29,6 +27,26 @@ wl::WorkloadProfile uniform_sweep_profile() {
     p.mix.emplace_back(r, 1.0);
   }
   return p;
+}
+
+double median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  if (values.size() % 2 == 1) return values[mid];
+  return 0.5 * (values[mid - 1] + values[mid]);
+}
+
+std::vector<bool> flag_stragglers(const std::vector<double>& rates,
+                                  double fraction) {
+  std::vector<bool> flagged(rates.size(), false);
+  if (fraction <= 0.0 || rates.size() < 2) return flagged;
+  const double med = median(rates);
+  if (!(med > 0.0)) return flagged;
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    flagged[i] = rates[i] < fraction * med;
+  }
+  return flagged;
 }
 
 void validate_campaign_config(const CampaignConfig& cfg) {
@@ -54,43 +72,6 @@ void validate_campaign_config(const CampaignConfig& cfg) {
     fail("shards must be >= 0 (0 = hardware concurrency), got " +
          std::to_string(cfg.shards));
   }
-  if (cfg.fleet.unit_count < 0) {
-    fail("fleet.unit_count must be >= 0 (0 = not a fleet worker), got " +
-         std::to_string(cfg.fleet.unit_count));
-  }
-  if (cfg.fleet.unit_count > 0) {
-    if (cfg.streaming.records_path.empty()) {
-      fail("fleet.unit_count is set without streaming.records_path — fleet "
-           "work units only exist as durable shard streams; point "
-           "records_path at the shared campaign directory");
-    }
-    if (cfg.injections > 0 && cfg.fleet.unit_count > cfg.injections) {
-      fail("fleet.unit_count " + std::to_string(cfg.fleet.unit_count) +
-           " exceeds injections " + std::to_string(cfg.injections) +
-           " — the equivalent single-process campaign clamps shards to "
-           "injections, so the partitions could never match");
-    }
-    if (cfg.fleet.units.empty()) {
-      fail("fleet.unit_count is set but fleet.units is empty — this process "
-           "would own no work units");
-    }
-    std::vector<bool> seen(static_cast<std::size_t>(cfg.fleet.unit_count));
-    for (int u : cfg.fleet.units) {
-      if (u < 0 || u >= cfg.fleet.unit_count) {
-        fail("fleet.units entry " + std::to_string(u) +
-             " is outside [0, unit_count=" +
-             std::to_string(cfg.fleet.unit_count) + ")");
-      }
-      if (seen[static_cast<std::size_t>(u)]) {
-        fail("fleet.units contains unit " + std::to_string(u) +
-             " twice — a unit's stream would be written by two shards");
-      }
-      seen[static_cast<std::size_t>(u)] = true;
-    }
-  } else if (!cfg.fleet.units.empty()) {
-    fail("fleet.units is set without fleet.unit_count — set unit_count to "
-         "the fleet-wide size of the unit space");
-  }
   if (cfg.obs.flight_recorder && cfg.obs.flight_recorder_depth <= 0) {
     fail("obs.flight_recorder enabled with non-positive "
          "flight_recorder_depth " +
@@ -107,11 +88,6 @@ void validate_campaign_config(const CampaignConfig& cfg) {
   if (!(cfg.heartbeat.interval_sec >= 0) ||
       std::isinf(cfg.heartbeat.interval_sec)) {
     fail("heartbeat.interval_sec must be finite and >= 0");
-  }
-  if (!(cfg.heartbeat.straggler_fraction >= 0.0 &&
-        cfg.heartbeat.straggler_fraction < 1.0)) {
-    fail("heartbeat.straggler_fraction must be within [0, 1), got " +
-         std::to_string(cfg.heartbeat.straggler_fraction));
   }
   if (cfg.xentry.transition_detection && cfg.model.empty() &&
       !cfg.collect_dataset) {
@@ -195,6 +171,10 @@ using Clock = std::chrono::steady_clock;
 /// Trace-event budget per shard recorder: events beyond it are counted as
 /// dropped instead of growing the buffer.
 constexpr std::size_t kShardTraceEvents = 1u << 20;
+
+/// A heartbeat flags a shard whose recent rate falls below this fraction
+/// of the median across the unfinished shards (flag_stragglers).
+constexpr double kStragglerFraction = 0.5;
 
 /// Per-shard progress cells for the heartbeat, padded to a cache line so
 /// shards never share one.  Relaxed increments: the monitor reads a
@@ -734,28 +714,12 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     }
   }
 
-  // Fleet mode pins the shard space to the fleet-wide unit count (the
-  // same quotas and seeds the single-process run with shards = unit_count
-  // uses) and this process executes only its assigned subset.
-  const bool fleet = cfg.fleet.unit_count > 0;
   int shards = cfg.shards;
-  if (fleet) {
-    shards = cfg.fleet.unit_count;
-  } else {
-    if (shards <= 0) {
-      shards = static_cast<int>(std::thread::hardware_concurrency());
-      if (shards <= 0) shards = 4;
-    }
-    if (shards > cfg.injections && cfg.injections > 0) shards = cfg.injections;
+  if (shards <= 0) {
+    shards = static_cast<int>(std::thread::hardware_concurrency());
+    if (shards <= 0) shards = 4;
   }
-  std::vector<int> active;  // shard indices this process runs, ascending
-  if (fleet) {
-    active = cfg.fleet.units;
-    std::sort(active.begin(), active.end());
-  } else {
-    active.resize(static_cast<std::size_t>(shards));
-    std::iota(active.begin(), active.end(), 0);
-  }
+  if (shards > cfg.injections && cfg.injections > 0) shards = cfg.injections;
 
   const wl::WorkloadProfile profile =
       cfg.workload.mix.empty() ? uniform_sweep_profile() : cfg.workload;
@@ -772,7 +736,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
   header.importance = cfg.sampling.importance;
   header.checkpoint_every = st.checkpoint_every;
   header.records_format = static_cast<std::uint8_t>(st.records_format);
-  if (fleet) header.units = active;
   JournalContents journal_state;
   bool resuming = false;
   if (!st.checkpoint_path.empty()) {
@@ -804,12 +767,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     so.format = st.records_format;
     so.shard_count = static_cast<std::size_t>(shards);
     so.buffer_bytes = st.sink_buffer_bytes;
-    if (fleet) {
-      so.active_shards.reserve(active.size());
-      for (int u : active) {
-        so.active_shards.push_back(static_cast<std::size_t>(u));
-      }
-    }
     if (resuming) {
       // Truncate each shard stream to its journaled durable offset: frames
       // past the last commit point are torn tails, rewritten on resume.
@@ -856,23 +813,19 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     progress = std::make_unique<ShardProgress[]>(
         static_cast<std::size_t>(shards));
   }
-  const auto shard_quota = [&](int u) {
+  const auto shard_quota = [&](int sh) {
     return static_cast<std::uint64_t>(
-        cfg.injections / shards + (u < cfg.injections % shards ? 1 : 0));
+        cfg.injections / shards + (sh < cfg.injections % shards ? 1 : 0));
   };
-  // This process's own workload: in fleet mode the sum of the assigned
-  // units' quotas, otherwise exactly cfg.injections.
-  std::uint64_t hb_total = 0;
-  for (int u : active) hb_total += shard_quota(u);
   const auto make_sample = [&](bool last) {
     HeartbeatSample s;
     s.last = last;
-    s.total = hb_total;
-    s.shards.reserve(active.size());
-    for (int u : active) {
-      const ShardProgress& p = progress[u];
+    s.total = static_cast<std::uint64_t>(cfg.injections);
+    s.shards.reserve(static_cast<std::size_t>(shards));
+    for (int sh = 0; sh < shards; ++sh) {
+      const ShardProgress& p = progress[sh];
       HeartbeatSample::ShardThroughput tp;
-      tp.shard = u;
+      tp.shard = sh;
       tp.completed = p.completed.load(std::memory_order_relaxed);
       s.shards.push_back(tp);
       s.completed += tp.completed;
@@ -898,7 +851,8 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
       std::mutex m;
       std::condition_variable_any cv;
       std::uint64_t prev_completed = 0;
-      std::vector<std::uint64_t> prev_shard(active.size(), 0);
+      std::vector<std::uint64_t> prev_shard(
+          static_cast<std::size_t>(shards), 0);
       auto prev_t = Clock::now();
       std::unique_lock lk(m);
       const auto interval =
@@ -929,7 +883,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
           }
         }
         const std::vector<bool> lag =
-            obs::flag_stragglers(rates, cfg.heartbeat.straggler_fraction);
+            flag_stragglers(rates, kStragglerFraction);
         for (std::size_t j = 0; j < unfinished.size(); ++j) {
           if (lag[j]) {
             s.shards[unfinished[j]].straggler = true;
@@ -953,8 +907,8 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
   std::vector<CampaignResult> partials(static_cast<std::size_t>(shards));
   {
     std::vector<std::jthread> threads;
-    threads.reserve(active.size());
-    for (const int s : active) {
+    threads.reserve(static_cast<std::size_t>(shards));
+    for (int s = 0; s < shards; ++s) {
       threads.emplace_back([&, s] {
         // The shard's latest journal line; null on a fresh start.
         const ShardCheckpoint* resume = nullptr;

@@ -51,20 +51,32 @@ struct HeartbeatSample {
   /// Record-sink frames dropped across all shards (nonzero only when a
   /// sink failed — a healthy file sink never drops).
   std::uint64_t sink_dropped = 0;
-  /// Per-shard progress, one entry per *running* shard of this process,
-  /// in shard order.  Feeds the straggler monitor and the fleet plane.
+  /// Per-shard progress, one entry per shard, in shard order.  Feeds the
+  /// straggler monitor.
   struct ShardThroughput {
     int shard = -1;
     std::uint64_t completed = 0;
     double recent_per_sec = 0;  ///< since the previous heartbeat
-    /// True when this shard's recent rate fell below
-    /// `Heartbeat::straggler_fraction` of the median across shards.
+    /// True when this shard's recent rate fell below half the median
+    /// across the unfinished shards (see flag_stragglers).
     bool straggler = false;
   };
   std::vector<ShardThroughput> shards;
   std::uint64_t stragglers = 0;  ///< count of flagged shards this sample
   bool last = false;  ///< true for the exact post-join sample
 };
+
+/// Median of `values` (by copy; the argument order does not matter).
+/// Returns 0 for an empty vector; averages the middle pair for even n.
+double median(std::vector<double> values);
+
+/// Flags entries whose rate falls below `fraction` times the median of
+/// `rates`.  No entry is flagged when `fraction` <= 0, when fewer than
+/// two rates exist (a lone shard has no peers to lag behind), or when
+/// the median itself is 0 (everyone equally stuck is a stall, not a
+/// straggle).
+std::vector<bool> flag_stragglers(const std::vector<double>& rates,
+                                  double fraction);
 
 struct CampaignConfig {
   int injections = 1000;
@@ -81,21 +93,6 @@ struct CampaignConfig {
   int stream_gap = 2;
   std::uint64_t seed = 1;
   int shards = 0;  ///< 0: hardware concurrency
-
-  /// Fleet partition (src/fault/fleet.hpp).  A fleet campaign fixes the
-  /// shard space to `unit_count` deterministic work units — the same
-  /// quotas and seeds the equivalent single-process run with
-  /// `shards = unit_count` would use — and this process executes only the
-  /// `units` subset.  Unit streams land in the single-process shard-file
-  /// layout (`<records_path>.shard<u>.*`), so the files from any worker
-  /// partition concatenate in unit order to the identical byte stream.
-  /// Requires streaming.records_path; `units` must be unique and within
-  /// [0, unit_count).  unit_count == 0 disables fleet mode.
-  struct FleetConfig {
-    int unit_count = 0;
-    std::vector<int> units;
-  };
-  FleetConfig fleet{};
 
   hv::MicrovisorOptions machine{};
   XentryConfig xentry{};
@@ -174,10 +171,6 @@ struct CampaignConfig {
   struct Heartbeat {
     double interval_sec = 0;
     std::function<void(const HeartbeatSample&)> callback;
-    /// A shard whose recent rate drops below this fraction of the median
-    /// across this process's shards is flagged as a straggler in
-    /// HeartbeatSample::shards.  Must be in [0, 1); 0 disables flagging.
-    double straggler_fraction = 0.5;
   };
   Heartbeat heartbeat{};
 };

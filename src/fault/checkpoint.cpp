@@ -88,18 +88,6 @@ std::string header_line(const CheckpointHeader& h) {
   append_u64(line, static_cast<std::uint64_t>(h.checkpoint_every));
   line += ",\"fmt\":";
   append_u64(line, h.records_format);
-  // Only fleet workers carry a unit assignment; omitting the key keeps
-  // single-process journals byte-identical to pre-fleet ones.
-  if (!h.units.empty()) {
-    line += ",\"units\":[";
-    bool first = true;
-    for (int u : h.units) {
-      if (!first) line += ',';
-      first = false;
-      append_u64(line, static_cast<std::uint64_t>(u));
-    }
-    line += ']';
-  }
   line += "}\n";
   return line;
 }
@@ -190,13 +178,12 @@ namespace {
 // Member tables, each name spelled as header_line/checkpoint_line write it.
 enum HeaderKey : std::size_t {
   kHType, kHSeed, kHInjections, kHShards, kHBias, kHWarmup, kHGap,
-  kHImportance, kHEvery, kHFmt, kHUnits};
+  kHImportance, kHEvery, kHFmt};
 constexpr std::string_view kHeaderMembers[] = {
     "\"type\":", "\"seed\":", "\"injections\":", "\"shards\":",
     "\"bias\":", "\"warmup\":", "\"gap\":", "\"importance\":",
-    "\"every\":", "\"fmt\":", "\"units\":"};
-// Every member but `units`, which only fleet workers' journals carry.
-constexpr std::uint64_t kHeaderRequired = (1u << kHUnits) - 1;
+    "\"every\":", "\"fmt\":"};
+constexpr std::uint64_t kHeaderRequired = (1u << (kHFmt + 1)) - 1;
 
 enum CheckpointKey : std::size_t {
   kCType, kCShard, kCIter, kCRecords, kCDigest, kCEff, kCSinkOff, kCSnapOff,
@@ -239,13 +226,6 @@ bool read_header_member(obs::LineScanner& in, std::size_t key,
     case kHImportance: return in.flag(h.importance);
     case kHEvery: return read_count(in, h.checkpoint_every);
     case kHFmt: return in.integer(h.records_format);
-    case kHUnits: {
-      if (!in.punct('[')) return false;
-      do {
-        if (!read_count(in, h.units.emplace_back())) return false;
-      } while (in.punct(','));
-      return in.punct(']');
-    }
     default: return false;
   }
 }

@@ -53,12 +53,6 @@ struct CheckpointHeader {
   bool importance = false;
   int checkpoint_every = 0;
   std::uint8_t records_format = 0;
-  /// Work-unit identity (fleet campaigns): the subset of the `shards`
-  /// unit space this journal's process owns.  Empty means "all shards"
-  /// (the single-process campaign).  A fleet worker restarted with a
-  /// different unit assignment would splice streams from two different
-  /// partitions, so the assignment is part of the resume identity.
-  std::vector<int> units;
 
   friend bool operator==(const CheckpointHeader&,
                          const CheckpointHeader&) = default;

@@ -1,14 +1,12 @@
 // Whole-file I/O: atomic publication (write-to-temp + rename) and its
 // reading counterpart.
 //
-// The fleet observability plane is built on files that one process
-// rewrites on a cadence while others tail them: the coordinator's
-// status.json, each worker's heartbeat file, micro_campaign's
-// --metrics-out.  A plain truncate-and-write lets a reader observe a
-// torn prefix; POSIX rename(2) within one directory is atomic, so
-// writing the full content to a sibling temp file and renaming it over
-// the target guarantees every reader sees either the old file or the
-// new one, never a mix.
+// micro_campaign's --metrics-out may be rewritten while another process
+// reads it.  A plain truncate-and-write lets a reader observe a torn
+// prefix; POSIX rename(2) within one directory is atomic, so writing the
+// full content to a sibling temp file and renaming it over the target
+// guarantees every reader sees either the old file or the new one,
+// never a mix.
 #pragma once
 
 #include <string>

@@ -1,10 +1,9 @@
 // The one JSON reader for the files this repo persists, and the number
 // writers its hand-rolled JSON writers share.
 //
-// Records (fault/record_io), the checkpoint journal (fault/checkpoint),
-// the metrics-snapshot sidecars (obs/snapshot) and the fleet heartbeats
-// (obs/fleet_view) are JSON this repo wrote itself, one object per line,
-// and all are read by `LineScanner`: a strict cursor over one line whose
+// Records (fault/record_io), the checkpoint journal (fault/checkpoint)
+// and the metrics-snapshot sidecars (obs/snapshot) are JSON this repo
+// wrote itself, one object per line, and all are read by `LineScanner`: a strict cursor over one line whose
 // readers name their members in a table and refuse, with a named error,
 // an unknown, duplicate or missing required key, a value of the wrong
 // type or range, and any byte after the closing brace.  `read_lines`

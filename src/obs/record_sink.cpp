@@ -38,16 +38,9 @@ ShardedFileSink::ShardedFileSink(Options opts)
   const bool resume = !opts.resume_offsets.empty();
   assert(!resume || opts.resume_offsets.size() == opts.shard_count);
   shards_.resize(opts.shard_count);
-  if (!opts.active_shards.empty()) {
-    for (Shard& sh : shards_) sh.active = false;
-    for (std::size_t s : opts.active_shards) {
-      if (s < shards_.size()) shards_[s].active = true;
-    }
-  }
   for (std::size_t s = 0; s < opts.shard_count; ++s) {
     Shard& sh = shards_[s];
     sh.path = shard_path(opts.base_path, opts.format, s);
-    if (!sh.active) continue;  // another worker's stream: never opened
     sh.buffer.reserve(buffer_bytes_);
     if (resume) {
       // Truncate to the last durable (journaled) offset: anything past it
@@ -77,7 +70,7 @@ ShardedFileSink::~ShardedFileSink() {
 
 bool ShardedFileSink::append(std::size_t shard, std::string_view frame) {
   Shard& sh = shards_[shard];
-  if (sh.failed || !sh.active) {
+  if (sh.failed) {
     ++sh.stats.dropped;
     return false;
   }

@@ -40,8 +40,7 @@ struct SinkShardStats {
   std::uint64_t flushed_bytes = 0;
   /// Flushes forced by a full buffer (subset of `flushes`).
   std::uint64_t backpressure_flushes = 0;
-  /// Frames rejected (failed stream or inactive shard), plus discarded
-  /// buffers.
+  /// Frames rejected by a failed stream, plus discarded buffers.
   std::uint64_t dropped = 0;
 };
 
@@ -90,11 +89,6 @@ class ShardedFileSink final : public RecordSink {
     /// When non-empty (size == shard_count), resume mode: truncate each
     /// shard file to this offset and append.
     std::vector<std::uint64_t> resume_offsets;
-    /// Fleet partition: when non-empty, only these shard indices get a
-    /// file opened (and truncated/resumed); the rest stay closed so a
-    /// worker process never touches another worker's unit streams.
-    /// Appends to an inactive shard drop.  Empty = all shards active.
-    std::vector<std::size_t> active_shards;
   };
 
   static std::string shard_path(std::string_view base, RecordFormat f,
@@ -114,7 +108,7 @@ class ShardedFileSink final : public RecordSink {
   const SinkShardStats& stats(std::size_t shard) const override;
   std::size_t shard_count() const override { return shards_.size(); }
 
-  /// False once any active shard hit an I/O failure (open or write).
+  /// False once any shard hit an I/O failure (open or write).
   bool ok() const;
   const std::string& path(std::size_t shard) const;
 
@@ -126,8 +120,6 @@ class ShardedFileSink final : public RecordSink {
     std::uint64_t offset = 0;
     SinkShardStats stats;
     bool failed = false;
-    /// False for shards another process owns (Options::active_shards).
-    bool active = true;
   };
 
   std::size_t buffer_bytes_;

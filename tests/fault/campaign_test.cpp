@@ -594,6 +594,28 @@ TEST(CampaignTest, HeartbeatFiresAndFinalSampleIsExact) {
   EXPECT_EQ(fin.detected_by_technique, by_technique);
 }
 
+TEST(HeartbeatStragglers, MedianOfSortedAndUnsorted) {
+  EXPECT_EQ(median({}), 0.0);
+  EXPECT_EQ(median({5.0}), 5.0);
+  EXPECT_EQ(median({3.0, 1.0, 2.0}), 2.0);
+  EXPECT_EQ(median({4.0, 1.0, 3.0, 2.0}), 2.5);
+}
+
+TEST(HeartbeatStragglers, FlagsBelowFractionOfMedian) {
+  const auto flags = flag_stragglers({10.0, 9.0, 2.0, 11.0}, 0.5);
+  EXPECT_EQ(flags, (std::vector<bool>{false, false, true, false}));
+}
+
+TEST(HeartbeatStragglers, EdgeCasesFlagNothing) {
+  // Disabled threshold, a lone shard, and all shards stuck (median 0)
+  // produce no straggler flags.
+  EXPECT_EQ(flag_stragglers({1.0, 100.0}, 0.0),
+            (std::vector<bool>{false, false}));
+  EXPECT_EQ(flag_stragglers({1.0}, 0.5), (std::vector<bool>{false}));
+  EXPECT_EQ(flag_stragglers({0.0, 0.0, 0.0}, 0.5),
+            (std::vector<bool>{false, false, false}));
+}
+
 TEST(CampaignTest, FlightRecorderPopulatesBlackboxOnSdcAndCrash) {
   CampaignConfig cfg;
   cfg.injections = 600;

@@ -1,18 +1,16 @@
 // Deterministic mutation test for the persisted formats other than the
-// record streams: the checkpoint journal, the metrics-snapshot sidecars
-// and a fleet heartbeat, all taken from one real 2-shard checkpointed
-// fleet-worker campaign.  Each file takes seeded single-bit flips,
-// truncations at every byte offset of one line, and splices of two lines,
-// the same mutations RecordIoMutationTest applies to record streams.
-// Every read must return either a typed error or a value that is valid:
-// a journal that reads back rewrites to a stable journal, a sidecar
-// merges into a registry that survives a snapshot round trip, and a
-// heartbeat poll leaves finite fields.  Run under the ASan/UBSan job, an
+// record streams: the checkpoint journal and the metrics-snapshot
+// sidecars, all taken from one real 2-shard checkpointed campaign.  Each
+// file takes seeded single-bit flips, truncations at every byte offset of
+// one line, and splices of two lines, the same mutations
+// RecordIoMutationTest applies to record streams.  Every read must return
+// either a typed error or a value that is valid: a journal that reads
+// back rewrites to a stable journal, and a sidecar merges into a registry
+// that survives a snapshot round trip.  Run under the ASan/UBSan job, an
 // out-of-bounds read fails the test too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -25,15 +23,12 @@
 
 #include "fault/campaign.hpp"
 #include "fault/checkpoint.hpp"
-#include "fault/fleet.hpp"
-#include "obs/atomic_file.hpp"
-#include "obs/fleet_view.hpp"
 #include "obs/snapshot.hpp"
 
 namespace xentry::fault {
 namespace {
 
-enum class Persisted { kJournal, kSidecar0, kSidecar1, kHeartbeat };
+enum class Persisted { kJournal, kSidecar0, kSidecar1 };
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -53,9 +48,8 @@ std::string registry_json(const obs::MetricsRegistry& reg) {
 
 class PersistedMutationTest : public ::testing::TestWithParam<Persisted> {
  protected:
-  /// One fleet worker owning both units of a 96-injection campaign,
-  /// checkpointing every 16 iterations: a header and six checkpoint
-  /// lines, two sidecars, and the worker's final heartbeat.
+  /// A 96-injection campaign on two shards, checkpointing every 16
+  /// iterations: a header and six checkpoint lines, and two sidecars.
   void SetUp() override {
     std::string name =
         ::testing::UnitTest::GetInstance()->current_test_info()->name();
@@ -63,17 +57,18 @@ class PersistedMutationTest : public ::testing::TestWithParam<Persisted> {
     dir_ = ::testing::TempDir() + "persisted_" + name;
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
-    FleetOptions opts;
-    opts.dir = dir_;
-    opts.workers = 1;
-    opts.units = 2;
-    opts.worker_heartbeat_sec = 60;  // only the final heartbeat
-    opts.base.injections = 96;
-    opts.base.seed = 29;
-    opts.base.xentry.transition_detection = false;
-    opts.base.streaming.checkpoint_every = 16;
-    run_campaign(make_worker_config(opts, 0));
-    const std::string journal = fleet_checkpoint_path(dir_, 0);
+    CampaignConfig cfg;
+    cfg.injections = 96;
+    cfg.seed = 29;
+    cfg.shards = 2;
+    cfg.xentry.transition_detection = false;
+    cfg.obs.metrics = true;
+    cfg.streaming.records_path = dir_ + "/records";
+    cfg.streaming.checkpoint_path = dir_ + "/records.ckpt";
+    cfg.streaming.checkpoint_every = 16;
+    cfg.streaming.keep_records = false;
+    run_campaign(cfg);
+    const std::string& journal = cfg.streaming.checkpoint_path;
     switch (GetParam()) {
       case Persisted::kJournal: text_ = slurp(journal); break;
       case Persisted::kSidecar0:
@@ -81,9 +76,6 @@ class PersistedMutationTest : public ::testing::TestWithParam<Persisted> {
         break;
       case Persisted::kSidecar1:
         text_ = slurp(snapshot_sidecar_path(journal, 1));
-        break;
-      case Persisted::kHeartbeat:
-        text_ = slurp(fleet_heartbeat_path(dir_, 0));
         break;
     }
     ASSERT_FALSE(text_.empty());
@@ -112,7 +104,6 @@ class PersistedMutationTest : public ::testing::TestWithParam<Persisted> {
       case Persisted::kJournal: return check_journal(mutant);
       case Persisted::kSidecar0:
       case Persisted::kSidecar1: return check_sidecar(mutant);
-      case Persisted::kHeartbeat: return check_heartbeat(mutant);
     }
   }
 
@@ -163,20 +154,6 @@ class PersistedMutationTest : public ::testing::TestWithParam<Persisted> {
     ASSERT_EQ(registry_json(obs::merge_snapshots(again)), registry_json(reg));
   }
 
-  void check_heartbeat(const std::string& mutant) {
-    const std::string path = dir_ + "/hb.json";
-    spill(path, mutant);
-    obs::FleetView::Options o;
-    o.workers = 1;
-    o.unit_count = 2;
-    o.worker_units = {{0, 1}};
-    o.heartbeat_paths = {path};
-    o.sidecar_paths = {{}};
-    obs::FleetView view(o);
-    view.poll(0.0);
-    ASSERT_TRUE(std::isfinite(view.worker(0).recent_per_sec));
-  }
-
   std::string dir_;
   std::string text_;
   std::vector<std::size_t> line_at_;  ///< line offsets, then the end
@@ -189,7 +166,8 @@ TEST_P(PersistedMutationTest, IntactFileReads) {
       spill(path, text_);
       const JournalContents j = read_journal(path);
       ASSERT_TRUE(j.valid) << j.error;
-      EXPECT_EQ(j.header.units, (std::vector<int>{0, 1}));
+      // The header carries the campaign identity and nothing else.
+      EXPECT_EQ(line(0).find("\"units\""), std::string_view::npos);
       EXPECT_EQ(lines(), 7u);
       for (const auto& ck : j.shards) {
         ASSERT_TRUE(ck.has_value());
@@ -203,20 +181,6 @@ TEST_P(PersistedMutationTest, IntactFileReads) {
       ASSERT_FALSE(obs::read_snapshots(text_, "s", snaps).has_value());
       EXPECT_EQ(snaps.size(), lines());
       EXPECT_EQ(snaps.size(), 3u);
-      break;
-    }
-    case Persisted::kHeartbeat: {
-      const std::string path = dir_ + "/hb.json";
-      spill(path, text_);
-      obs::FleetView::Options o;
-      o.workers = 1;
-      o.worker_units = {{0, 1}};
-      o.heartbeat_paths = {path};
-      o.sidecar_paths = {{}};
-      obs::FleetView view(o);
-      view.poll(0.0);
-      EXPECT_EQ(view.worker(0).completed, 96u);
-      EXPECT_EQ(view.worker(0).total, 96u);
       break;
     }
   }
@@ -253,11 +217,9 @@ TEST_P(PersistedMutationTest, TruncationAtEveryOffsetOfALineIsATornTail) {
     const std::string mutant = text_.substr(0, cut);
     check(mutant);
     if (HasFatalFailure()) return;
-    if (GetParam() != Persisted::kHeartbeat) {
-      std::vector<obs::MetricsSnapshot> snaps;
-      ASSERT_FALSE(obs::read_snapshots(mutant, "s", snaps).has_value());
-      ASSERT_EQ(snaps.size(), k) << cut;
-    }
+    std::vector<obs::MetricsSnapshot> snaps;
+    ASSERT_FALSE(obs::read_snapshots(mutant, "s", snaps).has_value());
+    ASSERT_EQ(snaps.size(), k) << cut;
   }
 }
 
@@ -278,14 +240,12 @@ TEST_P(PersistedMutationTest, SplicedLinesYieldErrorsOrValidValues) {
 INSTANTIATE_TEST_SUITE_P(Files, PersistedMutationTest,
                          ::testing::Values(Persisted::kJournal,
                                            Persisted::kSidecar0,
-                                           Persisted::kSidecar1,
-                                           Persisted::kHeartbeat),
+                                           Persisted::kSidecar1),
                          [](const auto& info) -> std::string {
                            switch (info.param) {
                              case Persisted::kJournal: return "Journal";
                              case Persisted::kSidecar0: return "Sidecar0";
                              case Persisted::kSidecar1: return "Sidecar1";
-                             case Persisted::kHeartbeat: return "Heartbeat";
                            }
                            return "Unknown";
                          });

@@ -509,6 +509,9 @@ TEST_F(ResumeTest, JournalReaderRefusesCorruptLines) {
             ":1: bad value for 'seed'");
   EXPECT_EQ(refusal("\"type\":\"header\"", "\"type\":\"ckpt\""),
             ":1: bad value for 'type'");
+  // `units` is no header member: a journal that carries one is refused.
+  EXPECT_EQ(refusal("\"fmt\":0}", "\"fmt\":0,\"units\":[0,1]}"),
+            ":1: unknown key 'units'");
   EXPECT_EQ(refusal("\"iter\":16", "\"iter\":16,\"extra\":1"),
             ":2: unknown key 'extra'");
   EXPECT_EQ(refusal("\"iter\":16", "\"iter\":16,\"iter\":16"),

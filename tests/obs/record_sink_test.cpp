@@ -7,6 +7,8 @@
 #include <fstream>
 #include <string>
 
+#include "obs/atomic_file.hpp"
+
 namespace xentry::obs {
 namespace {
 
@@ -175,6 +177,38 @@ TEST_F(ShardedFileSinkTest, ResumeOfMissingFileFailsSafely) {
   EXPECT_FALSE(sink.ok());
   EXPECT_FALSE(sink.append(0, "dropped\n"));
   EXPECT_EQ(sink.stats(0).dropped, 1u);
+}
+
+class AtomicFileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "atomic_file_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string path(const std::string& name) const { return dir_ + "/" + name; }
+
+  std::string dir_;
+};
+
+TEST_F(AtomicFileTest, WriteFileAtomicPublishesAndOverwrites) {
+  const std::string p = path("status.json");
+  ASSERT_TRUE(write_file_atomic(p, "first\n"));
+  EXPECT_EQ(slurp(p), "first\n");
+  ASSERT_TRUE(write_file_atomic(p, "second\n"));
+  EXPECT_EQ(slurp(p), "second\n");
+  // The temp file never survives a successful publication.
+  std::size_t entries = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+    (void)e;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+  // Unwritable destination: failure is reported, nothing is left behind.
+  EXPECT_FALSE(write_file_atomic(dir_ + "/missing/status.json", "x"));
 }
 
 }  // namespace

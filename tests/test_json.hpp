@@ -1,6 +1,6 @@
 // A minimal recursive-descent JSON reader for tests that schema-check a
-// writer's whole document (the Chrome trace export, the fleet's
-// status.json) without external dependencies.  Numbers are parsed as
+// writer's whole document (the Chrome trace export) without external
+// dependencies.  Numbers are parsed as
 // doubles (the checked values are small integers, exactly representable),
 // and \uXXXX escapes are kept as written.  A syntax error throws
 // std::runtime_error.  The library's own readers are the strict
