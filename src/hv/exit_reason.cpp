@@ -4,18 +4,6 @@
 
 namespace xentry::hv {
 
-int ExitReason::code() const {
-  switch (category) {
-    case ExitCategory::Hypercall: return index;
-    case ExitCategory::Exception: return 100 + index;
-    case ExitCategory::Apic: return 200 + index;
-    case ExitCategory::Irq: return 300 + index;
-    case ExitCategory::Softirq: return 400;
-    case ExitCategory::Tasklet: return 401;
-  }
-  return -1;
-}
-
 std::string_view hypercall_name(Hypercall h) {
   constexpr std::array<std::string_view, kNumHypercalls> names = {
       "set_trap_table",

@@ -121,7 +121,18 @@ struct ExitReason {
   ///                         differently, and the feature should see that)
   ///   softirq    400
   ///   tasklet    401
-  int code() const;
+  /// Inline: every activation and every record computes it.
+  int code() const {
+    switch (category) {
+      case ExitCategory::Hypercall: return index;
+      case ExitCategory::Exception: return 100 + index;
+      case ExitCategory::Apic: return 200 + index;
+      case ExitCategory::Irq: return 300 + index;
+      case ExitCategory::Softirq: return 400;
+      case ExitCategory::Tasklet: return 401;
+    }
+    return -1;
+  }
 
   static ExitReason hypercall(Hypercall h) {
     return {ExitCategory::Hypercall, static_cast<int>(h)};

@@ -21,7 +21,9 @@ void Dataset::add(std::span<const std::int64_t> features, Label label) {
   if (features.size() != num_features()) {
     throw std::invalid_argument("Dataset::add: feature count mismatch");
   }
-  values_.insert(values_.end(), features.begin(), features.end());
+  // One push_back per value: a range insert of a handful of words calls
+  // the out-of-line memmove once per row.
+  for (const std::int64_t v : features) values_.push_back(v);
   labels_.push_back(label);
 }
 

@@ -17,8 +17,13 @@
 //     disabled-feature branches.  Retire bookkeeping (steps, TSC,
 //     counters) accumulates in locals and is flushed once at loop exit,
 //     and fusable Cmp*/Test* + Jcc pairs (see Program::fused) execute in
-//     one dispatch while still retiring as two instructions.  Every
-//     architectural observable is bit-identical to the reference engine.
+//     one dispatch while still retiring as two instructions.  The code
+//     image's base, size and slot array are hoisted out of the loop, and
+//     each Load, Store, Push, Pop, Call and Ret passes a region hint of
+//     its own to Memory: one byte per program slot, owned by the Cpu,
+//     which a static instruction almost always hits (Memory::read with a
+//     Hint).  Every architectural observable is bit-identical to the
+//     reference engine.
 //
 // prove_hang() (src/sim/hang_proof.cpp) is the Fast engine's shortcut for
 // a run that loops until the watchdog: it steps a few laps of the loop,
@@ -210,6 +215,9 @@ class Cpu {
   std::array<Word, kNumArchRegs> regs_{};
   PerfCounters counters_;
   std::vector<Addr>* trace_ = nullptr;
+  /// The run loops' region hints, one per program slot (Memory::Hint).
+  /// run() sizes them from the program; a stale hint only costs a miss.
+  std::vector<Memory::Hint> hints_;
   Word tsc_ = 0;
   std::uint64_t steps_ = 0;
   std::int64_t shadow_offset_ = 0;

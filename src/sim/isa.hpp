@@ -168,16 +168,112 @@ std::string_view opcode_name(Opcode op);
 /// Human-readable rendering for traces and debugging.
 std::string disassemble(const Instruction& insn);
 
-/// Which architectural registers an instruction reads, as a bitmask indexed
-/// by Reg.  Used by the fault injector to decide whether an injected flip
-/// was *activated* (register read before being overwritten).
-std::uint32_t regs_read(const Instruction& insn);
-
-/// Which architectural registers an instruction writes, as a bitmask.
-std::uint32_t regs_written(const Instruction& insn);
-
 constexpr std::uint32_t reg_bit(Reg r) {
   return 1u << static_cast<unsigned>(r);
+}
+
+/// Which architectural registers an instruction reads, as a bitmask indexed
+/// by Reg.  Used by the fault injector to decide whether an injected flip
+/// was *activated* (register read before being overwritten).  Inline: the
+/// register watch calls it per step and golden-trace resolution per trace
+/// entry.
+constexpr std::uint32_t regs_read(const Instruction& insn) {
+  constexpr std::uint32_t rflags_bit = reg_bit(Reg::rflags);
+  constexpr std::uint32_t rsp_bit = reg_bit(Reg::rsp);
+  switch (insn.op) {
+    case Opcode::Nop: case Opcode::Hlt: case Opcode::Ud:
+      return 0;
+    case Opcode::MovRR:
+      return reg_bit(insn.r2);
+    case Opcode::MovRI:
+      return 0;
+    case Opcode::Load:
+      return reg_bit(insn.r2);
+    case Opcode::Store:
+      return reg_bit(insn.r1) | reg_bit(insn.r2);
+    case Opcode::Push:
+      return reg_bit(insn.r1) | rsp_bit;
+    case Opcode::Pop:
+      return rsp_bit;
+    case Opcode::AddRR: case Opcode::SubRR: case Opcode::MulRR:
+    case Opcode::AndRR: case Opcode::OrRR: case Opcode::XorRR:
+    case Opcode::ShlRR: case Opcode::ShrRR:
+      // xor r, r is an idiom for zeroing: it does not depend on the old
+      // value in any meaningful sense, but architecturally it reads both.
+      return reg_bit(insn.r1) | reg_bit(insn.r2);
+    case Opcode::AddRI: case Opcode::SubRI: case Opcode::AndRI:
+    case Opcode::OrRI: case Opcode::XorRI: case Opcode::ShlRI:
+    case Opcode::ShrRI: case Opcode::Neg: case Opcode::Not:
+    case Opcode::Inc: case Opcode::Dec:
+      return reg_bit(insn.r1);
+    case Opcode::DivR:
+      return reg_bit(insn.r1) | reg_bit(Reg::rax);
+    case Opcode::CmpRR: case Opcode::TestRR:
+      return reg_bit(insn.r1) | reg_bit(insn.r2);
+    case Opcode::CmpRI: case Opcode::TestRI:
+      return reg_bit(insn.r1);
+    case Opcode::Jmp: case Opcode::Call:
+      return insn.op == Opcode::Call ? rsp_bit : 0u;
+    case Opcode::JmpR:
+      return reg_bit(insn.r1);
+    case Opcode::Je: case Opcode::Jne: case Opcode::Jl: case Opcode::Jle:
+    case Opcode::Jg: case Opcode::Jge: case Opcode::Jb: case Opcode::Jae:
+      return rflags_bit;
+    case Opcode::Ret:
+      return rsp_bit;
+    case Opcode::Rdtsc:
+      return 0;
+    case Opcode::AssertLeRI: case Opcode::AssertGeRI:
+    case Opcode::AssertEqRI: case Opcode::AssertNeRI:
+      return reg_bit(insn.r1);
+    case Opcode::AssertEqRR: case Opcode::AssertLtRR:
+      return reg_bit(insn.r1) | reg_bit(insn.r2);
+  }
+  return 0;
+}
+
+/// Which architectural registers an instruction writes, as a bitmask.
+constexpr std::uint32_t regs_written(const Instruction& insn) {
+  constexpr std::uint32_t rflags_bit = reg_bit(Reg::rflags);
+  constexpr std::uint32_t rsp_bit = reg_bit(Reg::rsp);
+  switch (insn.op) {
+    case Opcode::Nop: case Opcode::Hlt: case Opcode::Ud:
+    case Opcode::Store:
+      return 0;
+    case Opcode::MovRR: case Opcode::MovRI: case Opcode::Load:
+    case Opcode::Rdtsc:
+      return reg_bit(insn.r1);
+    case Opcode::Push:
+      return rsp_bit;
+    case Opcode::Pop:
+      return reg_bit(insn.r1) | rsp_bit;
+    case Opcode::AddRR: case Opcode::AddRI: case Opcode::SubRR:
+    case Opcode::SubRI: case Opcode::MulRR: case Opcode::AndRR:
+    case Opcode::AndRI: case Opcode::OrRR: case Opcode::OrRI:
+    case Opcode::XorRR: case Opcode::XorRI: case Opcode::ShlRI:
+    case Opcode::ShrRI: case Opcode::ShlRR: case Opcode::ShrRR:
+    case Opcode::Neg: case Opcode::Not:
+    case Opcode::Inc: case Opcode::Dec:
+      return reg_bit(insn.r1) | rflags_bit;
+    case Opcode::DivR:
+      return reg_bit(Reg::rax) | reg_bit(Reg::rdx) | rflags_bit;
+    case Opcode::CmpRR: case Opcode::CmpRI: case Opcode::TestRR:
+    case Opcode::TestRI:
+      return rflags_bit;
+    case Opcode::Jmp: case Opcode::JmpR: case Opcode::Je: case Opcode::Jne:
+    case Opcode::Jl: case Opcode::Jle: case Opcode::Jg: case Opcode::Jge:
+    case Opcode::Jb: case Opcode::Jae:
+      return 0;  // rip handled separately by the CPU
+    case Opcode::Call:
+      return rsp_bit;
+    case Opcode::Ret:
+      return rsp_bit;
+    case Opcode::AssertLeRI: case Opcode::AssertGeRI:
+    case Opcode::AssertEqRI: case Opcode::AssertNeRI:
+    case Opcode::AssertEqRR: case Opcode::AssertLtRR:
+      return 0;
+  }
+  return 0;
 }
 
 }  // namespace xentry::sim

@@ -25,16 +25,18 @@ Memory::Memory(const Memory& other)
       sync_(other.sync_),
       sync_source_(other.sync_source_),
       id_(next_memory_id()),
-      hint_(other.hint_),
-      hint2_(other.hint2_) {}
+      nregions_(other.nregions_),
+      buckets_(other.buckets_),
+      bucket_lo_(other.bucket_lo_) {}
 
 Memory& Memory::operator=(const Memory& other) {
   if (this != &other) {
     regions_ = other.regions_;
     sync_ = other.sync_;
     sync_source_ = other.sync_source_;
-    hint_ = other.hint_;
-    hint2_ = other.hint2_;
+    nregions_ = other.nregions_;
+    buckets_ = other.buckets_;
+    bucket_lo_ = other.bucket_lo_;
     // Fresh identity: snapshots captured from the old contents must not
     // be mistaken for captures of the newly assigned contents.
     id_ = next_memory_id();
@@ -44,6 +46,9 @@ Memory& Memory::operator=(const Memory& other) {
 
 std::size_t Memory::map(Addr base, Addr size, Perm perm, std::string name) {
   if (size == 0) throw std::invalid_argument("Memory::map: empty region");
+  if (regions_.size() >= kMaxRegions) {
+    throw std::invalid_argument("Memory::map: too many regions");
+  }
   for (const Region& r : regions_) {
     const bool disjoint = base + size <= r.base || r.base + r.size <= base;
     if (!disjoint) {
@@ -66,59 +71,72 @@ std::size_t Memory::map(Addr base, Addr size, Perm perm, std::string name) {
   const std::size_t idx = static_cast<std::size_t>(it - regions_.begin());
   sync_.insert(sync_.begin() + static_cast<std::ptrdiff_t>(idx),
                std::vector<SyncState>(pages));
-  hint_ = idx;
+  nregions_ = static_cast<std::uint32_t>(regions_.size());
+  index_buckets();
   return idx;
 }
 
-const Memory::Region* Memory::find(Addr a) const {
-  // Straight-line code hits the same region on almost every access; try
-  // the two last-hit regions before falling back to the binary search.
-  if (const Region* r = hinted(a)) return r;
+void Memory::index_buckets() {
+  buckets_.clear();
+  const Region& last = regions_.back();
+  const Addr lo = regions_.front().base >> kBucketShift;
+  const Addr hi = (last.base + (last.size - 1)) >> kBucketShift;
+  if (hi - lo >= kMaxBuckets) return;
+  bucket_lo_ = lo;
+  buckets_.resize(static_cast<std::size_t>(hi - lo + 1));
+  // The last region ends in the last bucket, so the scan stops in range.
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    const Addr start = (lo + b) << kBucketShift;
+    while (regions_[i].base + regions_[i].size <= start) ++i;
+    buckets_[b] = static_cast<Hint>(i);
+  }
+}
+
+Memory::Hint Memory::search(Addr a) const {
   // Regions are sorted by base; find the last region with base <= a.
   auto it = std::upper_bound(
       regions_.begin(), regions_.end(), a,
       [](Addr x, const Region& r) { return x < r.base; });
-  if (it == regions_.begin()) return nullptr;
+  if (it == regions_.begin()) return kNoHint;
   --it;
-  if (!it->contains(a)) return nullptr;
-  hint2_ = hint_;
-  hint_ = static_cast<std::size_t>(it - regions_.begin());
-  return &*it;
+  if (!it->contains(a)) return kNoHint;
+  return static_cast<Hint>(it - regions_.begin());
+}
+
+void Memory::abort_unmapped() {
+  assert(false && "host-side access of an unmapped address");
+  std::abort();
+}
+
+const Memory::Region* Memory::find(Addr a) const {
+  const Hint i = locate(a);
+  return i == kNoHint ? nullptr : &regions_[i];
 }
 
 Memory::Region* Memory::find(Addr a) {
   return const_cast<Region*>(static_cast<const Memory*>(this)->find(a));
 }
 
-Trap Memory::read_slow(Addr a, Word& out) const {
-  const Region* r = find(a);
-  if (r == nullptr) return Trap{TrapKind::PageFault, a, 0};
-  out = r->data[a - r->base];
+Trap Memory::read_miss(Addr a, Word& out, Hint& hint) const {
+  const Hint idx = locate(a);
+  if (idx == kNoHint) return Trap{TrapKind::PageFault, a, 0};
+  hint = idx;
+  const Region& r = regions_[idx];
+  out = r.data[a - r.base];
   return {};
 }
 
-Trap Memory::write_slow(Addr a, Word v) {
-  Region* r = find(a);
-  if (r == nullptr) return Trap{TrapKind::PageFault, a, 0};
-  if (r->perm != Perm::ReadWrite) {
+Trap Memory::write_miss(Addr a, Word v, Hint& hint) {
+  const Hint idx = locate(a);
+  if (idx == kNoHint) return Trap{TrapKind::PageFault, a, 0};
+  hint = idx;
+  Region& r = regions_[idx];
+  if (r.perm != Perm::ReadWrite) {
     return Trap{TrapKind::GeneralProtection, a, 0};
   }
-  store(*r, a - r->base, v);
+  store(r, a - r.base, v);
   return {};
-}
-
-Word Memory::peek_slow(Addr a) const {
-  const Region* r = find(a);
-  assert(r != nullptr && "peek of unmapped address");
-  if (r == nullptr) std::abort();
-  return r->data[a - r->base];
-}
-
-void Memory::poke_slow(Addr a, Word v) {
-  Region* r = find(a);
-  assert(r != nullptr && "poke of unmapped address");
-  if (r == nullptr) std::abort();
-  store(*r, a - r->base, v);
 }
 
 Word* Memory::poke_span(Addr a, Addr len) {

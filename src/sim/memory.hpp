@@ -16,8 +16,15 @@
 //     diffing touch only pages that provably changed since the last
 //     capture/sync (see Snapshot) — cost follows the pages a run writes,
 //     not the size of the regions it writes into;
-//   - read/write cache the last two hit regions, since straight-line
-//     code touches the same region on almost every consecutive access.
+//   - region lookup costs O(1): a simulated access first tries a region
+//     hint its caller holds, and a miss, like every host-side peek/poke,
+//     indexes a table of 1 Mi-word buckets (locate).  The Fast engine
+//     keeps one hint per static instruction (see Cpu): one instruction
+//     almost always touches the same region, while consecutive
+//     instructions alternate between stack, hv_data, domains and vcpus,
+//     so a hint shared by every access missed on a third of them.
+//     Callers with no instruction to key a hint on (the Reference
+//     engine, the shadow-stack mirror) look up every access.
 #pragma once
 
 #include <cstdint>
@@ -107,68 +114,71 @@ class Memory {
   Memory& operator=(Memory&&) = default;
 
   /// Maps a region.  Regions must not overlap; they are kept sorted by base.
-  /// Returns the region index, which stays stable for the Memory lifetime.
+  /// Returns the region's index, which a later map() at a lower base
+  /// shifts by one.  At most kMaxRegions regions can be mapped.
   std::size_t map(Addr base, Addr size, Perm perm, std::string name);
 
-  /// Reads the word at `a` into `out`.  Returns a Trap (kind None on
-  /// success).  No C++ exceptions: this is the simulator hot path.
-  /// The last-two-hit-regions fast path lives here so call sites inline
-  /// it; two entries cover the common stack/data alternation of handler
-  /// code, which a single hint would thrash on.  Each hint is spelled out
-  /// rather than routed through hinted(): in the engines' inlined loops
-  /// the merged form measured ~20% fewer fast-engine steps/s.
-  Trap read(Addr a, Word& out) const {
-    if (hint_ < regions_.size()) {
-      const Region& r = regions_[hint_];
+  /// A caller-held region hint: the index of the region the caller's
+  /// last access through it hit.  Any value at or above the region count
+  /// (kNoHint, say) is a miss, so a hint can never index out of range.
+  using Hint = std::uint8_t;
+  static constexpr Hint kNoHint = 0xff;
+  /// map() refuses a region past this count, so a Hint names any region.
+  static constexpr std::size_t kMaxRegions = kNoHint;
+
+  /// Reads the word at `a` into `out`, trying region `hint` first.  A
+  /// hit still checks that the region contains `a`; a miss looks the
+  /// region up and stores its index in `hint`.  Returns a Trap (kind
+  /// None on success).  No C++ exceptions: this is the simulator hot
+  /// path, and the hit path lives here so the Fast engine inlines it.
+  Trap read(Addr a, Word& out, Hint& hint) const {
+    if (hint < nregions_) {
+      const Region& r = regions_[hint];
       if (r.contains(a)) {
         out = r.data[a - r.base];
         return {};
       }
     }
-    if (hint2_ < regions_.size()) {
-      const Region& r = regions_[hint2_];
-      if (r.contains(a)) {
-        out = r.data[a - r.base];
-        return {};
-      }
-    }
-    return read_slow(a, out);
+    return read_miss(a, out, hint);
   }
 
-  /// Writes `v` at `a`.  Returns a Trap (kind None on success).
+  /// Writes `v` at `a`, trying region `hint` first; a hit still checks
+  /// containment and Perm::ReadWrite, so a hint learned from a read of a
+  /// read-only region still raises #GP.  Returns a Trap (kind None on
+  /// success).
+  Trap write(Addr a, Word v, Hint& hint) {
+    if (hint < nregions_) {
+      Region& r = regions_[hint];
+      if (r.contains(a) && r.perm == Perm::ReadWrite) {
+        store(r, a - r.base, v);
+        return {};
+      }
+    }
+    return write_miss(a, v, hint);
+  }
+
+  /// The accessors above with no hint of the caller's: one bucket lookup
+  /// (locate) per access.  For callers without a static access site to
+  /// key a hint on: the Reference engine, the shadow-stack mirror, tests.
+  Trap read(Addr a, Word& out) const {
+    Hint hint = kNoHint;
+    return read(a, out, hint);
+  }
   Trap write(Addr a, Word v) {
-    if (hint_ < regions_.size()) {
-      Region& r = regions_[hint_];
-      if (r.contains(a) && r.perm == Perm::ReadWrite) {
-        r.data[a - r.base] = v;
-        ++r.gens[(a - r.base) >> kPageShift];
-        return {};
-      }
-    }
-    if (hint2_ < regions_.size()) {
-      Region& r = regions_[hint2_];
-      if (r.contains(a) && r.perm == Perm::ReadWrite) {
-        r.data[a - r.base] = v;
-        ++r.gens[(a - r.base) >> kPageShift];
-        return {};
-      }
-    }
-    return write_slow(a, v);
+    Hint hint = kNoHint;
+    return write(a, v, hint);
   }
 
   /// Unchecked accessors for host-side (non-simulated) setup and
   /// inspection.  Aborts if `a` is unmapped — programming error, not a
   /// simulated fault.
   Word peek(Addr a) const {
-    if (const Region* r = hinted(a)) return r->data[a - r->base];
-    return peek_slow(a);
+    const Region& r = regions_[mapped(a)];
+    return r.data[a - r.base];
   }
   void poke(Addr a, Word v) {
-    if (Region* r = hinted(a)) {
-      store(*r, a - r->base, v);
-      return;
-    }
-    poke_slow(a, v);
+    Region& r = regions_[mapped(a)];
+    store(r, a - r.base, v);
   }
 
   /// Direct mutable view of `len` words starting at `a`, for host-side
@@ -239,37 +249,57 @@ class Memory {
     std::uint64_t own_gen = 0;
   };
 
-  /// One of the two last-hit regions when it contains `a`, else nullptr.
-  const Region* hinted(Addr a) const {
-    if (hint_ < regions_.size() && regions_[hint_].contains(a)) {
-      return &regions_[hint_];
-    }
-    if (hint2_ < regions_.size() && regions_[hint2_].contains(a)) {
-      return &regions_[hint2_];
-    }
-    return nullptr;
-  }
-  Region* hinted(Addr a) {
-    return const_cast<Region*>(static_cast<const Memory*>(this)->hinted(a));
-  }
   static void store(Region& r, Addr off, Word v) {
     r.data[off] = v;
     ++r.gens[off >> kPageShift];
   }
 
+  /// Index of the region containing `a`, or kNoHint: the lookup behind
+  /// every hint miss and every host-side access.  Inline for the common
+  /// case, the bucket's candidate region; the rest binary-searches.
+  Hint locate(Addr a) const {
+    const Addr b = (a >> kBucketShift) - bucket_lo_;
+    if (b < buckets_.size()) {
+      const Hint i = buckets_[b];
+      if (regions_[i].contains(a)) return i;
+    }
+    return search(a);
+  }
+  /// Binary search over the regions: locate()'s fallback.
+  Hint search(Addr a) const;
+  /// locate(a), aborting when `a` is unmapped (host-side accessors).
+  Hint mapped(Addr a) const {
+    const Hint i = locate(a);
+    if (i == kNoHint) abort_unmapped();
+    return i;
+  }
+  [[noreturn]] static void abort_unmapped();
+  /// Rebuilds buckets_ after a map().
+  void index_buckets();
   const Region* find(Addr a) const;
   Region* find(Addr a);
-  Trap read_slow(Addr a, Word& out) const;
-  Trap write_slow(Addr a, Word v);
-  Word peek_slow(Addr a) const;
-  void poke_slow(Addr a, Word v);
+  Trap read_miss(Addr a, Word& out, Hint& hint) const;
+  Trap write_miss(Addr a, Word v, Hint& hint);
 
   std::vector<Region> regions_;               // sorted by base
   std::vector<std::vector<SyncState>> sync_;  // per page, parallel to regions_
   std::uint64_t sync_source_ = 0;  ///< source_id of the last restore (0: none)
   std::uint64_t id_ = 0;           ///< unique per instance (and per copy)
-  mutable std::size_t hint_ = 0;  ///< last-hit region index (locality cache)
-  mutable std::size_t hint2_ = 0; ///< previous distinct hit (2-way cache)
+  /// regions_.size(), cached: the size of a vector of 104-byte Regions
+  /// costs a division on every access.  32 bits wide so the engines'
+  /// 64-bit register stores cannot alias it.
+  std::uint32_t nregions_ = 0;
+  /// O(1) lookup behind locate(): bucket b covers the addresses
+  /// [(bucket_lo_ + b) << kBucketShift, +1 << kBucketShift) and names the
+  /// first region ending above the bucket's start, the only region in
+  /// the bucket unless two share it (the machine layout aligns every
+  /// region to a bucket; its stack and shadow stack share one).  Empty,
+  /// so that locate() always searches, when the regions span more than
+  /// kMaxBuckets buckets.
+  static constexpr unsigned kBucketShift = 20;
+  static constexpr std::size_t kMaxBuckets = 4096;
+  std::vector<Hint> buckets_;
+  Addr bucket_lo_ = 0;
 };
 
 }  // namespace xentry::sim

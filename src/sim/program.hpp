@@ -85,12 +85,16 @@ class Program {
 
   const Instruction& at(Addr rip) const { return code_[rip - base_]; }
 
-  /// Single-lookup fetch for the interpreter hot path: nullptr when `rip`
-  /// is outside the code image (instruction fetch from unmapped memory).
+  /// Single-lookup fetch for Cpu::step(): nullptr when `rip` is outside
+  /// the code image (instruction fetch from unmapped memory).
   const Instruction* fetch(Addr rip) const {
     const Addr off = rip - base_;
     return off < code_.size() ? &code_[off] : nullptr;
   }
+
+  /// The code image as one array, slot `i` at address base() + i: the
+  /// Fast engine hoists it out of its per-step fetch.
+  const Instruction* slots() const { return code_.data(); }
 
   /// Fusion metadata for the instruction slot at offset `off` (valid for
   /// off < size()).

@@ -8,8 +8,9 @@
 // instruction, as the injection path does).  Also pins down macro-op
 // fusion legality at basic-block boundaries, and fixed programs the
 // generator rarely produces: every tight watchdog budget on a long loop, an
-// indirect jump into the middle of a straight-line run, and out-of-image
-// control transfers.
+// indirect jump into the middle of a straight-line run, out-of-image
+// control transfers, and a load and a store whose addresses walk across
+// regions (the Fast engine's per-instruction region hints).
 
 #include <gtest/gtest.h>
 
@@ -448,6 +449,104 @@ TEST(EngineEquivalenceTest, OutOfImageControlTransfers) {
       EXPECT_EQ(fast.info.trap.fault_addr, static_cast<Addr>(target));
     }
   }
+}
+
+TEST(EngineEquivalenceTest, PerInstructionHintsFollowWalkingAddresses) {
+  // One static Load and one static Store whose effective addresses walk
+  // across regions from one loop iteration to the next, over several runs
+  // of the same Cpu: each slot's region hint hits, misses, is refreshed
+  // and is carried into the next run.  Each row of the table in data
+  // memory holds one iteration's (load address, store address).
+  constexpr Addr kRodata = 0x11000;
+  constexpr Addr kUnmapped = 0x30000;
+  constexpr Addr kTable = kDataBase + 0x80;
+  Assembler as(kCodeBase);
+  as.movi(Reg::rbx, static_cast<std::int64_t>(kTable));
+  const auto loop = as.here();
+  as.load(Reg::rsi, Reg::rbx, 0);
+  as.load(Reg::rdi, Reg::rbx, 1);
+  as.load(Reg::rax, Reg::rsi, 0);  // the walking Load
+  as.addi(Reg::rax, 1);
+  as.store(Reg::rdi, Reg::rax, 0);  // the walking Store
+  as.addi(Reg::rbx, 2);
+  as.dec(Reg::rcx);
+  as.jne(loop);
+  as.hlt();
+  const Program prog = as.finish();
+
+  struct Walk {
+    std::vector<std::pair<Addr, Addr>> rows;
+    TrapKind ends;
+    Addr fault_addr;
+  };
+  const Walk walks[] = {
+      // The Load walks data -> rodata -> stack -> unmapped.
+      {{{kDataBase + 0x10, kDataBase + 0x20},
+        {kRodata + 4, kStackBase + 0x10},
+        {kStackBase + 0x20, kDataBase + 0x30},
+        {kUnmapped, kDataBase + 0x40}},
+       TrapKind::PageFault, kUnmapped},
+      // The Store walks data -> stack -> rodata: its miss learns rodata.
+      {{{kDataBase + 0x11, kDataBase + 0x21},
+        {kStackBase + 0x21, kStackBase + 0x11},
+        {kRodata + 5, kRodata + 6}},
+       TrapKind::GeneralProtection, kRodata + 6},
+      // The Store's hint now names rodata: the hit still raises #GP.
+      {{{kRodata + 7, kRodata + 8}}, TrapKind::GeneralProtection,
+       kRodata + 8},
+      // Back to data and stack, to the end of the table.
+      {{{kStackBase + 0x22, kDataBase + 0x22},
+        {kDataBase + 0x12, kStackBase + 0x12}},
+       TrapKind::None, 0},
+  };
+
+  Memory fast_mem = make_memory(), ref_mem = make_memory();
+  for (Memory* mem : {&fast_mem, &ref_mem}) {
+    for (Addr i = 0; i < 0x40; ++i) mem->poke(kRodata + i, 0x100 + i);
+  }
+  Cpu fast(&prog, &fast_mem), ref(&prog, &ref_mem);
+  fast.set_engine(EngineKind::Fast);
+  ref.set_engine(EngineKind::Reference);
+  std::vector<Addr> fast_trace, ref_trace;
+  fast.set_trace(&fast_trace);
+  ref.set_trace(&ref_trace);
+
+  int run = 0;
+  for (const Walk& walk : walks) {
+    const std::string what = "run " + std::to_string(run++);
+    EngineState st[2];
+    Cpu* cpus[2] = {&fast, &ref};
+    for (int e = 0; e < 2; ++e) {
+      Cpu& cpu = *cpus[e];
+      for (std::size_t r = 0; r < walk.rows.size(); ++r) {
+        cpu.memory().poke(kTable + 2 * r, walk.rows[r].first);
+        cpu.memory().poke(kTable + 2 * r + 1, walk.rows[r].second);
+      }
+      cpu.reset(prog.base(), kStackTop);
+      cpu.set_reg(Reg::rcx, walk.rows.size());
+      cpu.counters().arm();
+      st[e].info = cpu.run(1000);
+      st[e].regs = cpu.regs();
+      st[e].steps = cpu.steps_executed();
+      st[e].tsc = cpu.tsc();
+      st[e].counters = cpu.counters().disarm();
+      st[e].memory = cpu.memory().snapshot();
+    }
+    st[0].trace = fast_trace;
+    st[1].trace = ref_trace;
+    expect_equivalent(st[0], st[1], what);
+    if (walk.ends == TrapKind::None) {
+      EXPECT_EQ(st[0].info.status, StepInfo::Status::Halted) << what;
+    } else {
+      EXPECT_EQ(st[0].info.trap.kind, walk.ends) << what;
+      EXPECT_EQ(st[0].info.trap.fault_addr, walk.fault_addr) << what;
+    }
+  }
+  // The stores that retired landed, and a #GP left rodata as it was.
+  EXPECT_EQ(fast_mem.peek(kStackBase + 0x10), 0x105u);
+  EXPECT_EQ(fast_mem.peek(kDataBase + 0x22), 1u);
+  EXPECT_EQ(fast_mem.peek(kRodata + 6), 0x106u);
+  EXPECT_EQ(fast_mem.peek(kRodata + 8), 0x108u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 namespace xentry::sim {
@@ -398,6 +399,176 @@ TEST(MemoryTest, RandomizedOpsMatchFullCopyModel) {
     }
   }
   EXPECT_GT(proven, 10000u) << "the query never had anything to prove";
+}
+
+TEST(MemoryTest, HintedAccessesCheckRegionAndPermission) {
+  Memory mem;
+  mem.map(0x1000, 16, Perm::ReadWrite, "data");
+  mem.map(0x2000, 16, Perm::Read, "rodata");
+  mem.poke(0x2004, 9);
+  Memory::Hint hint = Memory::kNoHint;
+  Word v = 0;
+
+  // A miss looks the region up and teaches the hint; a hit reads through.
+  ASSERT_FALSE(mem.write(0x1003, 7, hint));
+  EXPECT_EQ(hint, 0);
+  ASSERT_FALSE(mem.read(0x1003, v, hint));
+  EXPECT_EQ(v, 7u);
+
+  // A hint learned from a read of rodata still raises #GP on a write, and
+  // the word keeps its value.
+  ASSERT_FALSE(mem.read(0x2004, v, hint));
+  EXPECT_EQ(hint, 1);
+  EXPECT_EQ(v, 9u);
+  const Trap gp = mem.write(0x2004, 1, hint);
+  EXPECT_EQ(gp.kind, TrapKind::GeneralProtection);
+  EXPECT_EQ(gp.fault_addr, 0x2004u);
+  EXPECT_EQ(mem.peek(0x2004), 9u);
+
+  // A hinted region that does not contain the address misses: an
+  // unmapped address faults and leaves the hint alone.
+  Trap pf = mem.read(0x2010, v, hint);
+  EXPECT_EQ(pf.kind, TrapKind::PageFault);
+  EXPECT_EQ(pf.fault_addr, 0x2010u);
+  pf = mem.write(0x0fff, 1, hint);
+  EXPECT_EQ(pf.kind, TrapKind::PageFault);
+  EXPECT_EQ(pf.fault_addr, 0x0fffu);
+  EXPECT_EQ(hint, 1);
+
+  // Any index at or past the region count is a miss, never an index.
+  for (const Memory::Hint stale : {Memory::Hint{2}, Memory::Hint{200},
+                                   Memory::kNoHint}) {
+    hint = stale;
+    ASSERT_FALSE(mem.read(0x1003, v, hint));
+    EXPECT_EQ(v, 7u);
+    EXPECT_EQ(hint, 0);
+  }
+}
+
+TEST(MemoryTest, LookupMatchesLinearScanAcrossBuckets) {
+  // Hint misses look regions up through a table of 1 Mi-word buckets
+  // when the regions span at most 4096 buckets, and binary search
+  // otherwise.  Both must agree with a plain scan at every region edge
+  // and every bucket edge: regions sharing a bucket, a region straddling
+  // buckets, a gap of empty buckets, and a span too wide for the table.
+  constexpr Addr kMi = Addr{1} << 20;
+  struct Layout {
+    std::vector<std::pair<Addr, Addr>> regions;  // (base, size)
+  };
+  const Layout layouts[] = {
+      {{{0xa00000, 0x200}, {0xe00000, 0x200}, {0xe01000, 0x200},
+        {0x100000, 0x800}, {0xf00000, 0x100}}},
+      {{{3 * kMi - 8, 16}, {3 * kMi + 8, kMi}, {9 * kMi, 1}}},
+      {{{0x100, 16}, {0x10000, 16}, {0x8000000000000000ull, 16}}},
+  };
+  for (const Layout& layout : layouts) {
+    Memory mem;
+    std::vector<Addr> probes;
+    for (const auto& [base, size] : layout.regions) {
+      mem.map(base, size, Perm::ReadWrite, "r");
+      for (const Addr edge : {base, base + size}) {
+        for (Addr d = 0; d < 3; ++d) probes.push_back(edge + d - 1);
+        const Addr bucket = edge & ~(kMi - 1);
+        for (Addr d = 0; d < 3; ++d) probes.push_back(bucket + d - 1);
+        probes.push_back(bucket + kMi);
+      }
+    }
+    probes.push_back(0);
+    probes.push_back(~Addr{0});
+    for (const Addr a : probes) {
+      const Memory::Region* want = nullptr;
+      for (const Memory::Region& r : mem.regions()) {
+        if (r.contains(a)) want = &r;
+      }
+      Memory::Hint hint = Memory::kNoHint;
+      Word v = 0;
+      const Trap t = mem.read(a, v, hint);
+      EXPECT_EQ(t.kind, want ? TrapKind::None : TrapKind::PageFault)
+          << "addr " << a;
+      EXPECT_EQ(mem.region_at(a), want) << "addr " << a;
+      if (want != nullptr) {
+        EXPECT_EQ(&mem.regions()[hint], want) << "addr " << a;
+      } else {
+        EXPECT_EQ(hint, Memory::kNoHint) << "addr " << a;
+      }
+    }
+  }
+}
+
+TEST(MemoryTest, MapRefusesMoreRegionsThanAHintCanName) {
+  Memory mem;
+  for (std::size_t i = 0; i < Memory::kMaxRegions; ++i) {
+    mem.map(static_cast<Addr>(i) * 16, 4, Perm::ReadWrite, "r");
+  }
+  EXPECT_THROW(mem.map(0x100000, 4, Perm::ReadWrite, "one too many"),
+               std::invalid_argument);
+  Memory::Hint hint = Memory::kNoHint;
+  Word v = 1;
+  const Addr last = static_cast<Addr>(Memory::kMaxRegions - 1) * 16;
+  ASSERT_FALSE(mem.read(last + 3, v, hint));
+  EXPECT_EQ(v, 0u);
+  EXPECT_EQ(hint, static_cast<Memory::Hint>(Memory::kMaxRegions - 1));
+}
+
+TEST(MemoryTest, CopiesAnswerLookupsLikeTheOriginal) {
+  // The copy constructor and operator= list their members by hand; every
+  // lookup path (plain, hinted with any hint, host-side) must answer on a
+  // copy exactly as on the original.  `wide` has more regions than
+  // `original`, in more lookup buckets, so an assignment that kept its
+  // region count or bucket table would index past the copied regions.
+  Memory original;
+  original.map(0x1000, 16, Perm::ReadWrite, "data");
+  original.map(0x2000, 16, Perm::Read, "rodata");
+  original.map(0x3000, 16, Perm::ReadWrite, "stack");
+  original.poke(0x1001, 11);
+  original.poke(0x2002, 22);
+  original.poke(0x300f, 33);
+
+  constexpr Addr kMi = Addr{1} << 20;
+  Memory wide;
+  for (Addr i = 0; i < 6; ++i) wide.map(i * kMi, 4, Perm::Read, "w");
+  const Memory constructed(original);
+  wide = original;
+
+  // The last four probes fall in `wide`'s old regions.
+  const Addr probes[] = {0x1001, 0x100f, 0x2002,      0x3000,
+                         0x300f, 0x0fff, 0x1010,      0x2fff,
+                         0x3010, kMi,    3 * kMi + 1, 4 * kMi + 2,
+                         5 * kMi + 3};
+  const Memory* const copies[] = {&constructed, &wide};
+  for (const Memory* copy : copies) {
+    ASSERT_EQ(copy->regions().size(), original.regions().size());
+    for (const Addr a : probes) {
+      const std::string what = "addr " + std::to_string(a);
+      EXPECT_EQ(copy->is_mapped(a), original.is_mapped(a)) << what;
+      Word want = 0, got = 0;
+      const Trap want_trap = original.read(a, want);
+      const Trap got_trap = copy->read(a, got);
+      EXPECT_EQ(got_trap.kind, want_trap.kind) << what;
+      EXPECT_EQ(got, want) << what;
+      for (int h = 0; h <= 8; ++h) {
+        Memory::Hint hint = static_cast<Memory::Hint>(h);
+        Memory::Hint want_hint = hint;
+        got = 0;
+        const Trap hinted = copy->read(a, got, hint);
+        Word unused = 0;
+        original.read(a, unused, want_hint);
+        EXPECT_EQ(hinted.kind, want_trap.kind) << what << " hint " << h;
+        EXPECT_EQ(got, want) << what << " hint " << h;
+        EXPECT_EQ(hint, want_hint) << what << " hint " << h;
+      }
+    }
+  }
+
+  // Writes through each copy land in the copy alone, with the original's
+  // permissions.
+  Memory written(original);
+  Memory::Hint hint = Memory::kNoHint;
+  EXPECT_FALSE(written.write(0x3001, 5, hint));
+  EXPECT_EQ(written.write(0x2001, 5, hint).kind,
+            TrapKind::GeneralProtection);
+  EXPECT_EQ(written.peek(0x3001), 5u);
+  EXPECT_EQ(original.peek(0x3001), 0u);
 }
 
 TEST(MemoryTest, BitFlippedPointerLandsOutsideRegions) {
