@@ -1,8 +1,7 @@
 #include "fault/checkpoint.hpp"
 
 #include <charconv>
-#include <cinttypes>
-#include <cstdio>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -14,31 +13,159 @@ namespace xentry::fault {
 
 namespace {
 
-using obs::append_double;
-using obs::append_u64;
+// Member tables, each name spelled as the line writers below write it and
+// as the readers further down read it.
+enum HeaderKey : std::size_t {
+  kHType, kHSeed, kHInjections, kHShards, kHBias, kHWarmup, kHGap,
+  kHImportance, kHEvery, kHFmt};
+constexpr std::string_view kHeaderMembers[] = {
+    "\"type\":", "\"seed\":", "\"injections\":", "\"shards\":",
+    "\"bias\":", "\"warmup\":", "\"gap\":", "\"importance\":",
+    "\"every\":", "\"fmt\":"};
+constexpr std::string_view kHeaderType = "header";
+constexpr std::uint64_t kHeaderRequired = (1u << (kHFmt + 1)) - 1;
+
+enum CheckpointKey : std::size_t {
+  kCType, kCShard, kCIter, kCRecords, kCDigest, kCEff, kCSinkOff, kCSnapOff,
+  kCSnapCount, kCForensics, kCActs, kCGenRng, kCMainRng, kCAuxRng, kCTsc,
+  kCMem};
+constexpr std::string_view kCheckpointMembers[] = {
+    "\"type\":", "\"shard\":", "\"iter\":", "\"records\":",
+    "\"digest\":", "\"eff\":", "\"sink_off\":", "\"snap_off\":",
+    "\"snap_count\":", "\"forensics\":", "\"acts\":", "\"gen_rng\":",
+    "\"main_rng\":", "\"aux_rng\":", "\"tsc\":", "\"mem\":"};
+constexpr std::string_view kCheckpointType = "ckpt";
+constexpr std::uint64_t kCheckpointRequired = (1u << (kCMem + 1)) - 1;
 
 /// Region words as a compact token string: hex values, zero runs as
 /// "z<count>".  Machine images are mostly zero, so this keeps journal
 /// lines small without a real compressor.
-void encode_words(std::string& out, const std::vector<std::uint64_t>& words) {
-  std::size_t i = 0;
-  bool first = true;
-  char buf[24];
-  while (i < words.size()) {
-    if (!first) out += ',';
-    first = false;
-    if (words[i] == 0) {
-      std::size_t run = 1;
-      while (i + run < words.size() && words[i + run] == 0) ++run;
-      out += 'z';
-      append_u64(out, run);
-      i += run;
-    } else {
-      std::snprintf(buf, sizeof buf, "%" PRIx64, words[i]);
-      out += buf;
-      ++i;
+void write_words(obs::BufferWriter& w,
+                 const std::vector<std::uint64_t>& words) {
+  for (std::size_t i = 0; i < words.size();) {
+    if (i > 0) w.put(',');
+    if (words[i] != 0) {
+      w.hex(words[i++]);
+      continue;
     }
+    std::size_t run = 1;
+    while (i + run < words.size() && words[i + run] == 0) ++run;
+    w.put('z');
+    w.integer(run);
+    i += run;
   }
+}
+
+/// A token and its comma take at most 17 bytes per word they stand for:
+/// 16 hex digits, or `z` and a run length of at most 20 digits for a run
+/// of at least two words (`z1` for one).
+constexpr std::size_t kMaxWordChars = obs::kMaxHexChars + 1;
+
+// Every count prints as a u64, so each is at most kU64 wide.
+constexpr std::size_t kU64 = obs::kMaxDecimalChars<std::uint64_t>;
+constexpr std::size_t kReal = obs::kMaxNumberChars;
+constexpr std::size_t kMaxHeaderLine = obs::max_line_chars(
+    kHeaderMembers, {kHeaderType.size() + 2, kU64, kU64, kU64, kReal, kU64,
+                     kU64, 1, kU64, kU64});
+
+/// Writes the header line into `buf` (kMaxHeaderLine bytes).
+std::string_view header_line(const CheckpointHeader& h, char* buf) {
+  obs::BufferWriter w(buf);
+  const auto member = [&w](HeaderKey k) { w.member(kHeaderMembers, k); };
+  w.put('{');
+  member(kHType);
+  w.quoted(kHeaderType);
+  member(kHSeed);
+  w.integer(h.seed);
+  member(kHInjections);
+  w.integer(static_cast<std::uint64_t>(h.injections));
+  member(kHShards);
+  w.integer(static_cast<std::uint64_t>(h.shards));
+  member(kHBias);
+  w.number(h.activation_bias);
+  member(kHWarmup);
+  w.integer(static_cast<std::uint64_t>(h.warmup_activations));
+  member(kHGap);
+  w.integer(static_cast<std::uint64_t>(h.stream_gap));
+  member(kHImportance);
+  w.flag(h.importance);
+  member(kHEvery);
+  w.integer(static_cast<std::uint64_t>(h.checkpoint_every));
+  member(kHFmt);
+  w.integer(static_cast<std::uint64_t>(h.records_format));
+  w.text("}\n");
+  return w.view();
+}
+
+/// The longest line checkpoint_line can write for `c`: its RNG states and
+/// memory image are unbounded, so the bound is taken from them.
+std::size_t max_checkpoint_line(const ShardCheckpoint& c) {
+  std::size_t mem = 2;  // []
+  for (const std::vector<std::uint64_t>& region : c.memory) {
+    mem += 3 + kMaxWordChars * region.size();  // "words",
+  }
+  return obs::max_line_chars(
+      kCheckpointMembers,
+      {kCheckpointType.size() + 2, kU64, kU64, kU64, kU64, kReal, kU64, kU64,
+       kU64, kU64, kU64, c.gen_rng.size() + 2, c.main_rng.size() + 2,
+       c.aux_rng.size() + 2, kU64, mem});
+}
+
+/// Writes one checkpoint line into `buf` (max_checkpoint_line(c) bytes).
+std::string_view checkpoint_line(const ShardCheckpoint& c, char* buf) {
+  obs::BufferWriter w(buf);
+  const auto member = [&w](CheckpointKey k) {
+    w.member(kCheckpointMembers, k);
+  };
+  w.put('{');
+  member(kCType);
+  w.quoted(kCheckpointType);
+  member(kCShard);
+  w.integer(static_cast<std::uint64_t>(c.shard));
+  member(kCIter);
+  w.integer(c.iterations);
+  member(kCRecords);
+  w.integer(c.records_written);
+  member(kCDigest);
+  w.integer(c.digest);
+  member(kCEff);
+  w.number(c.effective);
+  member(kCSinkOff);
+  w.integer(c.sink_offset);
+  member(kCSnapOff);
+  w.integer(c.snap_offset);
+  member(kCSnapCount);
+  w.integer(c.snap_count);
+  member(kCForensics);
+  w.integer(c.forensics_counter);
+  member(kCActs);
+  w.integer(c.activations_generated);
+  // RNG states are digits and spaces; region words are hex/commas — no
+  // JSON escaping needed for any of these payloads.
+  member(kCGenRng);
+  w.quoted(c.gen_rng);
+  member(kCMainRng);
+  w.quoted(c.main_rng);
+  member(kCAuxRng);
+  w.quoted(c.aux_rng);
+  member(kCTsc);
+  w.integer(c.tsc);
+  member(kCMem);
+  w.put('[');
+  for (std::size_t i = 0; i < c.memory.size(); ++i) {
+    if (i > 0) w.put(',');
+    w.put('"');
+    write_words(w, c.memory[i]);
+    w.put('"');
+  }
+  w.text("]}\n");
+  return w.view();
+}
+
+/// Writes `line` and flushes it; false on a short write or failed flush.
+bool write_line(std::FILE* file, std::string_view line) {
+  return std::fwrite(line.data(), 1, line.size(), file) == line.size() &&
+         std::fflush(file) == 0;
 }
 
 // Every region of the machine layout (hv/layout.hpp) is far smaller than
@@ -46,7 +173,7 @@ void encode_words(std::string& out, const std::vector<std::uint64_t>& words) {
 // zero-run length from allocating without limit.
 constexpr std::uint64_t kMaxRegionWords = std::uint64_t{1} << 20;
 
-/// Inverse of encode_words.  Refuses an empty token, a token that is not
+/// Inverse of write_words.  Refuses an empty token, a token that is not
 /// hex or `z` and a decimal run length, and an image longer than
 /// kMaxRegionWords.
 bool decode_words(std::string_view text, std::vector<std::uint64_t>& out) {
@@ -69,73 +196,6 @@ bool decode_words(std::string_view text, std::vector<std::uint64_t>& out) {
   return true;
 }
 
-std::string header_line(const CheckpointHeader& h) {
-  std::string line = "{\"type\":\"header\",\"seed\":";
-  append_u64(line, h.seed);
-  line += ",\"injections\":";
-  append_u64(line, static_cast<std::uint64_t>(h.injections));
-  line += ",\"shards\":";
-  append_u64(line, static_cast<std::uint64_t>(h.shards));
-  line += ",\"bias\":";
-  append_double(line, h.activation_bias);
-  line += ",\"warmup\":";
-  append_u64(line, static_cast<std::uint64_t>(h.warmup_activations));
-  line += ",\"gap\":";
-  append_u64(line, static_cast<std::uint64_t>(h.stream_gap));
-  line += ",\"importance\":";
-  line += h.importance ? '1' : '0';
-  line += ",\"every\":";
-  append_u64(line, static_cast<std::uint64_t>(h.checkpoint_every));
-  line += ",\"fmt\":";
-  append_u64(line, h.records_format);
-  line += "}\n";
-  return line;
-}
-
-std::string checkpoint_line(const ShardCheckpoint& c) {
-  std::string line = "{\"type\":\"ckpt\",\"shard\":";
-  append_u64(line, static_cast<std::uint64_t>(c.shard));
-  line += ",\"iter\":";
-  append_u64(line, c.iterations);
-  line += ",\"records\":";
-  append_u64(line, c.records_written);
-  line += ",\"digest\":";
-  append_u64(line, c.digest);
-  line += ",\"eff\":";
-  append_double(line, c.effective);
-  line += ",\"sink_off\":";
-  append_u64(line, c.sink_offset);
-  line += ",\"snap_off\":";
-  append_u64(line, c.snap_offset);
-  line += ",\"snap_count\":";
-  append_u64(line, c.snap_count);
-  line += ",\"forensics\":";
-  append_u64(line, c.forensics_counter);
-  line += ",\"acts\":";
-  append_u64(line, c.activations_generated);
-  // RNG states are digits and spaces; region words are hex/commas — no
-  // JSON escaping needed for any of these payloads.
-  line += ",\"gen_rng\":\"";
-  line += c.gen_rng;
-  line += "\",\"main_rng\":\"";
-  line += c.main_rng;
-  line += "\",\"aux_rng\":\"";
-  line += c.aux_rng;
-  line += "\",\"tsc\":";
-  append_u64(line, c.tsc);
-  line += ",\"mem\":[";
-  bool first = true;
-  for (const std::vector<std::uint64_t>& region : c.memory) {
-    if (!first) line += ',';
-    first = false;
-    line += '"';
-    encode_words(line, region);
-    line += '"';
-  }
-  line += "]}\n";
-  return line;
-}
-
 }  // namespace
 
 std::unique_ptr<CheckpointJournal> CheckpointJournal::create(
@@ -143,9 +203,8 @@ std::unique_ptr<CheckpointJournal> CheckpointJournal::create(
   auto journal = std::unique_ptr<CheckpointJournal>(new CheckpointJournal());
   journal->file_ = std::fopen(path.c_str(), "wb");
   if (journal->file_ == nullptr) return nullptr;
-  const std::string line = header_line(header);
-  if (std::fwrite(line.data(), 1, line.size(), journal->file_) != line.size() ||
-      std::fflush(journal->file_) != 0) {
+  char buf[kMaxHeaderLine];
+  if (!write_line(journal->file_, header_line(header, buf))) {
     journal->failed_ = true;
   }
   return journal;
@@ -164,37 +223,15 @@ CheckpointJournal::~CheckpointJournal() {
 }
 
 void CheckpointJournal::append(const ShardCheckpoint& ckpt) {
-  const std::string line = checkpoint_line(ckpt);
+  const auto buf =
+      std::make_unique_for_overwrite<char[]>(max_checkpoint_line(ckpt));
+  const std::string_view line = checkpoint_line(ckpt, buf.get());
   const std::scoped_lock lock(mu_);
   if (file_ == nullptr || failed_) return;
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fflush(file_) != 0) {
-    failed_ = true;
-  }
+  if (!write_line(file_, line)) failed_ = true;
 }
 
 namespace {
-
-// Member tables, each name spelled as header_line/checkpoint_line write it.
-enum HeaderKey : std::size_t {
-  kHType, kHSeed, kHInjections, kHShards, kHBias, kHWarmup, kHGap,
-  kHImportance, kHEvery, kHFmt};
-constexpr std::string_view kHeaderMembers[] = {
-    "\"type\":", "\"seed\":", "\"injections\":", "\"shards\":",
-    "\"bias\":", "\"warmup\":", "\"gap\":", "\"importance\":",
-    "\"every\":", "\"fmt\":"};
-constexpr std::uint64_t kHeaderRequired = (1u << (kHFmt + 1)) - 1;
-
-enum CheckpointKey : std::size_t {
-  kCType, kCShard, kCIter, kCRecords, kCDigest, kCEff, kCSinkOff, kCSnapOff,
-  kCSnapCount, kCForensics, kCActs, kCGenRng, kCMainRng, kCAuxRng, kCTsc,
-  kCMem};
-constexpr std::string_view kCheckpointMembers[] = {
-    "\"type\":", "\"shard\":", "\"iter\":", "\"records\":",
-    "\"digest\":", "\"eff\":", "\"sink_off\":", "\"snap_off\":",
-    "\"snap_count\":", "\"forensics\":", "\"acts\":", "\"gen_rng\":",
-    "\"main_rng\":", "\"aux_rng\":", "\"tsc\":", "\"mem\":"};
-constexpr std::uint64_t kCheckpointRequired = (1u << (kCMem + 1)) - 1;
 
 bool read_type(obs::LineScanner& in, std::string_view want) {
   std::string_view type;
@@ -216,7 +253,7 @@ bool read_count(obs::LineScanner& in, int& out) {
 bool read_header_member(obs::LineScanner& in, std::size_t key,
                         CheckpointHeader& h) {
   switch (key) {
-    case kHType: return read_type(in, "header");
+    case kHType: return read_type(in, kHeaderType);
     case kHSeed: return in.integer(h.seed);
     case kHInjections: return read_count(in, h.injections);
     case kHShards: return read_count(in, h.shards);
@@ -233,7 +270,7 @@ bool read_header_member(obs::LineScanner& in, std::size_t key,
 bool read_checkpoint_member(obs::LineScanner& in, std::size_t key,
                             ShardCheckpoint& c) {
   switch (key) {
-    case kCType: return read_type(in, "ckpt");
+    case kCType: return read_type(in, kCheckpointType);
     case kCShard: return read_count(in, c.shard);
     case kCIter: return in.integer(c.iterations);
     case kCRecords: return in.integer(c.records_written);

@@ -2,19 +2,6 @@
 
 namespace xentry::fault {
 
-std::string_view consequence_name(Consequence c) {
-  switch (c) {
-    case Consequence::Masked: return "masked";
-    case Consequence::HypervisorCrash: return "hypervisor_crash";
-    case Consequence::HypervisorHang: return "hypervisor_hang";
-    case Consequence::AllVmFailure: return "all_vm_failure";
-    case Consequence::OneVmFailure: return "one_vm_failure";
-    case Consequence::AppCrash: return "app_crash";
-    case Consequence::AppSdc: return "app_sdc";
-  }
-  return "?";
-}
-
 std::optional<Consequence> consequence_from_name(std::string_view name) {
   // Small fixed vocabulary: a linear scan over the canonical names keeps
   // the two directions trivially in sync.
@@ -28,17 +15,6 @@ std::optional<Consequence> consequence_from_name(std::string_view name) {
     if (consequence_name(c) == name) return c;
   }
   return std::nullopt;
-}
-
-std::string_view undetected_class_name(UndetectedClass c) {
-  switch (c) {
-    case UndetectedClass::NotApplicable: return "n/a";
-    case UndetectedClass::MisClassified: return "mis_classify";
-    case UndetectedClass::StackValues: return "stack_values";
-    case UndetectedClass::TimeValues: return "time_values";
-    case UndetectedClass::OtherValues: return "other_values";
-  }
-  return "?";
 }
 
 std::optional<UndetectedClass> undetected_class_from_name(

@@ -44,7 +44,18 @@ enum class Consequence : std::uint8_t {
 /// Number of Consequence values (array-indexing helper).
 inline constexpr std::size_t kNumConsequences = 7;
 
-std::string_view consequence_name(Consequence c);
+constexpr std::string_view consequence_name(Consequence c) {
+  switch (c) {
+    case Consequence::Masked: return "masked";
+    case Consequence::HypervisorCrash: return "hypervisor_crash";
+    case Consequence::HypervisorHang: return "hypervisor_hang";
+    case Consequence::AllVmFailure: return "all_vm_failure";
+    case Consequence::OneVmFailure: return "one_vm_failure";
+    case Consequence::AppCrash: return "app_crash";
+    case Consequence::AppSdc: return "app_sdc";
+  }
+  return "?";
+}
 
 /// Inverse of consequence_name; nullopt for unknown names.  Keeps the
 /// exported vocabulary round-trippable (CSV/JSONL consumers feed names
@@ -73,7 +84,16 @@ enum class UndetectedClass : std::uint8_t {
   OtherValues,        ///< other pure-data corruption
 };
 
-std::string_view undetected_class_name(UndetectedClass c);
+constexpr std::string_view undetected_class_name(UndetectedClass c) {
+  switch (c) {
+    case UndetectedClass::NotApplicable: return "n/a";
+    case UndetectedClass::MisClassified: return "mis_classify";
+    case UndetectedClass::StackValues: return "stack_values";
+    case UndetectedClass::TimeValues: return "time_values";
+    case UndetectedClass::OtherValues: return "other_values";
+  }
+  return "?";
+}
 
 /// Inverse of undetected_class_name; nullopt for unknown names.
 std::optional<UndetectedClass> undetected_class_from_name(

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <filesystem>
+#include <limits>
 #include <system_error>
+#include <type_traits>
 
 #include "hv/layout.hpp"
 #include "obs/atomic_file.hpp"
@@ -59,20 +61,6 @@ bool is_unit_weight(double w) { return w >= 0.0 && w <= 1.0; }  // not NaN
 
 // -- binary frame -----------------------------------------------------------
 
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
 struct ByteReader {
   std::string_view data;
   std::size_t pos = 0;
@@ -123,39 +111,37 @@ constexpr std::uint32_t kBinaryPayloadBytes =
     1 + 4 + 8 + 4 + 8 + 1 + 4 + 1 + 1 + 1 + 8 + 1 + 4 + 1 +
     8 * kNumFeatures + 8 + 8;
 
+constexpr std::size_t kBinaryFrameBytes = 4 + kBinaryPayloadBytes;
+
 void encode_binary(const InjectionRecord& r, std::string& out) {
-  const std::size_t len_at = out.size();
-  put_u32(out, 0);  // patched below
-  const std::size_t payload_at = out.size();
-  put_u8(out, static_cast<std::uint8_t>(r.reason.category));
-  put_u32(out, static_cast<std::uint32_t>(r.reason.index));
-  put_u64(out, r.activation_seed);
-  put_u32(out, static_cast<std::uint32_t>(r.vcpu));
-  put_u64(out, r.injection.at_step);
-  put_u8(out, static_cast<std::uint8_t>(r.injection.reg));
-  put_u32(out, static_cast<std::uint32_t>(r.injection.bit));
+  char buf[kBinaryFrameBytes];
+  obs::BufferWriter w(buf);
+  w.little_endian(kBinaryPayloadBytes);
+  w.little_endian(static_cast<std::uint8_t>(r.reason.category));
+  w.little_endian(static_cast<std::uint32_t>(r.reason.index));
+  w.little_endian(r.activation_seed);
+  w.little_endian(static_cast<std::uint32_t>(r.vcpu));
+  w.little_endian(r.injection.at_step);
+  w.little_endian(static_cast<std::uint8_t>(r.injection.reg));
+  w.little_endian(static_cast<std::uint32_t>(r.injection.bit));
   std::uint8_t flags = 0;
   if (r.injected) flags |= kFlagInjected;
   if (r.activated) flags |= kFlagActivated;
   if (r.detected) flags |= kFlagDetected;
   if (r.trace_diverged) flags |= kFlagDiverged;
-  put_u8(out, flags);
-  put_u8(out, static_cast<std::uint8_t>(r.consequence));
-  put_u8(out, static_cast<std::uint8_t>(r.technique));
-  put_u64(out, r.latency);
-  put_u8(out, static_cast<std::uint8_t>(r.trap));
-  put_u32(out, r.assert_id);
-  put_u8(out, static_cast<std::uint8_t>(r.undetected));
+  w.little_endian(flags);
+  w.little_endian(static_cast<std::uint8_t>(r.consequence));
+  w.little_endian(static_cast<std::uint8_t>(r.technique));
+  w.little_endian(r.latency);
+  w.little_endian(static_cast<std::uint8_t>(r.trap));
+  w.little_endian(r.assert_id);
+  w.little_endian(static_cast<std::uint8_t>(r.undetected));
   for (std::int64_t f : r.features.as_array()) {
-    put_u64(out, static_cast<std::uint64_t>(f));
+    w.little_endian(static_cast<std::uint64_t>(f));
   }
-  put_u64(out, std::bit_cast<std::uint64_t>(r.weight));
-  put_u64(out, std::bit_cast<std::uint64_t>(r.masked_weight));
-  const std::uint32_t len = static_cast<std::uint32_t>(out.size() - payload_at);
-  for (int i = 0; i < 4; ++i) {
-    out[len_at + static_cast<std::size_t>(i)] =
-        static_cast<char>((len >> (8 * i)) & 0xff);
-  }
+  w.little_endian(std::bit_cast<std::uint64_t>(r.weight));
+  w.little_endian(std::bit_cast<std::uint64_t>(r.masked_weight));
+  w.append_to(out);
 }
 
 bool decode_binary_into(std::string_view data, std::size_t& pos,
@@ -198,59 +184,6 @@ bool decode_binary_into(std::string_view data, std::size_t& pos,
 
 // -- JSONL ------------------------------------------------------------------
 
-using obs::append_double;
-using obs::append_i64;
-using obs::append_u64;
-
-void encode_jsonl(const InjectionRecord& r, std::string& out) {
-  out += "{\"cat\":";
-  append_u64(out, static_cast<std::uint64_t>(r.reason.category));
-  out += ",\"idx\":";
-  append_i64(out, r.reason.index);
-  out += ",\"seed\":";
-  append_u64(out, r.activation_seed);
-  out += ",\"vcpu\":";
-  append_i64(out, r.vcpu);
-  out += ",\"step\":";
-  append_u64(out, r.injection.at_step);
-  out += ",\"reg\":";
-  append_u64(out, static_cast<std::uint64_t>(r.injection.reg));
-  out += ",\"bit\":";
-  append_i64(out, r.injection.bit);
-  out += ",\"inj\":";
-  out += r.injected ? '1' : '0';
-  out += ",\"act\":";
-  out += r.activated ? '1' : '0';
-  out += ",\"cons\":\"";
-  out += consequence_name(r.consequence);
-  out += "\",\"det\":";
-  out += r.detected ? '1' : '0';
-  out += ",\"tech\":";
-  append_u64(out, static_cast<std::uint64_t>(r.technique));
-  out += ",\"lat\":";
-  append_u64(out, r.latency);
-  out += ",\"trap\":";
-  append_u64(out, static_cast<std::uint64_t>(r.trap));
-  out += ",\"assert\":";
-  append_u64(out, r.assert_id);
-  out += ",\"div\":";
-  out += r.trace_diverged ? '1' : '0';
-  out += ",\"undet\":\"";
-  out += undetected_class_name(r.undetected);
-  out += "\",\"f\":[";
-  bool first = true;
-  for (std::int64_t f : r.features.as_array()) {
-    if (!first) out += ',';
-    first = false;
-    append_i64(out, f);
-  }
-  out += "],\"w\":";
-  append_double(out, r.weight);
-  out += ",\"mw\":";
-  append_double(out, r.masked_weight);
-  out += "}\n";
-}
-
 // The writer's member order, each name as the writer spells it: quoted and
 // followed by the colon (the table obs::LineScanner::members reads).
 enum JsonlKey : int {
@@ -275,6 +208,111 @@ constexpr std::size_t kMinJsonlLine = [] {
   for (int k = 0; k < kW; ++k) n += kJsonlMembers[k].size() + 1;
   return n;
 }();
+
+/// The longest quoted name `name_of` gives any value of `E`.
+template <typename E>
+constexpr std::size_t widest_name(std::string_view (*name_of)(E)) {
+  using U = std::underlying_type_t<E>;
+  std::size_t n = 0;
+  for (unsigned v = 0; v <= std::numeric_limits<U>::max(); ++v) {
+    n = std::max(n, name_of(static_cast<E>(v)).size());
+  }
+  return n + 2;
+}
+
+/// The widest decimal a field of type `T` prints as (an enum as its
+/// underlying integer).
+template <typename T>
+constexpr std::size_t widest_integer() {
+  if constexpr (std::is_enum_v<T>) {
+    return obs::kMaxDecimalChars<std::underlying_type_t<T>>;
+  } else {
+    return obs::kMaxDecimalChars<T>;
+  }
+}
+
+// Each member's widest value, as encode_jsonl writes it.
+constexpr std::size_t kJsonlWidest[kNumJsonlKeys] = {
+    widest_integer<decltype(InjectionRecord::reason.category)>(),
+    widest_integer<decltype(InjectionRecord::reason.index)>(),
+    widest_integer<decltype(InjectionRecord::activation_seed)>(),
+    widest_integer<decltype(InjectionRecord::vcpu)>(),
+    widest_integer<decltype(InjectionRecord::injection.at_step)>(),
+    widest_integer<decltype(InjectionRecord::injection.reg)>(),
+    widest_integer<decltype(InjectionRecord::injection.bit)>(),
+    1,  // inj
+    1,  // act
+    widest_name(consequence_name),
+    1,  // det
+    widest_integer<decltype(InjectionRecord::technique)>(),
+    widest_integer<decltype(InjectionRecord::latency)>(),
+    widest_integer<decltype(InjectionRecord::trap)>(),
+    widest_integer<decltype(InjectionRecord::assert_id)>(),
+    1,  // div
+    widest_name(undetected_class_name),
+    // [f,f,f,f,f]
+    1 + kNumFeatures * (obs::kMaxDecimalChars<std::int64_t> + 1),
+    obs::kMaxNumberChars,
+    obs::kMaxNumberChars,
+};
+constexpr std::size_t kMaxJsonlLine =
+    obs::max_line_chars(kJsonlMembers, kJsonlWidest);
+static_assert(kMaxJsonlLine <= 512, "a JSONL frame is a small stack buffer");
+
+void encode_jsonl(const InjectionRecord& r, std::string& out) {
+  char buf[kMaxJsonlLine];
+  obs::BufferWriter w(buf);
+  const auto member = [&w](JsonlKey k) { w.member(kJsonlMembers, k); };
+  w.put('{');
+  member(kCat);
+  w.enumerator(r.reason.category);
+  member(kIdx);
+  w.integer(r.reason.index);
+  member(kSeed);
+  w.integer(r.activation_seed);
+  member(kVcpu);
+  w.integer(r.vcpu);
+  member(kStep);
+  w.integer(r.injection.at_step);
+  member(kReg);
+  w.enumerator(r.injection.reg);
+  member(kBit);
+  w.integer(r.injection.bit);
+  member(kInj);
+  w.flag(r.injected);
+  member(kAct);
+  w.flag(r.activated);
+  member(kCons);
+  w.quoted(consequence_name(r.consequence));
+  member(kDet);
+  w.flag(r.detected);
+  member(kTech);
+  w.enumerator(r.technique);
+  member(kLat);
+  w.integer(r.latency);
+  member(kTrap);
+  w.enumerator(r.trap);
+  member(kAssert);
+  w.integer(r.assert_id);
+  member(kDiv);
+  w.flag(r.trace_diverged);
+  member(kUndet);
+  w.quoted(undetected_class_name(r.undetected));
+  member(kF);
+  w.put('[');
+  const auto features = r.features.as_array();
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    if (i > 0) w.put(',');
+    w.integer(features[i]);
+  }
+  w.put(']');
+  member(kW);
+  w.number(r.weight);
+  member(kMw);
+  w.number(r.masked_weight);
+  w.text("}\n");
+  w.append_to(out);
+}
 
 bool read_member(obs::LineScanner& in, std::size_t key, InjectionRecord& r) {
   switch (key) {
