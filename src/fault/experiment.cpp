@@ -86,13 +86,10 @@ bool InjectionExperiment::unread_on_golden_path(
       injection.at_step >= probe.trace.size()) {
     return false;
   }
-  const std::uint32_t target = sim::reg_bit(injection.reg);
-  for (std::size_t i = injection.at_step; i < probe.trace.size(); ++i) {
-    const sim::Instruction& insn = program.at(probe.trace[i]);
-    if (sim::regs_read(insn) & target) return false;
-    if (sim::regs_written(insn) & target) return true;
-  }
-  return true;
+  return sim::first_touch(
+             program, std::span(probe.trace).subspan(injection.at_step),
+             injection.reg)
+             .kind != sim::Touch::Kind::Read;
 }
 
 InjectionExperiment::Result InjectionExperiment::run_one(

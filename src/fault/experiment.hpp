@@ -110,12 +110,10 @@ class InjectionExperiment {
 
   /// Whether `probe`'s golden trace alone proves `injection` unactivated
   /// (paper Section V-B: a flip is activated only if the register is read
-  /// before it is overwritten).  Walks the trace from `at_step` with the
-  /// static masks the watch window of Machine::run uses (sim::regs_read,
-  /// then sim::regs_written; a read takes precedence) and answers true
-  /// when the register is overwritten before any read or never touched
-  /// again.  Never true for rip, for a golden run that did not reach VM
-  /// entry, or for a flip past the end of the trace.  Until the flip is
+  /// before it is overwritten): sim::first_touch on the trace from
+  /// `at_step`, as Machine::run walks a faulted run's own trace, finds no
+  /// read first.  Never true for rip, for a golden run that did not reach
+  /// VM entry, or for a flip past the end of the trace.  Until the flip is
   /// read the faulted run retires exactly the golden instructions, so the
   /// verdict equals the executed run's `activated`.
   static bool unread_on_golden_path(const sim::Program& program,

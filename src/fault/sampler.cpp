@@ -24,8 +24,8 @@ ImportanceSampler::ImportanceSampler(const analysis::VulnerabilityMap& map,
 
 bool ImportanceSampler::is_live(const std::vector<sim::Addr>& trace,
                                 const hv::Injection& inj) const {
-  // Steps at or past the trace end never activate inside the watched
-  // window; treat them as live (never skip what the map can't price).
+  // A step at or past the trace end has no slot for the map to price;
+  // treat it as live (never skip what the map can't price).
   if (inj.at_step >= trace.size()) return true;
   return map_.is_live(trace[inj.at_step],
                       static_cast<std::uint8_t>(inj.reg),

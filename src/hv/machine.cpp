@@ -16,8 +16,8 @@ using sim::Reg;
 using sim::SplitMix64;
 using sim::Word;
 
-/// Steps the unwatched faulted remainder runs between hang-proof attempts:
-/// short enough that a hang retires little of its budget before one, long
+/// Steps the faulted remainder runs between hang-proof attempts: short
+/// enough that a hang retires little of its budget before one, long
 /// enough that a run which ends on its own pays for few.
 constexpr std::uint64_t kHangProofChunk = 4096;
 
@@ -475,11 +475,10 @@ RunResult Machine::run(const Activation& act, const RunOptions& opts) {
 
   // One path: a clean run is an injection run whose flip point lies past
   // the budget.  The configured engine runs the fault-free prefix up to
-  // the flip; the faulted remainder batches under a register watch to the
-  // first instruction that touches the flipped register, which settles
-  // activation, and then runs unwatched, in chunks of kHangProofChunk
+  // the flip; the faulted remainder runs in chunks of kHangProofChunk
   // steps: at each chunk boundary short of the budget, the Fast engine
-  // tries to prove that the rest is a hang (sim::Cpu::prove_hang).  Every
+  // tries to prove that the rest is a hang (sim::Cpu::prove_hang).  One
+  // walk over the remainder's trace then settles activation.  Every
   // observable (result fields, trace, counters) equals single-stepping
   // the activation with the flip applied before step `at_step`, up to the
   // proof point of a proven hang (see RunResult); MachineTest's
@@ -491,32 +490,20 @@ RunResult Machine::run(const Activation& act, const RunOptions& opts) {
       cpu_.run(inj != nullptr ? std::min(inj->at_step, budget) : budget);
   // run() raises Watchdog at budget exhaustion: short of the full
   // allowance, the prefix ended at the flip point.
+  std::vector<Addr>* walked = nullptr;  // traces the faulted remainder
+  std::size_t flip_index = 0;
   if (inj != nullptr && info.trap.kind == sim::TrapKind::Watchdog &&
       cpu_.steps_executed() < budget) {
-    const std::uint32_t target_bit = sim::reg_bit(inj->reg);
     cpu_.flip_bit(inj->reg, inj->bit);
     result.injected = true;
-    info = sim::StepInfo{};
-    if (inj->reg == Reg::rip) {
-      // The very next fetch consumes the corrupted rip.
-      result.activated = true;
-      result.activation_step = cpu_.steps_executed();
-    } else {
-      cpu_.set_watch(target_bit);
-      info = cpu_.run(budget - cpu_.steps_executed());
-      cpu_.set_watch(0);
-      if (info.status == sim::StepInfo::Status::Ok) {
-        // Watch stop: the pending instruction is the first to read or
-        // write the flipped register.  A read activates the fault; a
-        // write overwrites it.  Step it, then run the rest unwatched.
-        if (info.read_mask & target_bit) {
-          result.activated = true;
-          result.activation_step = cpu_.steps_executed();
-        }
-        info = cpu_.step();
-      }
+    walked = opts.trace;
+    if (walked == nullptr) {
+      walked = &walk_trace_;
+      walk_trace_.clear();
+      cpu_.set_trace(walked);
     }
-    // The unwatched remainder: Status::Ok means the run goes on.
+    flip_index = walked->size();
+    info = sim::StepInfo{};  // Status::Ok: the run goes on
     while (info.status == sim::StepInfo::Status::Ok) {
       const std::uint64_t left = budget - cpu_.steps_executed();
       info = cpu_.run(std::min(left, kHangProofChunk));
@@ -542,6 +529,23 @@ RunResult Machine::run(const Activation& act, const RunOptions& opts) {
     }
   }
 
+  if (walked != nullptr) {
+    // The next fetch consumes a flipped rip.  Any other register is
+    // activated by the first instruction after the flip that reads it
+    // before one writes it; the trapping instruction is the run's last.
+    const sim::Touch touch = sim::first_touch(
+        mv_.program, std::span(*walked).subspan(flip_index), inj->reg);
+    const sim::Instruction* last = trapping_instruction(result);
+    if (inj->reg == Reg::rip || touch.kind == sim::Touch::Kind::Read) {
+      result.activated = true;
+      result.activation_step = inj->at_step + touch.index;
+    } else if (touch.kind == sim::Touch::Kind::None && last != nullptr &&
+               (sim::regs_read(*last) & sim::reg_bit(inj->reg)) != 0) {
+      result.activated = true;
+      result.activation_step = executed;
+    }
+  }
+
   result.counters = opts.arm_counters ? cpu_.counters().disarm()
                                       : sim::PerfSnapshot{};
   cpu_.set_trace(nullptr);
@@ -556,14 +560,18 @@ std::uint64_t Machine::executed_assertions(const std::vector<Addr>& trace,
   const sim::Program& program = mv_.program;
   std::uint64_t n = 0;
   for (const Addr a : trace) n += sim::is_assertion(program.at(a).op) ? 1 : 0;
-  if (!result.reached_vm_entry &&
-      result.trap.kind != sim::TrapKind::Watchdog) {
-    // The trapping instruction did not retire, so it is not in the trace;
-    // rip still points at it.
-    const Addr rip = cpu_.reg(Reg::rip);
-    if (program.contains(rip) && sim::is_assertion(program.at(rip).op)) ++n;
-  }
+  const sim::Instruction* last = trapping_instruction(result);
+  if (last != nullptr && sim::is_assertion(last->op)) ++n;
   return n;
+}
+
+const sim::Instruction* Machine::trapping_instruction(
+    const RunResult& result) const {
+  if (result.reached_vm_entry ||
+      result.trap.kind == sim::TrapKind::Watchdog) {
+    return nullptr;
+  }
+  return mv_.program.fetch(cpu_.reg(Reg::rip));  // rip still points at it
 }
 
 void Machine::record_flight_frame(const Activation& act,

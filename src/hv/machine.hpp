@@ -54,11 +54,11 @@ struct RunOptions {
 };
 
 /// How one activation ended.  Every field, and so the flight frame, is
-/// exact also for a proven hang: a faulted run whose unwatched remainder
-/// the Fast engine proved to loop until the watchdog
-/// (sim::Cpu::prove_hang) and retired in closed form.  The machine's TSC
-/// is exact too; the trace (see RunOptions::trace), memory and the
-/// registers other than rip stop at the proof point.  Nothing reads them
+/// exact also for a proven hang: a faulted run whose remainder the Fast
+/// engine proved to loop until the watchdog (sim::Cpu::prove_hang) and
+/// retired in closed form.  The machine's TSC is exact too; the trace
+/// (see RunOptions::trace), memory and the registers other than rip stop
+/// at the proof point.  Nothing reads them
 /// after a watchdog: campaigns restore the faulty machine before its next
 /// use and diff persistent state only after VM entry.
 struct RunResult {
@@ -71,7 +71,10 @@ struct RunResult {
 
   // Fault bookkeeping (meaningful when an injection was requested).
   bool injected = false;   ///< the flip actually happened (at_step reached)
-  bool activated = false;  ///< the corrupted register was read afterwards
+  /// The corrupted register was read before being overwritten, by the
+  /// instruction at `activation_step`: found by one walk over the trace
+  /// the faulted run executed (sim::first_touch), rip at the flip itself.
+  bool activated = false;
   std::uint64_t activation_step = 0;
   std::uint64_t trap_step = 0;  ///< dynamic index at which the trap fired
   /// The watchdog ended the run by proof rather than by running out the
@@ -150,19 +153,16 @@ class Machine {
   sim::Addr handler_entry(const ExitReason& reason) const;
 
   /// Selects the CPU execution engine for this machine's run() path.
-  /// Clean runs execute entirely on it; injection runs use it for the
-  /// fault-free prefix and for the suffix after activation resolves, batch
-  /// the watched window on the run loop, and single-step only the first
-  /// instruction that touches the flipped register.  Snapshot and restore
-  /// are engine-agnostic.
+  /// Every step of a run, clean or faulted, executes on it.  Snapshot and
+  /// restore are engine-agnostic.
   void set_execution_engine(sim::EngineKind kind) { cpu_.set_engine(kind); }
 
   /// Assertion instructions the last run() executed, derived from its
   /// control-flow trace (`trace` is what RunOptions::trace recorded):
-  /// every traced instruction that is an assertion, plus the one at rip
-  /// when the run ended in a non-watchdog trap there — an assertion that
-  /// fails executed too.  Reads the CPU's rip, so call it before anything
-  /// else runs on this machine.
+  /// every traced instruction that is an assertion, plus the trapping one
+  /// (trapping_instruction) — an assertion that fails executed too.
+  /// Reads the CPU's rip, so call it before anything else runs on this
+  /// machine.
   std::uint64_t executed_assertions(const std::vector<sim::Addr>& trace,
                                     const RunResult& result) const;
 
@@ -190,6 +190,10 @@ class Machine {
   void map_regions();
   void init_boot_state();
   void prepare_inputs(const Activation& activation);
+  /// The instruction the last run trapped at: it did not retire, so the
+  /// trace lacks it, but it is the run's last.  nullptr after VM entry, a
+  /// watchdog, or a fetch outside the code image.
+  const sim::Instruction* trapping_instruction(const RunResult& result) const;
 
   Microvisor mv_;
   sim::Memory mem_;
@@ -197,6 +201,8 @@ class Machine {
   /// Handler entry addresses indexed by ExitReason::code(): avoids the
   /// per-activation string symbol lookup on the dispatch path.
   std::vector<sim::Addr> entry_cache_;
+  /// The faulted remainder's trace when the caller records none.
+  std::vector<sim::Addr> walk_trace_;
   const obs::MachineTelemetry* telemetry_ = nullptr;
   /// Snapshot/restore calls are timed 1-in-kTimingSampleEvery (a
   /// deterministic call-count sample): the campaign snapshots/restores

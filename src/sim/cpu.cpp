@@ -407,7 +407,7 @@ constexpr auto kRetireClass = [] {
 
 }  // namespace
 
-template <bool Trace, bool Watch, bool Shadow>
+template <bool Trace, bool Shadow>
 StepInfo Cpu::run_loop(std::uint64_t max_steps) {
   Memory& mem = *mem_;
   std::vector<Addr>* const trace = trace_;
@@ -450,28 +450,11 @@ StepInfo Cpu::run_loop(std::uint64_t max_steps) {
       return info;
     }
 
-    if constexpr (Watch) {
-      // Register watch: hand control back before any instruction whose
-      // static read/write set touches the watched registers.  The caller
-      // (the injection path) reads the masks and single-steps it.
-      const std::uint32_t read = regs_read(insn);
-      const std::uint32_t written = regs_written(insn);
-      if (((read | written) & watch_mask_) != 0) {
-        flush();
-        info.status = StepInfo::Status::Ok;
-        info.rip_before = rip;
-        info.read_mask = read;
-        info.written_mask = written;
-        return info;
-      }
-    }
-
     // Macro-op fusion: a Cmp*/Test* head whose successor Jcc is not a
     // control-flow landing point executes as one dispatch but retires as
     // two instructions (two trace entries, two counter retires, same
-    // rflags effects).  Never fuse across the watchdog boundary, and not
-    // while a watch is armed (the tail's reads must stay visible).
-    if (!Watch && insn.fused && executed + 2 <= max_steps) {
+    // rflags effects).  Never fuse across the watchdog boundary.
+    if (insn.fused && executed + 2 <= max_steps) {
       switch (insn.op) {
         case Opcode::CmpRR:
           set_flags_cmp(reg(insn.r1), reg(insn.r2));
@@ -848,27 +831,15 @@ std::size_t diff_regs(const Cpu& a, const Cpu& b, std::vector<RegDiff>& out) {
 }
 
 StepInfo Cpu::run(std::uint64_t max_steps) {
-  // A register watch needs the per-instruction mask check only the run
-  // loops implement; the engines are bit-identical, so the detour never
-  // changes results.
-  if (engine_ == EngineKind::Reference && watch_mask_ == 0) {
-    return run_reference(max_steps);
-  }
+  if (engine_ == EngineKind::Reference) return run_reference(max_steps);
   if (hints_.size() != prog_->size()) {
     hints_.assign(prog_->size(), Memory::kNoHint);
   }
-  const unsigned key = (trace_ != nullptr ? 1u : 0u) |
-                       (watch_mask_ != 0 ? 2u : 0u) |
-                       (shadow_enabled_ ? 4u : 0u);
-  switch (key) {
-    case 0: return run_loop<false, false, false>(max_steps);
-    case 1: return run_loop<true, false, false>(max_steps);
-    case 2: return run_loop<false, true, false>(max_steps);
-    case 3: return run_loop<true, true, false>(max_steps);
-    case 4: return run_loop<false, false, true>(max_steps);
-    case 5: return run_loop<true, false, true>(max_steps);
-    case 6: return run_loop<false, true, true>(max_steps);
-    default: return run_loop<true, true, true>(max_steps);
+  switch ((trace_ != nullptr ? 1u : 0u) | (shadow_enabled_ ? 2u : 0u)) {
+    case 0: return run_loop<false, false>(max_steps);
+    case 1: return run_loop<true, false>(max_steps);
+    case 2: return run_loop<false, true>(max_steps);
+    default: return run_loop<true, true>(max_steps);
   }
 }
 

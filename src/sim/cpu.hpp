@@ -8,22 +8,23 @@
 // Two engines share the architectural semantics:
 //   - step() / run_reference(): the reference engine.  One instruction per
 //     call, a fresh StepInfo per step — used by single-step callers
-//     (lockstep comparison, the instruction at a register-watch stop) and
-//     as the oracle the differential tests check the fast engine against.
+//     (lockstep comparison, the hang prover's laps) and as the oracle the
+//     differential tests check the fast engine against.
 //   - run(): the mode-specialized engine.  Dispatches once, per run, to a
-//     loop templated over the three per-run feature flags (trace
-//     recording, register watch, shadow-stack redundancy), so the common
-//     golden-run configuration compiles to a tight loop with zero
-//     disabled-feature branches.  Retire bookkeeping (steps, TSC,
-//     counters) accumulates in locals and is flushed once at loop exit,
-//     and fusable Cmp*/Test* + Jcc pairs (see Program::fused) execute in
-//     one dispatch while still retiring as two instructions.  The code
-//     image's base, size and slot array are hoisted out of the loop, and
-//     each Load, Store, Push, Pop, Call and Ret passes a region hint of
-//     its own to Memory: one byte per program slot, owned by the Cpu,
-//     which a static instruction almost always hits (Memory::read with a
-//     Hint).  Every architectural observable is bit-identical to the
-//     reference engine.
+//     loop templated over the two per-run feature flags (trace recording,
+//     shadow-stack redundancy), so the common golden-run configuration
+//     compiles to a tight loop with zero disabled-feature branches.
+//     Activation is decided after a run, from its trace (sim::first_touch),
+//     so neither engine checks registers per step.  Retire bookkeeping
+//     (steps, TSC, counters) accumulates in locals and is flushed once at
+//     loop exit, and fusable Cmp*/Test* + Jcc pairs (see Program::fused)
+//     execute in one dispatch while still retiring as two instructions.
+//     The code image's base, size and slot array are hoisted out of the
+//     loop, and each Load, Store, Push, Pop, Call and Ret passes a region
+//     hint of its own to Memory: one byte per program slot, owned by the
+//     Cpu, which a static instruction almost always hits (Memory::read
+//     with a Hint).  Every architectural observable is bit-identical to
+//     the reference engine.
 //
 // prove_hang() (src/sim/hang_proof.cpp) is the Fast engine's shortcut for
 // a run that loops until the watchdog: it steps a few laps of the loop,
@@ -82,11 +83,6 @@ struct StepInfo {
   Status status = Status::Ok;
   Trap trap;
   Addr rip_before = 0;
-  /// The pending instruction's static register read/write sets (reg_bit
-  /// masks).  Filled only at a register-watch stop (see Cpu::set_watch);
-  /// zero in every other StepInfo.
-  std::uint32_t read_mask = 0;
-  std::uint32_t written_mask = 0;
 };
 
 class Cpu {
@@ -128,10 +124,11 @@ class Cpu {
   /// Runs until Hlt, a trap, or `max_steps` instructions (which raises the
   /// Watchdog trap, modelling Xen's NMI watchdog catching a hung
   /// hypervisor).  Returns the last StepInfo.  The Reference engine runs
-  /// run_reference; otherwise (and whenever a register watch is armed)
-  /// picks the run-loop specialization for the current trace/watch/shadow
-  /// configuration once, then executes with no per-step feature tests;
-  /// the feature setters must not be called while a run is in flight.
+  /// run_reference; the Fast engine picks the run-loop specialization for
+  /// the current trace/shadow configuration once, then executes with no
+  /// per-step feature tests; the feature setters must not be called while
+  /// a run is in flight.  A run may stop at any budget and resume with
+  /// another run() call: the split run retires exactly what one run would.
   /// run(0) returns the Watchdog trap at rip without executing anything.
   StepInfo run(std::uint64_t max_steps);
 
@@ -154,7 +151,7 @@ class Cpu {
   /// trace, memory and the other registers keep their proof-point
   /// values.  Otherwise it returns how the run ended while stepping
   /// (halt, trap or the budget), or Status::Ok when the run goes on.
-  /// Never proves on the Reference engine or with a register watch armed.
+  /// Never proves on the Reference engine.
   StepInfo prove_hang(std::uint64_t max_steps, bool& proven);
 
   // -- attachments ------------------------------------------------------------
@@ -165,16 +162,6 @@ class Cpu {
   /// When non-null, every executed rip is appended: the control-flow trace
   /// used for golden-run comparison and ML labelling.
   void set_trace(std::vector<Addr>* trace) { trace_ = trace; }
-
-  /// Register watch (by reg_bit mask).  While nonzero, run() stops
-  /// *before* executing any instruction whose static read or write set
-  /// intersects the mask, returning StepInfo::Status::Ok with the pending
-  /// instruction's masks filled and rip still pointing at it.  The
-  /// injection path uses this to batch execution up to the first
-  /// instruction that touches the flipped register.  Forces the run-loop
-  /// engine (bit-identical) while set: run_reference has no
-  /// per-instruction mask check.  Zero disables.
-  void set_watch(std::uint32_t reg_mask) { watch_mask_ = reg_mask; }
 
   Word tsc() const { return tsc_; }
   void set_tsc(Word v) { tsc_ = v; }
@@ -205,9 +192,8 @@ class Cpu {
   StepInfo watchdog() const;
 
   /// The mode-specialized hot loop behind run().  One instantiation per
-  /// trace/watch/shadow combination; `Watch` is set exactly when a
-  /// register watch is armed.
-  template <bool Trace, bool Watch, bool Shadow>
+  /// trace/shadow combination.
+  template <bool Trace, bool Shadow>
   StepInfo run_loop(std::uint64_t max_steps);
 
   const Program* prog_;
@@ -222,7 +208,6 @@ class Cpu {
   std::uint64_t steps_ = 0;
   std::int64_t shadow_offset_ = 0;
   EngineKind engine_ = EngineKind::Fast;
-  std::uint32_t watch_mask_ = 0;
   bool shadow_enabled_ = false;
 };
 

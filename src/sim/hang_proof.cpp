@@ -463,7 +463,7 @@ class LapProof {
 StepInfo Cpu::prove_hang(std::uint64_t max_steps, bool& proven) {
   StepInfo info;  // Status::Ok: the run goes on
   // The Reference engine is the oracle the prover is checked against.
-  if (engine_ == EngineKind::Reference || watch_mask_ != 0) return info;
+  if (engine_ == EngineKind::Reference) return info;
   const std::uint64_t start = steps_;
   // One real step within the budget; false once the run has ended (info
   // then says how) or has left the lap being recorded.

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "sim/program.hpp"
+
 namespace xentry::sim {
 
 std::string_view opcode_name(Opcode op) {
@@ -126,6 +128,17 @@ std::string disassemble(const Instruction& insn) {
       break;
   }
   return os.str();
+}
+
+Touch first_touch(const Program& program, std::span<const Addr> rips,
+                  Reg reg) {
+  const std::uint32_t bit = reg_bit(reg);
+  for (std::size_t i = 0; i < rips.size(); ++i) {
+    const Instruction& insn = program.at(rips[i]);
+    if (regs_read(insn) & bit) return {Touch::Kind::Read, i};
+    if (regs_written(insn) & bit) return {Touch::Kind::Written, i};
+  }
+  return {};
 }
 
 }  // namespace xentry::sim

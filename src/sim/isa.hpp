@@ -8,7 +8,9 @@
 // Listings 1 and 2) has a direct machine-level encoding.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -174,9 +176,7 @@ constexpr std::uint32_t reg_bit(Reg r) {
 
 /// Which architectural registers an instruction reads, as a bitmask indexed
 /// by Reg.  Used by the fault injector to decide whether an injected flip
-/// was *activated* (register read before being overwritten).  Inline: the
-/// register watch calls it per step and golden-trace resolution per trace
-/// entry.
+/// was *activated* (register read before being overwritten; first_touch).
 constexpr std::uint32_t regs_read(const Instruction& insn) {
   constexpr std::uint32_t rflags_bit = reg_bit(Reg::rflags);
   constexpr std::uint32_t rsp_bit = reg_bit(Reg::rsp);
@@ -275,5 +275,22 @@ constexpr std::uint32_t regs_written(const Instruction& insn) {
   }
   return 0;
 }
+
+class Program;
+
+/// The first instruction of an executed trace that touches one register.
+struct Touch {
+  enum class Kind : std::uint8_t { None, Read, Written };
+  Kind kind = Kind::None;
+  std::size_t index = 0;  ///< its position in the trace; 0 when None
+};
+
+/// Walks `rips` (retired instructions of `program`, in order) to the first
+/// one whose static read or write set (regs_read, regs_written) names
+/// `reg`.  A read wins when one instruction does both.  This is the one
+/// activation rule (paper Section V-B: a flipped register is activated
+/// only if it is read before it is overwritten), applied to a golden
+/// trace to skip a faulted run and to a faulted run's own trace.
+Touch first_touch(const Program& program, std::span<const Addr> rips, Reg reg);
 
 }  // namespace xentry::sim

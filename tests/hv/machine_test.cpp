@@ -450,6 +450,7 @@ TEST(MachineTest, InjectionRunMatchesSingleStepOracle) {
   std::vector<sim::Addr> trace, want_trace;
   std::vector<sim::WordDiff> words;
   std::uint64_t activated = 0, watchdogs = 0, traps = 0, runs = 0;
+  std::uint64_t activated_at_trap = 0;
   for (const Case& c : cases) {
     // The golden run fixes the flip-point range and the registers.
     m.restore(c.pre);
@@ -523,10 +524,26 @@ TEST(MachineTest, InjectionRunMatchesSingleStepOracle) {
                 << what;
             ASSERT_FALSE(::testing::Test::HasFailure()) << what;
 
+            if (budget == RunOptions{}.max_steps) {
+              // Untraced, run() walks a trace buffer of its own.
+              m.restore(c.pre);
+              opts.trace = nullptr;
+              const RunResult untraced = m.run(c.act, opts);
+              EXPECT_EQ(untraced.activated, want.activated) << what;
+              EXPECT_EQ(untraced.activation_step, want.activation_step)
+                  << what;
+              EXPECT_EQ(untraced.trap_step, want.trap_step) << what;
+            }
+
             ++runs;
             activated += got.activated;
             if (!got.reached_vm_entry) {
               ++(got.trap.kind == sim::TrapKind::Watchdog ? watchdogs : traps);
+              // The register's first reader is the instruction that
+              // trapped: it never retired, so no trace holds it.
+              activated_at_trap += got.activated && reg != sim::Reg::rip &&
+                                   got.trap.kind != sim::TrapKind::Watchdog &&
+                                   got.activation_step == got.trap_step;
             }
           }
         }
@@ -538,6 +555,7 @@ TEST(MachineTest, InjectionRunMatchesSingleStepOracle) {
   EXPECT_GT(activated, runs / 10);
   EXPECT_GT(watchdogs, runs / 10);
   EXPECT_GT(traps, 0u);
+  EXPECT_GT(activated_at_trap, 0u);
 }
 
 TEST(MachineTest, PersistentDiffClassifiesTimeValues) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "sim/assembler.hpp"
 
 namespace xentry::sim {
@@ -339,53 +343,39 @@ TEST(CpuTest, TraceRecordsControlPath) {
   EXPECT_EQ(trace[1], kCodeBase + 1);
 }
 
-TEST(CpuTest, RegisterWatchStopsBeforeFirstTouchingInstruction) {
+TEST(CpuTest, FirstTouchFindsFirstReadOrWriteOnExecutedTrace) {
   Assembler as(kCodeBase);
-  as.movi(Reg::rax, 1);
-  as.nop();
-  as.mov(Reg::rcx, Reg::rbx);  // slot 2: first read of rbx
+  as.movi(Reg::rax, 1);        // slot 0: a write of rax
+  as.addi(Reg::rax, 2);        // slot 1: a read and a write of rax
+  as.mov(Reg::rcx, Reg::rbx);  // slot 2: first read of rbx, write of rcx
   as.movi(Reg::rbx, 5);        // slot 3: a write of rbx
   as.hlt();
   Fixture f(as);
   for (const EngineKind engine : {EngineKind::Fast, EngineKind::Reference}) {
     Cpu cpu = f.make_cpu();
     cpu.set_engine(engine);
-    cpu.set_reg(Reg::rbx, 7);
     std::vector<Addr> trace;
     cpu.set_trace(&trace);
-    cpu.set_watch(reg_bit(Reg::rbx));
-
-    // Stops with rip at the reader, its masks filled, nothing past it
-    // retired.
-    StepInfo info = cpu.run(100);
-    EXPECT_EQ(info.status, StepInfo::Status::Ok);
-    EXPECT_EQ(cpu.reg(Reg::rip), kCodeBase + 2);
-    EXPECT_EQ(info.rip_before, kCodeBase + 2);
-    EXPECT_EQ(info.read_mask, reg_bit(Reg::rbx));
-    EXPECT_EQ(info.written_mask, reg_bit(Reg::rcx));
-    EXPECT_EQ(cpu.steps_executed(), 2u);
-    EXPECT_EQ(trace, (std::vector<Addr>{kCodeBase, kCodeBase + 1}));
-    EXPECT_EQ(cpu.reg(Reg::rcx), 0u);
-
-    // step() executes the pending instruction; masks are a watch-stop
-    // property only.
-    info = cpu.step();
-    EXPECT_EQ(info.status, StepInfo::Status::Ok);
-    EXPECT_EQ(info.read_mask, 0u);
-    EXPECT_EQ(cpu.reg(Reg::rcx), 7u);
-
-    // Resuming stops again at the writer.
-    info = cpu.run(100);
-    EXPECT_EQ(info.status, StepInfo::Status::Ok);
-    EXPECT_EQ(cpu.reg(Reg::rip), kCodeBase + 3);
-    EXPECT_EQ(info.read_mask, 0u);
-    EXPECT_EQ(info.written_mask, reg_bit(Reg::rbx));
-    EXPECT_EQ(cpu.steps_executed(), 3u);
-
-    cpu.set_watch(0);
-    EXPECT_EQ(cpu.run(100).status, StepInfo::Status::Halted);
-    EXPECT_EQ(cpu.steps_executed(), 4u);
-    EXPECT_EQ(cpu.reg(Reg::rbx), 5u);
+    ASSERT_EQ(cpu.run(100).status, StepInfo::Status::Halted);
+    ASSERT_EQ(trace.size(), 4u);  // hlt does not retire
+    const std::span<const Addr> rips(trace);
+    const auto touch = [&](std::size_t from, Reg reg) {
+      const Touch t = first_touch(f.prog, rips.subspan(from), reg);
+      return std::pair(t.kind, t.index);
+    };
+    using K = Touch::Kind;
+    // A first read, and a first write (also of a register read later).
+    EXPECT_EQ(touch(0, Reg::rbx), std::pair(K::Read, std::size_t{2}));
+    EXPECT_EQ(touch(0, Reg::rcx), std::pair(K::Written, std::size_t{2}));
+    EXPECT_EQ(touch(0, Reg::rax), std::pair(K::Written, std::size_t{0}));
+    EXPECT_EQ(touch(3, Reg::rbx), std::pair(K::Written, std::size_t{0}));
+    // One instruction that reads and writes the register: the read wins.
+    EXPECT_EQ(touch(1, Reg::rax), std::pair(K::Read, std::size_t{0}));
+    // Never touched, on the whole trace and on an empty one.
+    EXPECT_EQ(touch(0, Reg::rdx), std::pair(K::None, std::size_t{0}));
+    EXPECT_EQ(touch(4, Reg::rbx), std::pair(K::None, std::size_t{0}));
+    // rflags: the add writes it, nothing reads it.
+    EXPECT_EQ(touch(0, Reg::rflags), std::pair(K::Written, std::size_t{1}));
   }
 }
 

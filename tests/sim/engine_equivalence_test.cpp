@@ -3,9 +3,10 @@
 // observable — final StepInfo, all 18 registers, retired step count, TSC,
 // performance counters, recorded trace, and memory contents — across
 // randomly generated programs, every trap path, and all eight
-// trace/watch/shadow mode combinations (in watch mode the fast engine
-// runs batched under a register watch and single-steps each watched
-// instruction, as the injection path does).  Also pins down macro-op
+// trace/split/shadow mode combinations (in split mode the fast engine's
+// run is cut into pieces of seeded lengths, each resumed with another
+// Cpu::run call, as hv::Machine::run resumes at the flip point and at
+// every hang-proof chunk).  Also pins down macro-op
 // fusion legality at basic-block boundaries, and fixed programs the
 // generator rarely produces: every tight watchdog budget on a long loop, an
 // indirect jump into the middle of a straight-line run, out-of-image
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -119,15 +121,15 @@ struct EngineState {
   PerfSnapshot counters;
   std::vector<Addr> trace;
   Memory::Snapshot memory;
-  std::uint64_t watch_stops = 0;
+  std::uint64_t resumptions = 0;
 };
 
-/// Runs `prog` from a seeded register soup.  A nonzero `watch` (reg_bit
-/// mask) runs batched under that register watch: at each stop the pending
-/// instruction is stepped alone and the run resumes.
+/// Runs `prog` from a seeded register soup.  With `split`, the run is cut
+/// into pieces of 1 to 16 steps (seeded), each resumed with another
+/// Cpu::run call until the run ends or `max_steps` have retired.
 EngineState run_engine(const Program& prog, std::uint64_t seed,
-                       EngineKind kind, bool trace, std::uint32_t watch,
-                       bool shadow, std::uint64_t max_steps) {
+                       EngineKind kind, bool trace, bool split, bool shadow,
+                       std::uint64_t max_steps) {
   Memory mem = make_memory();
   Cpu cpu(&prog, &mem);
   cpu.reset(prog.base(), kStackTop);
@@ -150,21 +152,19 @@ EngineState run_engine(const Program& prog, std::uint64_t seed,
   EngineState st;
   if (trace) cpu.set_trace(&st.trace);
   if (shadow) cpu.enable_shadow_stack(kShadowOffset);
-  cpu.set_watch(watch);
   cpu.counters().arm();
 
-  st.info = cpu.run(max_steps);
-  while (st.info.status == StepInfo::Status::Ok) {
-    ++st.watch_stops;
-    const Instruction& pending = prog.at(cpu.reg(Reg::rip));
-    EXPECT_EQ(st.info.rip_before, cpu.reg(Reg::rip));
-    EXPECT_EQ(st.info.read_mask, regs_read(pending));
-    EXPECT_EQ(st.info.written_mask, regs_written(pending));
-    EXPECT_NE((st.info.read_mask | st.info.written_mask) & watch, 0u);
-    st.info = cpu.step();
-    if (st.info.status == StepInfo::Status::Ok) {
-      st.info = cpu.run(max_steps - cpu.steps_executed());
-    }
+  std::mt19937_64 pieces(~seed);
+  std::uniform_int_distribution<std::uint64_t> piece(1, 16);
+  const auto next_piece = [&] {
+    const std::uint64_t left = max_steps - cpu.steps_executed();
+    return split ? std::min(piece(pieces), left) : left;
+  };
+  st.info = cpu.run(next_piece());
+  while (st.info.trap.kind == TrapKind::Watchdog &&
+         cpu.steps_executed() < max_steps) {
+    ++st.resumptions;
+    st.info = cpu.run(next_piece());
   }
   st.regs = cpu.regs();
   st.steps = cpu.steps_executed();
@@ -192,7 +192,7 @@ void expect_equivalent(const EngineState& a, const EngineState& b,
 TEST(EngineEquivalenceTest, RandomProgramsAllModeCombinations) {
   std::mt19937_64 rng(0x1234abcdu);
   int halted = 0, trapped = 0, watchdogged = 0, fused_programs = 0;
-  std::uint64_t watch_stops = 0;
+  std::uint64_t resumptions = 0;
   for (int p = 0; p < 400; ++p) {
     const std::size_t len = 4 + (p % 60);
     const Program prog = random_program(rng, len);
@@ -204,21 +204,16 @@ TEST(EngineEquivalenceTest, RandomProgramsAllModeCombinations) {
     }
     const std::uint64_t seed = rng();
     const std::uint64_t max_steps = 1 + (seed % 300);
-    // A GPR or rflags (rip is in no instruction's static register sets).
-    const int w = static_cast<int>((seed >> 16) % (kNumGprs + 1));
-    const std::uint32_t watched =
-        reg_bit(w == kNumGprs ? Reg::rflags : static_cast<Reg>(w));
     for (unsigned mode = 0; mode < 8; ++mode) {
-      const bool trace = mode & 1, shadow = mode & 4;
-      const std::uint32_t watch = (mode & 2) ? watched : 0;
+      const bool trace = mode & 1, split = mode & 2, shadow = mode & 4;
       const std::string what =
           "program " + std::to_string(p) + " mode " + std::to_string(mode);
       const EngineState ref = run_engine(prog, seed, EngineKind::Reference,
-                                         trace, 0, shadow, max_steps);
+                                         trace, false, shadow, max_steps);
       const EngineState fast = run_engine(prog, seed, EngineKind::Fast, trace,
-                                          watch, shadow, max_steps);
+                                          split, shadow, max_steps);
       expect_equivalent(fast, ref, what);
-      watch_stops += fast.watch_stops;
+      resumptions += fast.resumptions;
       if (mode == 0) {
         if (fast.info.status == StepInfo::Status::Halted) ++halted;
         else if (fast.info.trap.kind == TrapKind::Watchdog) ++watchdogged;
@@ -232,7 +227,7 @@ TEST(EngineEquivalenceTest, RandomProgramsAllModeCombinations) {
   EXPECT_GT(trapped, 0);
   EXPECT_GT(watchdogged, 0);
   EXPECT_GT(fused_programs, 100);
-  EXPECT_GT(watch_stops, 1000u);
+  EXPECT_GT(resumptions, 1000u);
 }
 
 TEST(EngineEquivalenceTest, FusedPairRetiresAsTwoInstructions) {
@@ -347,9 +342,9 @@ TEST(EngineEquivalenceTest, WatchdogBoundarySplitsFusedPair) {
 
   for (std::uint64_t max_steps = 1; max_steps <= 5; ++max_steps) {
     const EngineState ref = run_engine(prog, 42, EngineKind::Reference, true,
-                                       0, false, max_steps);
+                                       false, false, max_steps);
     const EngineState fast = run_engine(prog, 42, EngineKind::Fast, true,
-                                        0, false, max_steps);
+                                        false, false, max_steps);
     expect_equivalent(fast, ref, "max_steps " + std::to_string(max_steps));
     EXPECT_EQ(fast.info.trap.kind, TrapKind::Watchdog);
     EXPECT_EQ(fast.steps, max_steps);
@@ -372,8 +367,8 @@ TEST(EngineEquivalenceTest, EveryTightWatchdogBudgetOnLongLoop) {
 
   for (std::uint64_t max_steps = 0; max_steps <= 35; ++max_steps) {
     const EngineState ref = run_engine(prog, 9, EngineKind::Reference, true,
-                                       0, false, max_steps);
-    const EngineState fast = run_engine(prog, 9, EngineKind::Fast, true, 0,
+                                       false, false, max_steps);
+    const EngineState fast = run_engine(prog, 9, EngineKind::Fast, true, false,
                                         false, max_steps);
     expect_equivalent(fast, ref, "budget " + std::to_string(max_steps));
     EXPECT_EQ(fast.info.trap.kind, TrapKind::Watchdog);
@@ -401,8 +396,8 @@ TEST(EngineEquivalenceTest, IndirectEntryIntoStraightLineRun) {
   const Program prog = as.finish();
 
   const EngineState ref = run_engine(prog, 5, EngineKind::Reference, true,
-                                     0, false, 100);
-  const EngineState fast = run_engine(prog, 5, EngineKind::Fast, true, 0,
+                                     false, false, 100);
+  const EngineState fast = run_engine(prog, 5, EngineKind::Fast, true, false,
                                       false, 100);
   expect_equivalent(fast, ref, "mid-run entry");
   EXPECT_EQ(fast.info.status, StepInfo::Status::Halted);
@@ -439,9 +434,9 @@ TEST(EngineEquivalenceTest, OutOfImageControlTransfers) {
       }
       const Program prog = as.finish();
       const EngineState ref = run_engine(prog, 1, EngineKind::Reference, true,
-                                         0, false, 100);
+                                         false, false, 100);
       const EngineState fast = run_engine(prog, 1, EngineKind::Fast, true,
-                                          0, false, 100);
+                                          false, false, 100);
       expect_equivalent(fast, ref,
                         (indirect ? std::string("jmpr ") : std::string("jmp ")) +
                             std::to_string(target));

@@ -69,7 +69,7 @@ struct Outcome {
   Memory::Snapshot memory;
 };
 
-/// Machine::run's unwatched faulted remainder.
+/// Machine::run's faulted remainder.
 StepInfo drive(Cpu& cpu, std::uint64_t budget, bool& proven) {
   StepInfo info;
   while (info.status == StepInfo::Status::Ok) {
@@ -509,21 +509,6 @@ TEST(HangProofTest, LapLongerThan64InstructionsRunsToTheWatchdog) {
   Loop l = make_loop("73-instruction lap", as);
   l.setup = [](Cpu& cpu, Memory&) { cpu.set_reg(Reg::rcx, kHighBitCounter); };
   expect_executed(l);
-}
-
-TEST(HangProofTest, ArmedRegisterWatchNeverProves) {
-  const Loop l = countdown(true);
-  Memory mem = make_memory();
-  Cpu cpu(&l.prog, &mem);
-  cpu.reset(l.entry, kStackTop);
-  l.setup(cpu, mem);
-  ASSERT_EQ(cpu.run(kChunk).trap.kind, TrapKind::Watchdog);
-  cpu.set_watch(reg_bit(Reg::r15));
-  bool proven = false;
-  const StepInfo info = cpu.prove_hang(kBudget - kChunk, proven);
-  EXPECT_FALSE(proven);
-  EXPECT_EQ(info.status, StepInfo::Status::Ok);
-  EXPECT_EQ(cpu.steps_executed(), kChunk);  // nothing stepped
 }
 
 }  // namespace
