@@ -134,9 +134,9 @@ CampaignScore time_campaign(int injections, int shards, std::uint64_t seed,
     cfg.analysis = std::make_shared<analysis::AnalysisArtifacts>(
         analysis::analyze_program(hv::build_microvisor(cfg.machine).program));
   }
-  // Checkpointed runs keep metrics on regardless: the registry is what the
-  // snapshot sidecar persists, and a resume without it would have nothing
-  // to reconstruct.
+  // Checkpointed runs keep metrics on regardless: each journal line
+  // carries its shard's registry, which a resume adopts and
+  // `telemetry_tool` merges and audits for dropped frames.
   cfg.obs.metrics = !metrics_out.empty() || !streaming.checkpoint.empty();
   cfg.obs.forensics = !forensics_out.empty();
   cfg.streaming.records_path = streaming.records_out;

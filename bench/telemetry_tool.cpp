@@ -1,16 +1,18 @@
 // Telemetry stream toolbox: merge / verify / tail over persisted
-// campaign record streams and metrics-snapshot sidecars.
+// campaign record streams and checkpoint journals.
 //
 // A large study runs as many independent workers (one micro_campaign
 // --records-out each, possibly on different hosts); each worker leaves
-// per-shard record streams and, when checkpointed, metrics sidecars.
-// This tool is the read side of that pipeline:
+// per-shard record streams and, when checkpointed, a journal whose lines
+// carry each shard's metrics registry.  This tool is the read side of
+// that pipeline:
 //
 //   merge   fold any number of workers' streams into one report —
 //           record counts, the exact reweighted rates (WeightedRates
 //           merges by field-wise sum, so the merged rates equal the
 //           rates of the concatenated streams), coverage breakdown, and
-//           the merged metrics registry from the snapshot sidecars.
+//           the merged metrics registry from each journal's last line
+//           per shard.
 //   verify  check a stream against its checkpoint journal: every
 //           journaled shard's record count and running digest must match
 //           what the persisted frames decode to, and the whole stream
@@ -24,38 +26,36 @@
 // Shard discovery (fault::read_shard_stream) probes `<base>.shard<N>.<ext>`
 // from N = 0 upward; the first missing index ends the worker, and the
 // extension tells the format.  Streams are read in shard order, which is
-// the campaign's deterministic merge order.  A journal or sidecar line
-// that does not parse fails the command, naming the file and the line.
+// the campaign's deterministic merge order.  A journal line that does not
+// parse fails the command, naming the file and the line.
 //
 // Usage:
 //   telemetry_tool merge  --records BASE [--records BASE ...]
-//                         [--snapshots FILE ...] [-o REPORT.json]
+//                         [--checkpoint JOURNAL ...] [-o REPORT.json]
 //   telemetry_tool verify --records BASE [--checkpoint JOURNAL]
 //                         [--digest HEX16]
 //   telemetry_tool tail   --records BASE [-n N]
 //
-// A malformed -n or --digest exits 2 naming the flag.
+// A malformed -n or --digest, or a verify given more than one
+// --checkpoint, exits 2.
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <algorithm>
 #include <charconv>
-#include <filesystem>
 #include <iterator>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "bench/bench_util.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/record_io.hpp"
 #include "fault/stats.hpp"
-#include "obs/atomic_file.hpp"
-#include "obs/snapshot.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
@@ -72,10 +72,19 @@ std::optional<std::uint64_t> parse_digest(std::string_view text) {
   return v;
 }
 
+/// The shards' registries from their last journal lines, merged in shard
+/// order.
+obs::MetricsRegistry journaled_metrics(const fault::JournalContents& j) {
+  obs::MetricsRegistry merged;
+  for (const auto& ck : j.shards) {
+    if (ck.has_value()) merged.merge_from(ck->metrics);
+  }
+  return merged;
+}
+
 struct Flags {
   std::vector<std::string> records;
-  std::vector<std::string> snapshots;
-  std::string checkpoint;
+  std::vector<std::string> checkpoints;
   std::string out;
   std::optional<std::uint64_t> digest;
   int tail_n = 10;
@@ -97,10 +106,8 @@ Flags parse_flags(int argc, char** argv, int first) {
     };
     if (arg == "--records") {
       f.records.emplace_back(value());
-    } else if (arg == "--snapshots") {
-      f.snapshots.emplace_back(value());
     } else if (arg == "--checkpoint") {
-      f.checkpoint = value();
+      f.checkpoints.emplace_back(value());
     } else if (arg == "-o" || arg == "--out") {
       f.out = value();
     } else if (arg == "-n") {
@@ -161,20 +168,18 @@ int cmd_merge(const Flags& f) {
   const fault::CoverageBreakdown cov = fault::coverage_breakdown(all);
 
   obs::MetricsRegistry metrics;
-  for (const std::string& path : f.snapshots) {
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec)) {
-      std::fprintf(stderr, "telemetry_tool: cannot read snapshots '%s'\n",
+  for (const std::string& path : f.checkpoints) {
+    const fault::JournalContents journal = fault::read_journal(path);
+    if (!journal.error.empty()) {
+      std::fprintf(stderr, "telemetry_tool: %s\n", journal.error.c_str());
+      return 1;
+    }
+    if (!journal.valid) {
+      std::fprintf(stderr, "telemetry_tool: no parseable journal at '%s'\n",
                    path.c_str());
       return 1;
     }
-    std::vector<obs::MetricsSnapshot> snaps;
-    if (const auto err =
-            obs::read_snapshots(obs::read_file(path), path, snaps)) {
-      std::fprintf(stderr, "telemetry_tool: %s\n", err->c_str());
-      return 1;
-    }
-    metrics.merge_from(obs::merge_snapshots(snaps));
+    metrics.merge_from(journaled_metrics(journal));
   }
 
   std::FILE* os = stdout;
@@ -195,9 +200,11 @@ int cmd_merge(const Flags& f) {
                "  \"worker_digests\": {",
                f.records.size(), total_shards, total_records);
   for (std::size_t i = 0; i < worker_digests.size(); ++i) {
-    std::fprintf(os, "%s\n    \"%s\": \"%016" PRIx64 "\"",
-                 i == 0 ? "" : ",", worker_digests[i].first.c_str(),
-                 worker_digests[i].second);
+    // A base is a path from the command line: any byte may need escaping.
+    std::ostringstream base;
+    obs::write_json_string(base, worker_digests[i].first);
+    std::fprintf(os, "%s\n    %s: \"%016" PRIx64 "\"", i == 0 ? "" : ",",
+                 base.str().c_str(), worker_digests[i].second);
   }
   std::fprintf(os,
                "\n  },\n"
@@ -216,13 +223,13 @@ int cmd_merge(const Flags& f) {
                rates.rate(fault::Consequence::AppCrash),
                rates.manifested_rate(), rates.detected_rate(),
                cov.manifested, cov.coverage(), cov.undetected);
-  if (!f.snapshots.empty()) {
+  if (!f.checkpoints.empty()) {
     // The merged registry as nested JSON (counters/gauges/histograms).
     std::ostringstream mjson;
     metrics.write_json(mjson);
     std::fprintf(os, "  \"metrics\": %s,\n", mjson.str().c_str());
   }
-  std::fprintf(os, "  \"snapshot_streams\": %zu\n}\n", f.snapshots.size());
+  std::fprintf(os, "  \"journals\": %zu\n}\n", f.checkpoints.size());
   if (os != stdout) std::fclose(os);
   return 0;
 }
@@ -232,6 +239,12 @@ int cmd_verify(const Flags& f) {
     std::fprintf(stderr,
                  "telemetry_tool: verify takes exactly one --records BASE "
                  "(the journal is per campaign)\n");
+    return 2;
+  }
+  if (f.checkpoints.size() > 1) {
+    std::fprintf(stderr,
+                 "telemetry_tool: verify takes at most one --checkpoint "
+                 "JOURNAL (the journal of its --records)\n");
     return 2;
   }
   fault::ShardStream stream;
@@ -248,14 +261,15 @@ int cmd_verify(const Flags& f) {
   bool ok = true;
   const std::uint64_t full_digest = fault::records_digest(records);
 
-  if (!f.checkpoint.empty()) {
-    const fault::JournalContents journal = fault::read_journal(f.checkpoint);
+  if (!f.checkpoints.empty()) {
+    const std::string& path = f.checkpoints[0];
+    const fault::JournalContents journal = fault::read_journal(path);
     if (!journal.error.empty()) {
       std::fprintf(stderr, "FAIL: %s\n", journal.error.c_str());
       ok = false;
     } else if (!journal.valid) {
       std::fprintf(stderr, "FAIL: no parseable journal at '%s'\n",
-                   f.checkpoint.c_str());
+                   path.c_str());
       ok = false;
     } else {
       if (journal.shards.size() != shards) {
@@ -292,28 +306,17 @@ int cmd_verify(const Flags& f) {
           ok = false;
         }
       }
-      // Sink backpressure audit: the metrics sidecars next to the
-      // journal carry the writer's own obs.sink.* counters.  A nonzero
-      // drop count means frames never reached the stream, so a clean
-      // digest over what DID land would be a hollow verification.
-      // Missing sidecars are fine (metrics off).
-      obs::MetricsRegistry side;
-      for (std::size_t s = 0; s < journal.shards.size(); ++s) {
-        const std::string path =
-            fault::snapshot_sidecar_path(f.checkpoint, static_cast<int>(s));
-        std::vector<obs::MetricsSnapshot> snaps;
-        if (const auto err =
-                obs::read_snapshots(obs::read_file(path), path, snaps)) {
-          std::fprintf(stderr, "FAIL: %s\n", err->c_str());
-          ok = false;
-          continue;
-        }
-        side.merge_from(obs::merge_snapshots(snaps));
-      }
-      if (const obs::Counter* dropped = side.find_counter("obs.sink.dropped");
+      // Sink backpressure audit: the journaled registries carry the
+      // writer's own obs.sink.* counters.  A nonzero drop count means
+      // frames never reached the stream, so a clean digest over what DID
+      // land would be a hollow verification.  Lines without a registry
+      // are fine (metrics off).
+      const obs::MetricsRegistry journaled = journaled_metrics(journal);
+      if (const obs::Counter* dropped =
+              journaled.find_counter("obs.sink.dropped");
           dropped != nullptr && dropped->value() > 0) {
         std::fprintf(stderr,
-                     "FAIL: metrics sidecars report %" PRIu64
+                     "FAIL: the journal reports %" PRIu64
                      " dropped record-sink frame(s) — the persisted stream "
                      "is incomplete (write-time backpressure or I/O "
                      "failure), so this campaign's records cannot be "
@@ -372,7 +375,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: telemetry_tool merge|verify|tail [flags]\n"
                  "  merge  --records BASE [--records BASE ...] "
-                 "[--snapshots FILE ...] [-o FILE]\n"
+                 "[--checkpoint JOURNAL ...] [-o FILE]\n"
                  "  verify --records BASE [--checkpoint JOURNAL] "
                  "[--digest HEX16]\n"
                  "  tail   --records BASE [-n N]\n");

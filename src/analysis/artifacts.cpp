@@ -4,6 +4,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace xentry::analysis {
 
 namespace {
@@ -55,16 +57,6 @@ void derive_assertions(const Program& program, AnalysisArtifacts& art,
       art.derived.push_back(std::move(d));
     }
   }
-}
-
-void json_escape(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\' << c;
-    else if (c == '\n') os << "\\n";
-    else os << c;
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -126,7 +118,7 @@ void AnalysisArtifacts::write_json(std::ostream& os) const {
     const BlockFacts& f = facts[bi];
     os << (bi == 0 ? "\n" : ",\n") << "    {\"first\": " << b.first
        << ", \"last\": " << b.last << ", \"function\": ";
-    json_escape(os, program.symbol_at(b.first));
+    obs::write_json_string(os, program.symbol_at(b.first));
     os << ", \"reachable\": " << (f.reachable ? "true" : "false")
        << ", \"stack_in\": ";
     if (f.stack_in == kDepthUnknown) os << "null";
@@ -147,27 +139,27 @@ void AnalysisArtifacts::write_json(std::ostream& os) const {
     const DerivedAssertion& d = derived[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"id\": " << d.id
        << ", \"addr\": " << d.addr << ", \"reg\": ";
-    json_escape(os, std::string(sim::reg_name(static_cast<sim::Reg>(d.reg))));
+    obs::write_json_string(os, sim::reg_name(static_cast<sim::Reg>(d.reg)));
     os << ", \"lo\": " << d.lo << ", \"hi\": " << d.hi
        << ", \"description\": ";
-    json_escape(os, d.description);
+    obs::write_json_string(os, d.description);
     os << "}";
   }
   os << "\n  ],\n  \"stack_warnings\": [";
   for (std::size_t i = 0; i < stack_warnings.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n") << "    {\"addr\": "
        << stack_warnings[i].addr << ", \"what\": ";
-    json_escape(os, stack_warnings[i].what);
+    obs::write_json_string(os, stack_warnings[i].what);
     os << "}";
   }
   os << "\n  ],\n  \"verifier_issues\": [";
   for (std::size_t i = 0; i < verifier.issues.size(); ++i) {
     const sim::VerifierIssue& issue = verifier.issues[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"kind\": ";
-    json_escape(os, std::string(sim::issue_kind_name(issue.kind)));
+    obs::write_json_string(os, sim::issue_kind_name(issue.kind));
     os << ", \"addr\": " << issue.addr << ", \"target\": " << issue.target
        << ", \"detail\": ";
-    json_escape(os, issue.detail);
+    obs::write_json_string(os, issue.detail);
     os << "}";
   }
   os << "\n  ],\n  \"bit_liveness\": ";
@@ -187,7 +179,7 @@ void AnalysisArtifacts::write_json(std::ostream& os) const {
     for (const auto& [addr, env] : timing.by_entry) {
       os << (i++ == 0 ? "\n" : ",\n") << "    {\"entry\": " << addr
          << ", \"function\": ";
-      json_escape(os, program.symbol_at(addr));
+      obs::write_json_string(os, program.symbol_at(addr));
       os << ", \"valid\": " << (env.valid ? "true" : "false");
       for (int c = 0; c < kNumClocks; ++c) {
         os << ", \"" << clock_name(c) << "\": [" << env.clocks[c].lo << ", "

@@ -3,8 +3,6 @@
 #include "fault/checkpoint.hpp"
 #include "fault/record_io.hpp"
 #include "fault/sampler.hpp"
-#include "obs/atomic_file.hpp"
-#include "obs/snapshot.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -12,7 +10,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -395,43 +392,20 @@ class ShardLoop {
  private:
   std::size_t shard_index() const { return static_cast<std::size_t>(shard_); }
 
-  /// The one place a shard reads its journal line.  A fresh shard opens
-  /// an empty sidecar and warms its golden machine up; a resumed one
-  /// rebuilds its registry from the sidecar prefix, rewinds the golden
-  /// image and every RNG cursor, and adopts the journaled running state.
+  /// The one place a shard reads its journal line.  A fresh shard warms
+  /// its golden machine up; a resumed one merges in the journaled
+  /// registry, rewinds the golden image and every RNG cursor, and adopts
+  /// the journaled running state.
   void resume_or_warmup(const ShardCheckpoint* resume) {
-    const bool sidecar = journal_ != nullptr && cfg_.obs.metrics;
-    const std::string spath =
-        sidecar ? snapshot_sidecar_path(cfg_.streaming.checkpoint_path, shard_)
-                : std::string();
     if (resume == nullptr) {
-      if (sidecar) snap_stream_.open(spath, std::ios::binary | std::ios::trunc);
       obs::TraceRecorder::Span warm(tr_, "phase:warmup", shard_);
       for (int i = 0; i < cfg_.warmup_activations; ++i) {
         experiment_.advance(gen_.next());
       }
     } else {
-      if (sidecar) {
-        // Snapshot lines past the journaled commit point are dropped (a
-        // kill can land between the snapshot write and the journal
-        // append).
-        std::string text = obs::read_file(spath);
-        text.resize(std::min<std::size_t>(text.size(), resume->snap_offset));
-        std::vector<obs::MetricsSnapshot> snaps;
-        if (const auto err = obs::read_snapshots(text, spath, snaps)) {
-          throw std::runtime_error(
-              "campaign: cannot resume from a corrupt metrics sidecar: " +
-              *err);
-        }
-        const obs::MetricsRegistry restored = obs::merge_snapshots(snaps);
-        // Merged into the registry the handles already point into, so
-        // they stay valid; merged into empty metrics it is `restored`.
-        result_.metrics.merge_from(restored);
-        std::error_code ec;
-        std::filesystem::resize_file(spath, resume->snap_offset, ec);
-        snap_stream_.open(spath, std::ios::binary | std::ios::app);
-        snap_writer_.prime(restored, resume->snap_count);
-      }
+      // Merged into the registry the handles already point into, so they
+      // stay valid; merged into empty metrics it is the journaled one.
+      if (cfg_.obs.metrics) result_.metrics.merge_from(resume->metrics);
       // The faulty machine realigns from the golden probe on every
       // injection, so only golden state is journaled.
       restore_machine(golden_, *resume);
@@ -454,10 +428,6 @@ class ShardLoop {
         progress_->checkpointed.store(ck_.records_written,
                                       std::memory_order_relaxed);
       }
-    }
-    if (sidecar && !snap_stream_.is_open()) {
-      throw std::runtime_error("campaign: cannot open metrics sidecar " +
-                               spath);
     }
   }
 
@@ -600,18 +570,14 @@ class ShardLoop {
   }
 
   /// Journals `ck_`.  Commit order is what makes a kill at any instant
-  /// recoverable: durable records first, then the metrics snapshot, then
-  /// the journal line naming both offsets.  A kill between any two steps
+  /// recoverable: durable records first, then the journal line naming
+  /// their offset and carrying the registry.  A kill between the two
   /// leaves a tail beyond the last journaled offset, which resume
   /// truncates.  A journal implies a sink (validate_campaign_config).
   void checkpoint() {
     flush_sink();
     ck_.sink_offset = sink_->offset(shard_index());
-    if (snap_stream_.is_open()) {
-      snap_writer_.write(result_.metrics);
-      ck_.snap_offset = static_cast<std::uint64_t>(snap_stream_.tellp());
-      ck_.snap_count = snap_writer_.next_seq();
-    }
+    if (cfg_.obs.metrics) ck_.metrics = result_.metrics;
     ck_.forensics_counter = experiment_.forensics_counter();
     ck_.activations_generated = gen_.activations_generated();
     ck_.gen_rng = rng_state_string(gen_.rng());
@@ -675,9 +641,6 @@ class ShardLoop {
   /// activation/probe sequence of the slots that do execute.
   std::unique_ptr<ImportanceSampler> sampler_;
 
-  /// Metrics sidecar: open only for a journaled shard with metrics on.
-  std::ofstream snap_stream_;
-  obs::SnapshotWriter snap_writer_{snap_stream_};
   std::string frame_;               // encode buffer, reused per record
   obs::SinkShardStats mirrored_{};  // sink stats already mirrored
 };

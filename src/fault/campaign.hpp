@@ -151,7 +151,8 @@ struct CampaignConfig {
     std::size_t sink_buffer_bytes = 64 * 1024;
     /// Journal file; empty disables checkpointing.  Requires
     /// records_path (resuming without a durable record stream would lose
-    /// the pre-kill records).  Metrics sidecars live next to it.
+    /// the pre-kill records).  With metrics on, each journal line also
+    /// carries its shard's registry.
     std::string checkpoint_path;
     int checkpoint_every = 1024;  ///< shard iterations between checkpoints
     /// false: do not accumulate records in CampaignResult::records (the

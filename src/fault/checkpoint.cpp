@@ -26,15 +26,16 @@ constexpr std::string_view kHeaderType = "header";
 constexpr std::uint64_t kHeaderRequired = (1u << (kHFmt + 1)) - 1;
 
 enum CheckpointKey : std::size_t {
-  kCType, kCShard, kCIter, kCRecords, kCDigest, kCEff, kCSinkOff, kCSnapOff,
-  kCSnapCount, kCForensics, kCActs, kCGenRng, kCMainRng, kCAuxRng, kCTsc,
-  kCMem};
+  kCType, kCShard, kCIter, kCRecords, kCDigest, kCEff, kCSinkOff,
+  kCForensics, kCActs, kCGenRng, kCMainRng, kCAuxRng, kCTsc, kCMem,
+  kCMetrics};
 constexpr std::string_view kCheckpointMembers[] = {
     "\"type\":", "\"shard\":", "\"iter\":", "\"records\":",
-    "\"digest\":", "\"eff\":", "\"sink_off\":", "\"snap_off\":",
-    "\"snap_count\":", "\"forensics\":", "\"acts\":", "\"gen_rng\":",
-    "\"main_rng\":", "\"aux_rng\":", "\"tsc\":", "\"mem\":"};
+    "\"digest\":", "\"eff\":", "\"sink_off\":", "\"forensics\":",
+    "\"acts\":", "\"gen_rng\":", "\"main_rng\":", "\"aux_rng\":",
+    "\"tsc\":", "\"mem\":", "\"metrics\":"};
 constexpr std::string_view kCheckpointType = "ckpt";
+// Every member but `metrics`, which a shard with metrics off leaves out.
 constexpr std::uint64_t kCheckpointRequired = (1u << (kCMem + 1)) - 1;
 
 /// Region words as a compact token string: hex values, zero runs as
@@ -97,8 +98,9 @@ std::string_view header_line(const CheckpointHeader& h, char* buf) {
   return w.view();
 }
 
-/// The longest line checkpoint_line can write for `c`: its RNG states and
-/// memory image are unbounded, so the bound is taken from them.
+/// The longest line checkpoint_line can write for `c`: its RNG states,
+/// memory image and registry are unbounded, so the bound is taken from
+/// them.
 std::size_t max_checkpoint_line(const ShardCheckpoint& c) {
   std::size_t mem = 2;  // []
   for (const std::vector<std::uint64_t>& region : c.memory) {
@@ -107,8 +109,8 @@ std::size_t max_checkpoint_line(const ShardCheckpoint& c) {
   return obs::max_line_chars(
       kCheckpointMembers,
       {kCheckpointType.size() + 2, kU64, kU64, kU64, kU64, kReal, kU64, kU64,
-       kU64, kU64, kU64, c.gen_rng.size() + 2, c.main_rng.size() + 2,
-       c.aux_rng.size() + 2, kU64, mem});
+       kU64, c.gen_rng.size() + 2, c.main_rng.size() + 2,
+       c.aux_rng.size() + 2, kU64, mem, c.metrics.line_chars()});
 }
 
 /// Writes one checkpoint line into `buf` (max_checkpoint_line(c) bytes).
@@ -132,10 +134,6 @@ std::string_view checkpoint_line(const ShardCheckpoint& c, char* buf) {
   w.number(c.effective);
   member(kCSinkOff);
   w.integer(c.sink_offset);
-  member(kCSnapOff);
-  w.integer(c.snap_offset);
-  member(kCSnapCount);
-  w.integer(c.snap_count);
   member(kCForensics);
   w.integer(c.forensics_counter);
   member(kCActs);
@@ -158,7 +156,12 @@ std::string_view checkpoint_line(const ShardCheckpoint& c, char* buf) {
     write_words(w, c.memory[i]);
     w.put('"');
   }
-  w.text("]}\n");
+  w.put(']');
+  if (!c.metrics.empty()) {
+    member(kCMetrics);
+    c.metrics.write_line(w);
+  }
+  w.text("}\n");
   return w.view();
 }
 
@@ -277,8 +280,6 @@ bool read_checkpoint_member(obs::LineScanner& in, std::size_t key,
     case kCDigest: return in.integer(c.digest);
     case kCEff: return in.number(c.effective);
     case kCSinkOff: return in.integer(c.sink_offset);
-    case kCSnapOff: return in.integer(c.snap_offset);
-    case kCSnapCount: return in.integer(c.snap_count);
     case kCForensics: return in.integer(c.forensics_counter);
     case kCActs: return in.integer(c.activations_generated);
     case kCGenRng: return read_text(in, c.gen_rng);
@@ -297,6 +298,7 @@ bool read_checkpoint_member(obs::LineScanner& in, std::size_t key,
       } while (in.punct(','));
       return in.punct(']');
     }
+    case kCMetrics: return obs::MetricsRegistry::read_line(in, c.metrics);
     default: return false;
   }
 }
@@ -347,15 +349,6 @@ JournalContents read_journal(const std::string& path) {
   out.valid = have_header && out.error.empty();
   out.intact_bytes = intact;
   return out;
-}
-
-std::string snapshot_sidecar_path(std::string_view checkpoint_path,
-                                  int shard) {
-  std::string path(checkpoint_path);
-  path += ".shard";
-  path += std::to_string(shard);
-  path += ".snap.jsonl";
-  return path;
 }
 
 void capture_machine(const hv::Machine& machine, ShardCheckpoint& out) {

@@ -6,17 +6,16 @@
 // stream), the golden machine image (memory words + TSC — the faulty
 // machine realigns from the golden probe every injection, so only golden
 // state matters), the running record digest and effective-injection
-// accumulator, and the durable offsets of its record sink and metrics
-// sidecar streams.
+// accumulator, the durable offset of its record sink, and, with metrics
+// on, its whole metrics registry.
 //
 // Kill-safety protocol, per checkpoint, in order:
 //   1. flush the shard's record sink (records become durable),
-//   2. write + flush a metrics snapshot delta to the sidecar,
-//   3. append one journal line (the commit point).
-// A kill between any two steps leaves a journal whose last line points at
-// durable prefixes of both streams; resume truncates the streams to the
-// journaled offsets, so torn tails vanish and the rewritten suffix is
-// byte-identical to the uninterrupted run's.
+//   2. append one journal line (the commit point).
+// A kill between the two steps leaves a journal whose last line points at
+// a durable prefix of the record stream; resume truncates the stream to
+// the journaled offset, so a torn tail vanishes and the rewritten suffix
+// is byte-identical to the uninterrupted run's.
 //
 // The journal itself is JSONL: a header line (the campaign's identity —
 // resuming under a different config is an error, not a silent divergence)
@@ -33,10 +32,10 @@
 #include <optional>
 #include <random>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "hv/machine.hpp"
+#include "obs/metrics.hpp"
 
 namespace xentry::fault {
 
@@ -67,8 +66,6 @@ struct ShardCheckpoint {
   std::uint64_t digest = 0;           ///< running digest of those records
   double effective = 0.0;             ///< sum of 1/weight so far
   std::uint64_t sink_offset = 0;      ///< durable record-sink bytes
-  std::uint64_t snap_offset = 0;      ///< durable metrics-sidecar bytes
-  std::uint64_t snap_count = 0;       ///< snapshots written (writer seq)
   std::uint64_t forensics_counter = 0;
   std::uint64_t activations_generated = 0;
   std::string gen_rng;   ///< mt19937_64 textual state (workload stream)
@@ -77,6 +74,9 @@ struct ShardCheckpoint {
   std::uint64_t tsc = 0;
   /// Golden machine memory, one word vector per mapped region.
   std::vector<std::vector<std::uint64_t>> memory;
+  /// The shard's registry at the checkpoint; empty with metrics off, and
+  /// then the line carries no `metrics` member.
+  obs::MetricsRegistry metrics;
 };
 
 /// Append-only journal writer shared by all shards (mutex-serialized
@@ -130,10 +130,6 @@ struct JournalContents {
 /// corrupt.  A final line with no newline is torn and ignored.  `valid` is
 /// false for a missing file, a torn header line, or a set `error`.
 JournalContents read_journal(const std::string& path);
-
-/// Path of one shard's metrics-snapshot sidecar stream, derived from the
-/// journal path: `<checkpoint_path>.shard<N>.snap.jsonl`.
-std::string snapshot_sidecar_path(std::string_view checkpoint_path, int shard);
 
 /// Captures the machine's resumable state (memory words + TSC) into `out`.
 void capture_machine(const hv::Machine& machine, ShardCheckpoint& out);

@@ -1,9 +1,10 @@
-// The one JSON reader for the files this repo persists, and the one
-// writer of its records and checkpoint journal.
+// The one JSON reader for the files this repo persists, the one writer of
+// its records and checkpoint journal, and the one JSON string escaper.
 //
-// Records (fault/record_io), the checkpoint journal (fault/checkpoint)
-// and the metrics-snapshot sidecars (obs/snapshot) are JSON this repo
-// wrote itself, one object per line, and all are read by `LineScanner`: a strict cursor over one line whose
+// Records (fault/record_io) and the checkpoint journal (fault/checkpoint),
+// which carries each shard's metrics registry, are JSON this repo wrote
+// itself, one object per line, and both are read by `LineScanner`: a
+// strict cursor over one line whose
 // readers name their members in a table and refuse, with a named error,
 // an unknown, duplicate or missing required key, a value of the wrong
 // type or range, and any byte after the closing brace.  `read_lines`
@@ -20,6 +21,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -66,8 +68,8 @@ class LineScanner {
     return true;
   }
 
-  /// A string with exactly the escapes SnapshotWriter writes: `\"`,
-  /// `\\`, `\n`, `\t`, and `\u00XX` (lowercase hex) for any other
+  /// A string with exactly the escapes BufferWriter::escaped writes:
+  /// `\"`, `\\`, `\n`, `\t`, and `\u00XX` (lowercase hex) for any other
   /// control byte.  A raw control byte or any other escape is refused.
   bool escaped(std::string& out) {
     if (!punct('"')) return false;
@@ -285,9 +287,11 @@ std::optional<std::string> read_lines(std::string_view text,
 // -- the one writer -----------------------------------------------------
 //
 // Records, the checkpoint journal and their headers are written by
-// `BufferWriter`: one pass over a caller's `char` buffer that copies each
-// literal with one memcpy of its compile-time size and prints each number
-// with std::to_chars, not snprintf.  The frame then goes into its output
+// `BufferWriter`, whose `escaped` is the one JSON string escaper (streamed
+// writers call it through `write_json_string`): one pass over a caller's
+// `char` buffer that copies each literal with one memcpy of its
+// compile-time size and prints each number with std::to_chars, not
+// snprintf.  The frame then goes into its output
 // with one append.  Integers come out as plain decimal (hex for `hex`),
 // and to_chars(general, 17) is specified to match printf "%.17g", so every
 // double round-trips exactly through `LineScanner::number`.
@@ -300,6 +304,9 @@ inline constexpr std::size_t kMaxDecimalChars =
 inline constexpr std::size_t kMaxNumberChars = 24;
 /// The widest lowercase hex u64.
 inline constexpr std::size_t kMaxHexChars = 16;
+/// The widest `BufferWriter::escaped` spelling of `n` bytes: quotes, and
+/// six bytes (`\u00XX`) per byte.
+constexpr std::size_t max_escaped_chars(std::size_t n) { return 2 + 6 * n; }
 
 /// The longest line an object with these members can take: '{', each
 /// member name (as LineScanner::members spells it) with its widest value,
@@ -339,6 +346,30 @@ class BufferWriter {
   void quoted(std::string_view s) {
     put('"');
     text(s);
+    put('"');
+  }
+
+  /// `s` in quotes, with the escapes `LineScanner::escaped` reads: `\"`,
+  /// `\\`, `\n`, `\t`, and `\u00XX` (lowercase hex) for any other
+  /// control byte.  Every other byte is copied as it is.
+  void escaped(std::string_view s) {
+    put('"');
+    for (const char c : s) {
+      switch (c) {
+        case '"': text("\\\""); break;
+        case '\\': text("\\\\"); break;
+        case '\n': text("\\n"); break;
+        case '\t': text("\\t"); break;
+        default:
+          if (static_cast<unsigned char>(c) < 0x20) {
+            text("\\u00");
+            put("0123456789abcdef"[c >> 4]);
+            put("0123456789abcdef"[c & 0xf]);
+          } else {
+            put(c);
+          }
+      }
+    }
     put('"');
   }
 
@@ -410,5 +441,14 @@ class BufferWriter {
   char* begin_;
   char* p_;
 };
+
+/// Writes `s` to `os` as `BufferWriter::escaped` does: the one JSON string
+/// escaper for every writer, streamed or buffered.
+inline void write_json_string(std::ostream& os, std::string_view s) {
+  std::string buf(max_escaped_chars(s.size()), '\0');
+  BufferWriter w(buf.data());
+  w.escaped(s);
+  os.write(buf.data(), static_cast<std::streamsize>(w.size()));
+}
 
 }  // namespace xentry::obs

@@ -20,6 +20,9 @@
 
 namespace xentry::obs {
 
+class BufferWriter;
+class LineScanner;
+
 /// Monotonic event count.  Merge: sum.
 class Counter {
  public:
@@ -106,7 +109,7 @@ class Log2Histogram {
     }
   }
 
-  /// Reassembles a histogram from serialized state (snapshot readback).
+  /// Reassembles a histogram from serialized state (journal read-back).
   /// `min_v`/`max_v` are ignored when `count` is 0.
   static Log2Histogram from_parts(const std::uint64_t (&buckets)[kNumBuckets],
                                   std::uint64_t count, std::uint64_t sum,
@@ -168,6 +171,20 @@ class MetricsRegistry {
   /// One JSON object with "counters" / "gauges" / "histograms" members,
   /// keys sorted by name (map order) — byte-identical for equal contents.
   void write_json(std::ostream& os) const;
+
+  /// The registry as one JSON object with no newline in it, for a journal
+  /// line to carry: absolute values, keys sorted by name, a histogram as
+  /// count/sum, min/max once it has observations, and its non-empty
+  /// buckets keyed by their decimal lower bound.  `line_chars()` bounds
+  /// the bytes `write_line` writes.
+  std::size_t line_chars() const;
+  void write_line(BufferWriter& w) const;
+
+  /// Reads what `write_line` writes into `out`, which must be empty.
+  /// Refuses, through `in`'s named errors, an unknown, duplicate or
+  /// missing key, a metric named twice, a bucket key that is not a bucket
+  /// lower bound, a bucket named twice, and a zero bucket count.
+  static bool read_line(LineScanner& in, MetricsRegistry& out);
 
  private:
   // std::map: heterogeneous lookup, stable element addresses, and sorted

@@ -4,6 +4,8 @@
 #include <ostream>
 #include <set>
 
+#include "obs/json.hpp"
+
 namespace xentry::obs {
 
 void TraceRecorder::merge_from(TraceRecorder&& other) {
@@ -17,30 +19,6 @@ void TraceRecorder::merge_from(TraceRecorder&& other) {
   }
   other.clear();
 }
-
-namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char hex[] = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
 
 void TraceRecorder::write_chrome_json(std::ostream& os) const {
   os << "{\"traceEvents\": [";

@@ -1,13 +1,12 @@
-// Deterministic mutation test for the persisted formats other than the
-// record streams: the checkpoint journal and the metrics-snapshot
-// sidecars, all taken from one real 2-shard checkpointed campaign.  Each
-// file takes seeded single-bit flips, truncations at every byte offset of
-// one line, and splices of two lines, the same mutations
+// Deterministic mutation test for the persisted format other than the
+// record streams: the checkpoint journal, whose lines carry each shard's
+// metrics registry, taken from one real 2-shard checkpointed campaign.
+// The file takes seeded single-bit flips, truncations at every byte
+// offset of one line, and splices of two lines, the same mutations
 // RecordIoMutationTest applies to record streams.  Every read must return
 // either a typed error or a value that is valid: a journal that reads
-// back rewrites to a stable journal, and a sidecar merges into a registry
-// that survives a snapshot round trip.  Run under the ASan/UBSan job, an
-// out-of-bounds read fails the test too.
+// back rewrites to a stable journal, registries included.  Run under the
+// ASan/UBSan job, an out-of-bounds read fails the test too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,19 +15,18 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
-#include <sstream>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "fault/campaign.hpp"
 #include "fault/checkpoint.hpp"
-#include "obs/snapshot.hpp"
 
 namespace xentry::fault {
 namespace {
 
-enum class Persisted { kJournal, kSidecar0, kSidecar1 };
+enum class Persisted { kJournal };
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -40,16 +38,10 @@ void spill(const std::string& path, std::string_view text) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
 }
 
-std::string registry_json(const obs::MetricsRegistry& reg) {
-  std::ostringstream os;
-  reg.write_json(os);
-  return os.str();
-}
-
 class PersistedMutationTest : public ::testing::TestWithParam<Persisted> {
  protected:
   /// A 96-injection campaign on two shards, checkpointing every 16
-  /// iterations: a header and six checkpoint lines, and two sidecars.
+  /// iterations with metrics on: a header and six checkpoint lines.
   void SetUp() override {
     std::string name =
         ::testing::UnitTest::GetInstance()->current_test_info()->name();
@@ -68,16 +60,7 @@ class PersistedMutationTest : public ::testing::TestWithParam<Persisted> {
     cfg.streaming.checkpoint_every = 16;
     cfg.streaming.keep_records = false;
     run_campaign(cfg);
-    const std::string& journal = cfg.streaming.checkpoint_path;
-    switch (GetParam()) {
-      case Persisted::kJournal: text_ = slurp(journal); break;
-      case Persisted::kSidecar0:
-        text_ = slurp(snapshot_sidecar_path(journal, 0));
-        break;
-      case Persisted::kSidecar1:
-        text_ = slurp(snapshot_sidecar_path(journal, 1));
-        break;
-    }
+    text_ = slurp(cfg.streaming.checkpoint_path);
     ASSERT_FALSE(text_.empty());
     for (std::size_t pos = 0; pos < text_.size();) {
       line_at_.push_back(pos);
@@ -93,21 +76,9 @@ class PersistedMutationTest : public ::testing::TestWithParam<Persisted> {
     return std::string_view(text_).substr(line_at_[i],
                                           line_at_[i + 1] - line_at_[i]);
   }
-  /// Fewer mutants for the journal, whose lines carry a machine image.
-  int scaled(int n) const {
-    return GetParam() == Persisted::kJournal ? n / 3 : n;
-  }
 
-  /// Reads one mutant with the matching reader and checks the outcome.
+  /// Reads one mutant and checks the outcome.
   void check(const std::string& mutant) {
-    switch (GetParam()) {
-      case Persisted::kJournal: return check_journal(mutant);
-      case Persisted::kSidecar0:
-      case Persisted::kSidecar1: return check_sidecar(mutant);
-    }
-  }
-
-  void check_journal(const std::string& mutant) {
     const std::string path = dir_ + "/mutant.ckpt";
     spill(path, mutant);
     const JournalContents j = read_journal(path);
@@ -138,58 +109,43 @@ class PersistedMutationTest : public ::testing::TestWithParam<Persisted> {
     return slurp(path);
   }
 
-  void check_sidecar(const std::string& mutant) {
-    std::vector<obs::MetricsSnapshot> snaps;
-    if (const auto err = obs::read_snapshots(mutant, "s.jsonl", snaps)) {
-      ASSERT_EQ(err->rfind("s.jsonl:", 0), 0u) << *err;
-      return;
-    }
-    // The merged registry survives a full snapshot and a re-read.
-    const obs::MetricsRegistry reg = obs::merge_snapshots(snaps);
-    std::ostringstream os;
-    obs::SnapshotWriter w(os);
-    w.write(reg);
-    std::vector<obs::MetricsSnapshot> again;
-    ASSERT_FALSE(obs::read_snapshots(os.str(), "again", again).has_value());
-    ASSERT_EQ(registry_json(obs::merge_snapshots(again)), registry_json(reg));
-  }
-
   std::string dir_;
   std::string text_;
   std::vector<std::size_t> line_at_;  ///< line offsets, then the end
 };
 
 TEST_P(PersistedMutationTest, IntactFileReads) {
-  switch (GetParam()) {
-    case Persisted::kJournal: {
-      const std::string path = dir_ + "/intact.ckpt";
-      spill(path, text_);
-      const JournalContents j = read_journal(path);
-      ASSERT_TRUE(j.valid) << j.error;
-      // The header carries the campaign identity and nothing else.
-      EXPECT_EQ(line(0).find("\"units\""), std::string_view::npos);
-      EXPECT_EQ(lines(), 7u);
-      for (const auto& ck : j.shards) {
-        ASSERT_TRUE(ck.has_value());
-        EXPECT_EQ(ck->iterations, 48u);
-      }
-      break;
-    }
-    case Persisted::kSidecar0:
-    case Persisted::kSidecar1: {
-      std::vector<obs::MetricsSnapshot> snaps;
-      ASSERT_FALSE(obs::read_snapshots(text_, "s", snaps).has_value());
-      EXPECT_EQ(snaps.size(), lines());
-      EXPECT_EQ(snaps.size(), 3u);
-      break;
-    }
+  // A checkpointed campaign with metrics on leaves its shard files and its
+  // journal, and nothing else.
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    files.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::set<std::string>{
+                       "records.ckpt", "records.shard0.jsonl",
+                       "records.shard1.jsonl"}));
+
+  const std::string path = dir_ + "/intact.ckpt";
+  spill(path, text_);
+  const JournalContents j = read_journal(path);
+  ASSERT_TRUE(j.valid) << j.error;
+  // The header carries the campaign identity and nothing else.
+  EXPECT_EQ(line(0).find("\"units\""), std::string_view::npos);
+  EXPECT_EQ(lines(), 7u);
+  for (const auto& ck : j.shards) {
+    ASSERT_TRUE(ck.has_value());
+    EXPECT_EQ(ck->iterations, 48u);
+    const obs::Counter* injections =
+        ck->metrics.find_counter("campaign.injections");
+    ASSERT_NE(injections, nullptr);
+    EXPECT_EQ(injections->value(), 48u);
   }
   check(text_);
 }
 
 TEST_P(PersistedMutationTest, SingleBitFlipsYieldErrorsOrValidValues) {
   std::mt19937_64 rng(0xf11b);
-  for (int i = 0; i < scaled(1500); ++i) {
+  for (int i = 0; i < 500; ++i) {
     std::string mutant = text_;
     const std::size_t at = rng() % mutant.size();
     mutant[at] = static_cast<char>(mutant[at] ^ (1 << (rng() % 8)));
@@ -199,33 +155,22 @@ TEST_P(PersistedMutationTest, SingleBitFlipsYieldErrorsOrValidValues) {
 }
 
 TEST_P(PersistedMutationTest, TruncationAtEveryOffsetOfALineIsATornTail) {
-  // The second line: for a journal, the first line after its header.
-  const std::size_t k = lines() > 1 ? 1 : 0;
-  if (GetParam() == Persisted::kJournal) {
-    // One file, cut shorter step by step: no mutant is written out.
-    const std::string path = dir_ + "/torn.ckpt";
-    spill(path, std::string_view(text_).substr(0, line_at_[k + 1]));
-    for (std::size_t cut = line_at_[k + 1]; cut-- > line_at_[k];) {
-      std::filesystem::resize_file(path, cut);
-      const JournalContents j = read_journal(path);
-      ASSERT_TRUE(j.valid) << j.error;
-      ASSERT_EQ(j.intact_bytes, line_at_[k]) << cut;
-    }
-    return;
-  }
-  for (std::size_t cut = line_at_[k]; cut < line_at_[k + 1]; ++cut) {
-    const std::string mutant = text_.substr(0, cut);
-    check(mutant);
-    if (HasFatalFailure()) return;
-    std::vector<obs::MetricsSnapshot> snaps;
-    ASSERT_FALSE(obs::read_snapshots(mutant, "s", snaps).has_value());
-    ASSERT_EQ(snaps.size(), k) << cut;
+  // The first line after the header.  One file, cut shorter step by
+  // step: no mutant is written out.
+  const std::size_t k = 1;
+  const std::string path = dir_ + "/torn.ckpt";
+  spill(path, std::string_view(text_).substr(0, line_at_[k + 1]));
+  for (std::size_t cut = line_at_[k + 1]; cut-- > line_at_[k];) {
+    std::filesystem::resize_file(path, cut);
+    const JournalContents j = read_journal(path);
+    ASSERT_TRUE(j.valid) << j.error;
+    ASSERT_EQ(j.intact_bytes, line_at_[k]) << cut;
   }
 }
 
 TEST_P(PersistedMutationTest, SplicedLinesYieldErrorsOrValidValues) {
   std::mt19937_64 rng(0x5b1c);
-  for (int i = 0; i < scaled(1000); ++i) {
+  for (int i = 0; i < 333; ++i) {
     const std::string_view a = line(rng() % lines());
     const std::string_view b = line(rng() % lines());
     std::string mutant = text_.substr(0, line_at_[rng() % lines()]);
@@ -238,17 +183,8 @@ TEST_P(PersistedMutationTest, SplicedLinesYieldErrorsOrValidValues) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Files, PersistedMutationTest,
-                         ::testing::Values(Persisted::kJournal,
-                                           Persisted::kSidecar0,
-                                           Persisted::kSidecar1),
-                         [](const auto& info) -> std::string {
-                           switch (info.param) {
-                             case Persisted::kJournal: return "Journal";
-                             case Persisted::kSidecar0: return "Sidecar0";
-                             case Persisted::kSidecar1: return "Sidecar1";
-                           }
-                           return "Unknown";
-                         });
+                         ::testing::Values(Persisted::kJournal),
+                         [](const auto&) -> std::string { return "Journal"; });
 
 }  // namespace
 }  // namespace xentry::fault

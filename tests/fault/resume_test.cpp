@@ -13,6 +13,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/artifacts.hpp"
@@ -21,7 +22,7 @@
 #include "fault/record_io.hpp"
 #include "hv/machine.hpp"
 #include "hv/microvisor.hpp"
-#include "obs/snapshot.hpp"
+#include "obs/metrics.hpp"
 
 namespace xentry::fault {
 namespace {
@@ -45,9 +46,31 @@ std::vector<InjectionRecord> decode_stream(const std::string& base,
   return recs;
 }
 
+/// Wall-clock-derived metrics, which differ between any two runs: latency
+/// histograms (…_ns/…_us) and throughput rates (…per_sec, …elapsed…).
+bool is_timing_metric(std::string_view name) {
+  return name.ends_with("_ns") || name.ends_with("_us") ||
+         name.find("per_sec") != std::string_view::npos ||
+         name.find("elapsed") != std::string_view::npos;
+}
+
+obs::MetricsRegistry strip_timing_metrics(const obs::MetricsRegistry& reg) {
+  obs::MetricsRegistry out;
+  for (const auto& [name, c] : reg.counters()) {
+    if (!is_timing_metric(name)) out.counter(name).inc(c.value());
+  }
+  for (const auto& [name, g] : reg.gauges()) {
+    if (!is_timing_metric(name)) out.gauge(name).set(g.value());
+  }
+  for (const auto& [name, h] : reg.histograms()) {
+    if (!is_timing_metric(name)) out.histogram(name).merge_from(h);
+  }
+  return out;
+}
+
 std::string stripped_metrics_json(const obs::MetricsRegistry& reg) {
   std::ostringstream os;
-  obs::strip_timing_metrics(reg).write_json(os);
+  strip_timing_metrics(reg).write_json(os);
   return os.str();
 }
 
@@ -130,10 +153,30 @@ void expect_resume_matches_reference(CampaignConfig ref_cfg,
                     victim_cfg.streaming.records_format, victim_cfg.shards);
   EXPECT_EQ(records_digest(resumed_stream), want_digest);
 
-  // The merged metrics are reconstructed from the sidecar prefix plus the
-  // live suffix; stripped of timing they match the uninterrupted run.
+  // The merged metrics are the journaled registries plus the live suffix;
+  // stripped of timing they match the uninterrupted run.
   EXPECT_EQ(stripped_metrics_json(resumed.metrics),
             stripped_metrics_json(ref.metrics));
+}
+
+TEST_F(ResumeTest, TimingMetricsAreRecognizedAndStripped) {
+  // The resume comparisons above mean something only if the strip keeps
+  // the counts.
+  EXPECT_TRUE(is_timing_metric("machine.snapshot_ns"));
+  EXPECT_TRUE(is_timing_metric("campaign.elapsed_us"));
+  EXPECT_TRUE(is_timing_metric("campaign.injections_per_sec"));
+  EXPECT_FALSE(is_timing_metric("campaign.injections"));
+  EXPECT_FALSE(is_timing_metric("obs.sink.appends"));
+
+  obs::MetricsRegistry reg;
+  reg.counter("campaign.injections").inc(10);
+  reg.gauge("campaign.elapsed_us").set(12345);
+  reg.histogram("machine.snapshot_ns").observe(500);
+  const obs::MetricsRegistry bare = strip_timing_metrics(reg);
+  ASSERT_NE(bare.find_counter("campaign.injections"), nullptr);
+  EXPECT_EQ(bare.find_counter("campaign.injections")->value(), 10u);
+  EXPECT_EQ(bare.find_gauge("campaign.elapsed_us"), nullptr);
+  EXPECT_EQ(bare.find_histogram("machine.snapshot_ns"), nullptr);
 }
 
 TEST_F(ResumeTest, KillBetweenCheckpointsSingleShard) {
@@ -346,7 +389,7 @@ TEST_F(ResumeTest, ResumeUnderDifferentConfigIsRejected) {
 
 TEST_F(ResumeTest, JournalRoundTripsShardState) {
   auto cfg = make_cfg("journal", 2, false);
-  run_campaign(cfg);
+  const CampaignResult result = run_campaign(cfg);
   const JournalContents j = read_journal(cfg.streaming.checkpoint_path);
   ASSERT_TRUE(j.valid);
   EXPECT_EQ(j.header.seed, 31u);
@@ -370,11 +413,48 @@ TEST_F(ResumeTest, JournalRoundTripsShardState) {
         cfg.streaming.records_path, obs::RecordFormat::kJsonl,
         static_cast<std::size_t>(s));
     EXPECT_EQ(ck.sink_offset, std::filesystem::file_size(path));
+    // The final line carries the shard's final registry.
+    const obs::Counter* injections =
+        ck.metrics.find_counter("campaign.injections");
+    ASSERT_NE(injections, nullptr) << s;
+    EXPECT_EQ(injections->value(), ck.records_written);
+    EXPECT_FALSE(ck.metrics.histograms().empty());
   }
   // Final checkpoints land at the quota: every record is journaled.
   const auto stream =
       decode_stream(cfg.streaming.records_path, obs::RecordFormat::kJsonl, 2);
   EXPECT_EQ(records, stream.size());
+  // The shards' registries merge to the campaign's, less the gauges the
+  // campaign adds after its shards end.
+  obs::MetricsRegistry merged;
+  merged.merge_from(j.shards[0]->metrics);
+  merged.merge_from(j.shards[1]->metrics);
+  for (const auto& [name, c] : result.metrics.counters()) {
+    ASSERT_NE(merged.find_counter(name), nullptr) << name;
+    EXPECT_EQ(merged.find_counter(name)->value(), c.value()) << name;
+  }
+  std::ostringstream histograms_written, histograms_read;
+  for (const auto& [name, h] : result.metrics.histograms()) {
+    h.write_json(histograms_written);
+    ASSERT_NE(merged.find_histogram(name), nullptr) << name;
+    merged.find_histogram(name)->write_json(histograms_read);
+  }
+  EXPECT_EQ(histograms_read.str(), histograms_written.str());
+
+  // Written back, each shard's line reads back to the same registry.
+  const std::string copy = dir_ + "/copy.ckpt";
+  {
+    auto w = CheckpointJournal::create(copy, j.header);
+    for (const auto& ck : j.shards) w->append(*ck);
+  }
+  const JournalContents again = read_journal(copy);
+  ASSERT_TRUE(again.valid) << again.error;
+  for (int s = 0; s < 2; ++s) {
+    std::ostringstream a, b;
+    j.shards[s]->metrics.write_json(a);
+    again.shards[s]->metrics.write_json(b);
+    EXPECT_EQ(b.str(), a.str()) << s;
+  }
 }
 
 TEST_F(ResumeTest, TornJournalLineIsCutAwayBeforeResumeAppends) {
@@ -516,6 +596,12 @@ TEST_F(ResumeTest, JournalReaderRefusesCorruptLines) {
             ":2: unknown key 'extra'");
   EXPECT_EQ(refusal("\"iter\":16", "\"iter\":16,\"iter\":16"),
             ":2: duplicate key 'iter'");
+  // A journal from before lines carried their registry names its metrics
+  // sidecar's offset, which no line has any more.
+  EXPECT_EQ(refusal("\"forensics\":", "\"snap_off\":0,\"forensics\":"),
+            ":2: unknown key 'snap_off'");
+  EXPECT_EQ(refusal("]}\n{", "],\"metrics\":{\"counters\":{}}}\n{"),
+            ":2: missing key 'gauges'");
   EXPECT_EQ(refusal(",\"mem\":[\"z2,7,deadbeef,z1\",\"\",\"1\"]", ""),
             ":2: missing key 'mem'");
   EXPECT_EQ(refusal("\"shard\":1", "\"shard\":2"),
@@ -537,6 +623,66 @@ TEST_F(ResumeTest, JournalReaderRefusesCorruptLines) {
   EXPECT_EQ(torn.intact_bytes, last);
   EXPECT_TRUE(torn.shards[0].has_value());
   EXPECT_FALSE(torn.shards[1].has_value());
+}
+
+// A shard's registry snapshot rides in its journal line.  These read a
+// stream of such lines the way resume does: the last intact line per shard.
+class SnapshotTest : public ResumeTest {
+ protected:
+  /// A one-shard journal whose checkpoint lines carry counter `a` at 1,
+  /// then 2, then 3.
+  std::string write_counter_lines(const std::string& path) {
+    CheckpointHeader h;
+    h.seed = 5;
+    h.injections = 100;
+    h.shards = 1;
+    h.checkpoint_every = 16;
+    auto journal = CheckpointJournal::create(path, h);
+    ShardCheckpoint c;
+    c.shard = 0;
+    c.gen_rng = "1 2 3";
+    c.main_rng = "4 5 6";
+    c.memory = {{1}};
+    for (int i = 1; i <= 3; ++i) {
+      c.iterations = static_cast<std::uint64_t>(16 * i);
+      c.metrics.counter("a").inc(1);
+      journal->append(c);
+    }
+    journal.reset();
+    return slurp(path);
+  }
+};
+
+TEST_F(SnapshotTest, TornFinalLineIsIgnored) {
+  const std::string path = dir_ + "/j.ckpt";
+  const std::string text = write_counter_lines(path);
+  const std::size_t last = text.rfind('\n', text.size() - 2) + 1;
+  // Cut the last line mid-way: a killed process's final write.
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << text.substr(0, (last + text.size()) / 2);
+  const JournalContents j = read_journal(path);
+  ASSERT_TRUE(j.valid) << j.error;
+  EXPECT_EQ(j.intact_bytes, last);
+  ASSERT_TRUE(j.shards[0].has_value());
+  EXPECT_EQ(j.shards[0]->iterations, 32u);
+  ASSERT_NE(j.shards[0]->metrics.find_counter("a"), nullptr);
+  EXPECT_EQ(j.shards[0]->metrics.find_counter("a")->value(), 2u);
+}
+
+TEST_F(SnapshotTest, CorruptLineIsRefusedNamingPathAndLine) {
+  const std::string path = dir_ + "/j.ckpt";
+  std::string text = write_counter_lines(path);
+  // Drop the counters from the registry on line 3 (the second checkpoint).
+  const std::string counters = "\"counters\":{\"a\":2},";
+  const std::size_t at = text.find(counters);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.erase(at, counters.size());
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+  const JournalContents j = read_journal(path);
+  EXPECT_FALSE(j.valid);
+  EXPECT_EQ(j.error, path + ":3: missing key 'counters'");
+  ASSERT_TRUE(j.shards[0].has_value());  // the line before it was kept
+  EXPECT_EQ(j.shards[0]->metrics.find_counter("a")->value(), 1u);
 }
 
 TEST_F(ResumeTest, StreamingConfigValidation) {

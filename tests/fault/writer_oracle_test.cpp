@@ -170,6 +170,81 @@ void ref_words(std::string& out, const std::vector<std::uint64_t>& words) {
   }
 }
 
+/// A metric name as the metrics-snapshot writer escaped it.
+void ref_escaped(std::string& out, const std::string& s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+/// A registry as the metrics-snapshot writer spelled a full snapshot, less
+/// its seq and kind.
+void ref_registry(std::string& out, const obs::MetricsRegistry& reg) {
+  out += "{\"counters\":{";
+  bool first = true;
+  for (const auto& [name, c] : reg.counters()) {
+    if (!first) out += ',';
+    first = false;
+    ref_escaped(out, name);
+    out += ':';
+    ref_u64(out, c.value());
+  }
+  out += "},\"gauges\":{";
+  first = true;
+  for (const auto& [name, g] : reg.gauges()) {
+    if (!first) out += ',';
+    first = false;
+    ref_escaped(out, name);
+    out += ':';
+    ref_i64(out, g.value());
+  }
+  out += "},\"histograms\":{";
+  first = true;
+  for (const auto& [name, h] : reg.histograms()) {
+    if (!first) out += ',';
+    first = false;
+    ref_escaped(out, name);
+    out += ":{\"count\":";
+    ref_u64(out, h.count());
+    out += ",\"sum\":";
+    ref_u64(out, h.sum());
+    if (h.count() > 0) {
+      out += ",\"min\":";
+      ref_u64(out, h.min());
+      out += ",\"max\":";
+      ref_u64(out, h.max());
+    }
+    out += ",\"buckets\":{";
+    bool first_bucket = true;
+    for (int i = 0; i < obs::Log2Histogram::kNumBuckets; ++i) {
+      if (h.bucket(i) == 0) continue;
+      if (!first_bucket) out += ',';
+      first_bucket = false;
+      out += '"';
+      ref_u64(out, obs::Log2Histogram::bucket_lower_bound(i));
+      out += "\":";
+      ref_u64(out, h.bucket(i));
+    }
+    out += "}}";
+  }
+  out += "}}";
+}
+
 std::string ref_header_line(const CheckpointHeader& h) {
   std::string line = "{\"type\":\"header\",\"seed\":";
   ref_u64(line, h.seed);
@@ -206,10 +281,6 @@ std::string ref_checkpoint_line(const ShardCheckpoint& c) {
   ref_double(line, c.effective);
   line += ",\"sink_off\":";
   ref_u64(line, c.sink_offset);
-  line += ",\"snap_off\":";
-  ref_u64(line, c.snap_offset);
-  line += ",\"snap_count\":";
-  ref_u64(line, c.snap_count);
   line += ",\"forensics\":";
   ref_u64(line, c.forensics_counter);
   line += ",\"acts\":";
@@ -231,7 +302,12 @@ std::string ref_checkpoint_line(const ShardCheckpoint& c) {
     ref_words(line, region);
     line += '"';
   }
-  line += "]}\n";
+  line += ']';
+  if (!c.metrics.empty()) {
+    line += ",\"metrics\":";
+    ref_registry(line, c.metrics);
+  }
+  line += "}\n";
   return line;
 }
 
@@ -521,10 +597,18 @@ TEST_F(JournalOracleTest, CheckpointLinesMatchTheReferenceWriter) {
   widest.shard = kIntMin;
   widest.iterations = widest.records_written = widest.digest = kU64Max;
   widest.effective = -2.2250738585072014e-308;
-  widest.sink_offset = widest.snap_offset = widest.snap_count = kU64Max;
+  widest.sink_offset = kU64Max;
   widest.forensics_counter = widest.activations_generated = kU64Max;
   widest.tsc = kU64Max;
   widest.memory = {std::vector<std::uint64_t>(100, kU64Max), {0}, {}};
+  // Every name byte escapes to six, and every bucket is full.
+  const std::string controls(8, '\x1f');
+  widest.metrics.counter(controls).inc(kU64Max);
+  widest.metrics.gauge(controls).set(kI64Min);
+  std::uint64_t full[obs::Log2Histogram::kNumBuckets];
+  std::fill(std::begin(full), std::end(full), kU64Max);
+  widest.metrics.histogram(controls) = obs::Log2Histogram::from_parts(
+      full, kU64Max, kU64Max, kU64Max, kU64Max);
   lines.push_back(widest);
   // One line per image, then one line holding every image.
   for (std::size_t i = 0; i <= images.size(); ++i) {
@@ -535,8 +619,6 @@ TEST_F(JournalOracleTest, CheckpointLinesMatchTheReferenceWriter) {
     c.digest = rng();
     c.effective = std::bit_cast<double>(rng() >> 2);
     c.sink_offset = rng() >> 30;
-    c.snap_offset = rng() >> 40;
-    c.snap_count = i;
     c.forensics_counter = rng() % 3;
     c.activations_generated = rng() >> 30;
     engine.discard(i);
@@ -548,6 +630,16 @@ TEST_F(JournalOracleTest, CheckpointLinesMatchTheReferenceWriter) {
       c.memory = {images[i]};
     } else {
       c.memory = images;
+    }
+    // Every other line carries a registry, with a name that needs
+    // escapes, an empty histogram and one with observations.
+    if (i % 2 == 1) {
+      c.metrics.counter("campaign.injections").inc(rng() >> 44);
+      c.metrics.counter("tab\tquote\"").inc(i);
+      c.metrics.gauge("campaign.shards").set(static_cast<std::int64_t>(i) - 3);
+      c.metrics.histogram("empty");
+      obs::Log2Histogram& h = c.metrics.histogram("fault.iteration_ns");
+      for (std::size_t k = 0; k < i; ++k) h.observe(rng() >> (rng() % 64));
     }
     lines.push_back(std::move(c));
   }

@@ -5,7 +5,11 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
+
+#include "obs/json.hpp"
 
 namespace xentry::obs {
 namespace {
@@ -222,6 +226,189 @@ TEST(MetricsRegistryTest, MergeAdoptsMetricsAbsentOnOneSide) {
   EXPECT_EQ(a.find_counter("only_a")->value(), 1u);
   EXPECT_EQ(a.find_counter("only_b")->value(), 2u);
   EXPECT_EQ(a.find_histogram("h")->count(), 1u);
+}
+
+// -- the one-line codec a journal line carries --------------------------
+
+/// The registry as write_line writes it, into a buffer line_chars() long.
+std::string line_of(const MetricsRegistry& reg) {
+  std::string buf(reg.line_chars(), '\0');
+  BufferWriter w(buf.data());
+  reg.write_line(w);
+  EXPECT_LE(w.size(), reg.line_chars());
+  buf.resize(w.size());
+  return buf;
+}
+
+/// The refusal read_line reports for `line` (with nothing after it), or
+/// "" if it reads; the registry read goes to `out`.
+std::string refusal(std::string_view line, MetricsRegistry* out = nullptr) {
+  MetricsRegistry reg;
+  LineScanner in(line);
+  if (!MetricsRegistry::read_line(in, reg) || !in.end()) return in.error();
+  if (out != nullptr) *out = std::move(reg);
+  return "";
+}
+
+/// read_line over a line that must read.
+MetricsRegistry read_back(std::string_view line) {
+  MetricsRegistry reg;
+  EXPECT_EQ(refusal(line, &reg), "") << line;
+  return reg;
+}
+
+TEST(MetricsLineTest, EmptyRegistryRoundTrips) {
+  const MetricsRegistry empty;
+  EXPECT_EQ(line_of(empty),
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
+  EXPECT_TRUE(read_back(line_of(empty)).empty());
+}
+
+TEST(MetricsLineTest, AnyMetricNameRoundTrips) {
+  MetricsRegistry reg;
+  const std::string name = std::string("q\"b\\n\nt\t") + '\x01' + "end";
+  reg.counter(name).inc(3);
+  reg.gauge(name).set(-4);
+  reg.histogram(name).observe(5);
+  const MetricsRegistry back = read_back(line_of(reg));
+  ASSERT_NE(back.find_counter(name), nullptr);
+  EXPECT_EQ(back.find_counter(name)->value(), 3u);
+  ASSERT_NE(back.find_gauge(name), nullptr);
+  EXPECT_EQ(back.find_gauge(name)->value(), -4);
+  ASSERT_NE(back.find_histogram(name), nullptr);
+  EXPECT_EQ(back.find_histogram(name)->count(), 1u);
+  EXPECT_EQ(registry_json(back), registry_json(reg));
+  // Only the writer's escapes read: `\/` and a raw control byte do not.
+  EXPECT_EQ(refusal("{\"counters\":{\"a\\/\":1},\"gauges\":{},"
+                    "\"histograms\":{}}"),
+            "malformed key 'counters'");
+  EXPECT_EQ(refusal("{\"counters\":{\"a\x02\":1},\"gauges\":{},"
+                    "\"histograms\":{}}"),
+            "malformed key 'counters'");
+}
+
+TEST(MetricsLineTest, HistogramMinMaxAndBucketsAreExact) {
+  MetricsRegistry reg;
+  Log2Histogram& h = reg.histogram("h");
+  for (const std::uint64_t v : {1000u, 2u, 2u, 0u}) h.observe(v);
+  reg.histogram("empty");  // no observations: no min or max to write
+  const std::string line = line_of(reg);
+  EXPECT_NE(line.find("\"empty\":{\"count\":0,\"sum\":0,\"buckets\":{}}"),
+            std::string::npos)
+      << line;
+  const MetricsRegistry back = read_back(line);
+  const Log2Histogram* b = back.find_histogram("h");
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->count(), 4u);
+  EXPECT_EQ(b->sum(), 1004u);
+  EXPECT_EQ(b->min(), 0u);
+  EXPECT_EQ(b->max(), 1000u);
+  for (int i = 0; i < Log2Histogram::kNumBuckets; ++i) {
+    EXPECT_EQ(b->bucket(i), h.bucket(i)) << "bucket " << i;
+  }
+  ASSERT_NE(back.find_histogram("empty"), nullptr);
+  EXPECT_EQ(back.find_histogram("empty")->count(), 0u);
+  EXPECT_EQ(registry_json(back), registry_json(reg));
+}
+
+TEST(MetricsLineTest, WidestRegistryFitsLineChars) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  MetricsRegistry reg;
+  const std::string name(40, '\x01');  // six bytes per escaped byte
+  reg.counter(name).inc(kMax);
+  reg.gauge(name).set(std::numeric_limits<std::int64_t>::min());
+  std::uint64_t full[Log2Histogram::kNumBuckets];
+  for (std::uint64_t& n : full) n = kMax;
+  reg.histogram(name) = Log2Histogram::from_parts(full, kMax, kMax, kMax, kMax);
+  // line_of checks the line against line_chars().
+  EXPECT_EQ(registry_json(read_back(line_of(reg))), registry_json(reg));
+}
+
+TEST(MetricsLineTest, HistogramBucketKeysMustBeBucketLowerBounds) {
+  const auto line = [](std::string_view buckets) {
+    return "{\"counters\":{},\"gauges\":{},\"histograms\":{\"h\":{"
+           "\"count\":1,\"sum\":8,\"min\":8,\"max\":8,\"buckets\":{" +
+           std::string(buckets) + "}}}}";
+  };
+  EXPECT_EQ(read_back(line("\"8\":1")).find_histogram("h")->bucket(4),
+            1u);  // [8, 16)
+  EXPECT_EQ(read_back(line("\"0\":1")).find_histogram("h")->bucket(0), 1u);
+  // Not a number, past UINT64_MAX, not a lower bound, repeated, or empty.
+  EXPECT_EQ(refusal(line("\"abc\":1")), "bad bucket key 'abc'");
+  EXPECT_EQ(refusal(line("\"\":1")), "bad bucket key 'buckets'");
+  EXPECT_EQ(refusal(line("\"18446744073709551616\":1")),
+            "bad bucket key '18446744073709551616'");
+  EXPECT_EQ(refusal(line("\"9\":1")), "bad bucket key '9'");
+  EXPECT_EQ(refusal(line("\"8\":1,\"8\":2")), "duplicate bucket '8'");
+  // The writer skips empty buckets, so a zero count is refused.
+  EXPECT_EQ(refusal(line("\"8\":0")), "bad value for '8'");
+  // The highest bucket's lower bound, 2^63, still reads.
+  EXPECT_EQ(refusal(line("\"9223372036854775808\":1")), "");
+}
+
+TEST(MetricsLineTest, UnknownDuplicateAndMissingKeysAreRefused) {
+  const std::string body = "\"counters\":{},\"gauges\":{},\"histograms\":{}}";
+  EXPECT_EQ(refusal("{" + body), "");
+  EXPECT_EQ(refusal("{\"x\":1," + body), "unknown key 'x'");
+  EXPECT_EQ(refusal("{\"gauges\":{}," + body), "duplicate key 'gauges'");
+  EXPECT_EQ(refusal("{\"counters\":{},\"gauges\":{}}"),
+            "missing key 'histograms'");
+  EXPECT_EQ(refusal("{\"counters\":[]," + body.substr(14)),
+            "not an object 'counters'");
+  EXPECT_EQ(refusal("{" + body + "}"), "trailing bytes");
+  // A repeated metric name, and counts that are not unsigned integers.
+  const auto counters = [](std::string_view map) {
+    return "{\"counters\":{" + std::string(map) +
+           "},\"gauges\":{},\"histograms\":{}}";
+  };
+  EXPECT_EQ(refusal(counters("\"a\":1,\"a\":2")), "duplicate metric 'a'");
+  EXPECT_EQ(refusal(counters("\"a\":\"1\"")), "bad value for 'a'");
+  EXPECT_EQ(refusal(counters("\"a\":-1")), "bad value for 'a'");
+  // A histogram's own members are held to the same rules.
+  const auto histogram = [](std::string_view members) {
+    return "{\"counters\":{},\"gauges\":{},\"histograms\":{\"h\":{" +
+           std::string(members) + "}}}";
+  };
+  EXPECT_EQ(refusal(histogram("\"count\":0,\"sum\":0,\"buckets\":{}")), "");
+  EXPECT_EQ(refusal(histogram("\"count\":0,\"sum\":0,\"buckets\":{},"
+                              "\"p50\":0")),
+            "unknown key 'p50'");
+  EXPECT_EQ(refusal(histogram("\"count\":0,\"count\":0,\"sum\":0,"
+                              "\"buckets\":{}")),
+            "duplicate key 'count'");
+  EXPECT_EQ(refusal(histogram("\"count\":0,\"buckets\":{}")),
+            "missing key 'sum'");
+  EXPECT_EQ(refusal("{\"counters\":{},\"gauges\":{},\"histograms\":{"
+                    "\"h\":{\"count\":0,\"sum\":0,\"buckets\":{}},"
+                    "\"h\":{\"count\":0,\"sum\":0,\"buckets\":{}}}}"),
+            "duplicate metric 'h'");
+}
+
+// -- the one JSON string escaper -------------------------------------------
+
+TEST(JsonStringTest, EveryByteRoundTripsThroughTheOneEscaper) {
+  const auto round_trip = [](const std::string& s) {
+    std::ostringstream os;
+    write_json_string(os, s);
+    const std::string written = os.str();
+    // Valid JSON: no raw control byte is left in the string.
+    for (const char c : written) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << written;
+    }
+    EXPECT_LE(written.size(), max_escaped_chars(s.size()));
+    LineScanner in(written);
+    std::string back;
+    EXPECT_TRUE(in.escaped(back)) << written;
+    EXPECT_TRUE(in.end()) << written;
+    return back;
+  };
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    EXPECT_EQ(round_trip(one), one) << "byte " << b;
+    all += one;
+  }
+  EXPECT_EQ(round_trip(all), all);
 }
 
 }  // namespace
