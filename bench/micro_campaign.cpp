@@ -90,15 +90,12 @@ std::vector<fault::InjectionRecord> read_streamed_records(
 
 /// Progress heartbeat on stderr, one line per sample, so a long campaign
 /// is observable without touching the JSON contract on stdout.  Sink
-/// drops and shard stragglers only appear when nonzero — a healthy
-/// campaign's line stays free of alarm fields.
+/// drops only appear when nonzero — a healthy campaign's line stays free
+/// of alarm fields.
 void print_heartbeat(const fault::HeartbeatSample& s) {
   std::string alerts;
   if (s.sink_dropped > 0) {
     alerts += "  drops=" + std::to_string(s.sink_dropped);
-  }
-  if (s.stragglers > 0) {
-    alerts += "  strag=" + std::to_string(s.stragglers);
   }
   std::fprintf(
       stderr,
@@ -193,8 +190,9 @@ void print_help() {
       "\n"
       "Positional (all optional):\n"
       "  injections       campaign size (default 2000)\n"
-      "  shards           worker threads (default 1; 0 = hardware "
-      "concurrency)\n"
+      "  shards           record streams (default 1; >= 1), run on at most "
+      "one\n"
+      "                   thread per core\n"
       "  seed             campaign seed (default 7)\n"
       "  heartbeat_sec    progress heartbeat interval on stderr (default "
       "off)\n"
@@ -308,7 +306,7 @@ int main(int argc, char** argv) {
                                           0, kIntMax, kUsage)
             : 2000;
   const int shards =
-      n > 1 ? bench::parse_number_or_exit(prog, "shards", positional[1], 0,
+      n > 1 ? bench::parse_number_or_exit(prog, "shards", positional[1], 1,
                                           kIntMax, kUsage)
             : 1;
   const std::uint64_t seed =

@@ -134,9 +134,8 @@ RunScore run_once(int injections, int shards, std::uint64_t seed,
 constexpr const char* kUsage =
     "usage: obs_overhead [injections] [shards] [seed] [reps] "
     "[--trace-out FILE]\n"
-    "  defaults 20000 1 7 8; injections and reps >= 1, shards 0 = hardware\n"
-    "  concurrency.  Tolerances: XENTRY_OBS_TOL_DISABLED, "
-    "XENTRY_OBS_TOL_ENABLED,\n"
+    "  defaults 20000 1 7 8; injections, shards and reps >= 1.\n"
+    "  Tolerances: XENTRY_OBS_TOL_DISABLED, XENTRY_OBS_TOL_ENABLED,\n"
     "  XENTRY_OBS_TOL_FORENSICS.\n";
 
 }  // namespace
@@ -160,15 +159,14 @@ int main(int argc, char** argv) {
       trace_out = argv[++i];
       continue;
     }
-    // Rates need records, so injections and reps start at 1; shards 0 is
-    // hardware concurrency.
+    // Rates need records, so injections and reps start at 1, as shards do.
     switch (pos++) {
       case 0:
         injections = bench::parse_number_or_exit(prog, "injections", argv[i],
                                                  1, kIntMax, kUsage);
         break;
       case 1:
-        shards = bench::parse_number_or_exit(prog, "shards", argv[i], 0,
+        shards = bench::parse_number_or_exit(prog, "shards", argv[i], 1,
                                              kIntMax, kUsage);
         break;
       case 2:

@@ -26,26 +26,6 @@ wl::WorkloadProfile uniform_sweep_profile() {
   return p;
 }
 
-double median(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t mid = values.size() / 2;
-  if (values.size() % 2 == 1) return values[mid];
-  return 0.5 * (values[mid - 1] + values[mid]);
-}
-
-std::vector<bool> flag_stragglers(const std::vector<double>& rates,
-                                  double fraction) {
-  std::vector<bool> flagged(rates.size(), false);
-  if (fraction <= 0.0 || rates.size() < 2) return flagged;
-  const double med = median(rates);
-  if (!(med > 0.0)) return flagged;
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    flagged[i] = rates[i] < fraction * med;
-  }
-  return flagged;
-}
-
 void validate_campaign_config(const CampaignConfig& cfg) {
   const auto fail = [](const std::string& msg) {
     throw std::invalid_argument("CampaignConfig: " + msg);
@@ -65,9 +45,8 @@ void validate_campaign_config(const CampaignConfig& cfg) {
   if (cfg.stream_gap < 0) {
     fail("stream_gap must be >= 0, got " + std::to_string(cfg.stream_gap));
   }
-  if (cfg.shards < 0) {
-    fail("shards must be >= 0 (0 = hardware concurrency), got " +
-         std::to_string(cfg.shards));
+  if (cfg.shards < 1) {
+    fail("shards must be >= 1, got " + std::to_string(cfg.shards));
   }
   if (cfg.obs.flight_recorder && cfg.obs.flight_recorder_depth <= 0) {
     fail("obs.flight_recorder enabled with non-positive "
@@ -168,10 +147,6 @@ using Clock = std::chrono::steady_clock;
 /// Trace-event budget per shard recorder: events beyond it are counted as
 /// dropped instead of growing the buffer.
 constexpr std::size_t kShardTraceEvents = 1u << 20;
-
-/// A heartbeat flags a shard whose recent rate falls below this fraction
-/// of the median across the unfinished shards (flag_stragglers).
-constexpr double kStragglerFraction = 0.5;
 
 /// Per-shard progress cells for the heartbeat, padded to a cache line so
 /// shards never share one.  Relaxed increments: the monitor reads a
@@ -678,10 +653,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
   }
 
   int shards = cfg.shards;
-  if (shards <= 0) {
-    shards = static_cast<int>(std::thread::hardware_concurrency());
-    if (shards <= 0) shards = 4;
-  }
   if (shards > cfg.injections && cfg.injections > 0) shards = cfg.injections;
 
   const wl::WorkloadProfile profile =
@@ -784,14 +755,9 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     HeartbeatSample s;
     s.last = last;
     s.total = static_cast<std::uint64_t>(cfg.injections);
-    s.shards.reserve(static_cast<std::size_t>(shards));
     for (int sh = 0; sh < shards; ++sh) {
       const ShardProgress& p = progress[sh];
-      HeartbeatSample::ShardThroughput tp;
-      tp.shard = sh;
-      tp.completed = p.completed.load(std::memory_order_relaxed);
-      s.shards.push_back(tp);
-      s.completed += tp.completed;
+      s.completed += p.completed.load(std::memory_order_relaxed);
       s.checkpointed += p.checkpointed.load(std::memory_order_relaxed);
       s.sink_lag_bytes += p.sink_lag.load(std::memory_order_relaxed);
       s.sink_dropped += p.dropped.load(std::memory_order_relaxed);
@@ -814,8 +780,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
       std::mutex m;
       std::condition_variable_any cv;
       std::uint64_t prev_completed = 0;
-      std::vector<std::uint64_t> prev_shard(
-          static_cast<std::size_t>(shards), 0);
       auto prev_t = Clock::now();
       std::unique_lock lk(m);
       const auto interval =
@@ -829,30 +793,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         s.recent_per_sec =
             dt > 0 ? static_cast<double>(s.completed - prev_completed) / dt
                    : 0.0;
-        // Per-shard recent rates feed the straggler monitor; shards that
-        // already finished their quota are exempt (a done shard is not
-        // slow, it is done).
-        std::vector<double> rates;
-        std::vector<std::size_t> unfinished;
-        for (std::size_t k = 0; k < s.shards.size(); ++k) {
-          HeartbeatSample::ShardThroughput& tp = s.shards[k];
-          tp.recent_per_sec =
-              dt > 0 ? static_cast<double>(tp.completed - prev_shard[k]) / dt
-                     : 0.0;
-          prev_shard[k] = tp.completed;
-          if (tp.completed < shard_quota(tp.shard)) {
-            unfinished.push_back(k);
-            rates.push_back(tp.recent_per_sec);
-          }
-        }
-        const std::vector<bool> lag =
-            flag_stragglers(rates, kStragglerFraction);
-        for (std::size_t j = 0; j < unfinished.size(); ++j) {
-          if (lag[j]) {
-            s.shards[unfinished[j]].straggler = true;
-            ++s.stragglers;
-          }
-        }
         // ETA from the freshest rate available: the recent window tracks
         // load changes; the mean covers the first interval.
         const double rate =
@@ -867,22 +807,32 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     });
   }
 
+  // Shards are the record streams; threads only run them.  Each worker
+  // takes whole shards from one counter, and the merge below goes in
+  // shard order, so the thread count never reaches the records.
   std::vector<CampaignResult> partials(static_cast<std::size_t>(shards));
   {
-    std::vector<std::jthread> threads;
-    threads.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      threads.emplace_back([&, s] {
-        // The shard's latest journal line; null on a fresh start.
-        const ShardCheckpoint* resume = nullptr;
-        if (resuming) {
-          const auto& ck = journal_state.shards[static_cast<std::size_t>(s)];
-          if (ck.has_value()) resume = &*ck;
+    const int workers = std::min(
+        shards, std::max(1, static_cast<int>(
+                                std::thread::hardware_concurrency())));
+    std::atomic<int> next_shard{0};
+    std::vector<std::jthread> pool;
+    pool.reserve(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w) {
+      pool.emplace_back([&] {
+        for (int s = next_shard++; s < shards; s = next_shard++) {
+          // The shard's latest journal line; null on a fresh start.
+          const ShardCheckpoint* resume = nullptr;
+          if (resuming) {
+            const auto& ck =
+                journal_state.shards[static_cast<std::size_t>(s)];
+            if (ck.has_value()) resume = &*ck;
+          }
+          partials[static_cast<std::size_t>(s)] = run_shard(
+              cfg, profile, s, shard_quota(s), epoch,
+              progress ? &progress[s] : nullptr, sink.get(), journal.get(),
+              resume);
         }
-        partials[static_cast<std::size_t>(s)] = run_shard(
-            cfg, profile, s, shard_quota(s), epoch,
-            progress ? &progress[s] : nullptr, sink.get(), journal.get(),
-            resume);
       });
     }
   }  // jthreads join here

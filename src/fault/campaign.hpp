@@ -2,10 +2,11 @@
 //
 // The paper runs 30,000 injections for the coverage study and ~23,400 +
 // ~17,700 for training/testing the classifier (Sections III-B, V-D).  A
-// campaign shards its injections across threads; each shard owns an
-// isolated golden/faulty Machine pair and a workload generator seeded
-// per shard, so results are deterministic for a fixed (seed, shards)
-// pair and shards share no mutable state.
+// campaign splits its injections into `shards` record streams; each shard
+// owns an isolated golden/faulty Machine pair and a workload generator
+// seeded per shard, so results are deterministic for a fixed (seed,
+// shards) pair and shards share no mutable state.  Threads only run the
+// shards, min(shards, cores) of them, so the host never picks the faults.
 #pragma once
 
 #include <array>
@@ -51,32 +52,8 @@ struct HeartbeatSample {
   /// Record-sink frames dropped across all shards (nonzero only when a
   /// sink failed — a healthy file sink never drops).
   std::uint64_t sink_dropped = 0;
-  /// Per-shard progress, one entry per shard, in shard order.  Feeds the
-  /// straggler monitor.
-  struct ShardThroughput {
-    int shard = -1;
-    std::uint64_t completed = 0;
-    double recent_per_sec = 0;  ///< since the previous heartbeat
-    /// True when this shard's recent rate fell below half the median
-    /// across the unfinished shards (see flag_stragglers).
-    bool straggler = false;
-  };
-  std::vector<ShardThroughput> shards;
-  std::uint64_t stragglers = 0;  ///< count of flagged shards this sample
   bool last = false;  ///< true for the exact post-join sample
 };
-
-/// Median of `values` (by copy; the argument order does not matter).
-/// Returns 0 for an empty vector; averages the middle pair for even n.
-double median(std::vector<double> values);
-
-/// Flags entries whose rate falls below `fraction` times the median of
-/// `rates`.  No entry is flagged when `fraction` <= 0, when fewer than
-/// two rates exist (a lone shard has no peers to lag behind), or when
-/// the median itself is 0 (everyone equally stuck is a stall, not a
-/// straggle).
-std::vector<bool> flag_stragglers(const std::vector<double>& rates,
-                                  double fraction);
 
 struct CampaignConfig {
   int injections = 1000;
@@ -92,7 +69,11 @@ struct CampaignConfig {
   /// Fault-free activations between consecutive injections.
   int stream_gap = 2;
   std::uint64_t seed = 1;
-  int shards = 0;  ///< 0: hardware concurrency
+  /// Record streams: each shard draws from its own seed, takes its share
+  /// of the quota and writes its own shard file, so the records depend on
+  /// this count and never on the host.  At least 1; run_campaign caps it
+  /// at `injections` and runs the shards on min(shards, cores) threads.
+  int shards = 4;
 
   hv::MicrovisorOptions machine{};
   XentryConfig xentry{};
@@ -202,7 +183,8 @@ struct CampaignResult {
   bool resumed = false;
 };
 
-/// Runs the campaign.  Deterministic per (config.seed, shard count).
+/// Runs the campaign.  Deterministic per (config.seed, config.shards),
+/// whatever the host's core count.
 CampaignResult run_campaign(const CampaignConfig& config);
 
 /// A workload profile that sweeps every exit reason uniformly.

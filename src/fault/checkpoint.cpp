@@ -248,6 +248,16 @@ bool read_text(obs::LineScanner& in, std::string& out) {
   return true;
 }
 
+/// An mt19937_64 state that rng_state_from_string accepts; `optional`
+/// also lets the empty string through (no sampler aux stream).
+bool read_rng(obs::LineScanner& in, std::string& out, std::string_view key,
+              bool optional = false) {
+  if (!read_text(in, out)) return false;
+  std::mt19937_64 probe;
+  return (optional && out.empty()) || rng_state_from_string(probe, out) ||
+         in.fail("corrupt RNG state in", key);
+}
+
 /// An `int` the writer prints as unsigned, so never negative.
 bool read_count(obs::LineScanner& in, int& out) {
   return in.integer(out) && out >= 0;
@@ -282,9 +292,9 @@ bool read_checkpoint_member(obs::LineScanner& in, std::size_t key,
     case kCSinkOff: return in.integer(c.sink_offset);
     case kCForensics: return in.integer(c.forensics_counter);
     case kCActs: return in.integer(c.activations_generated);
-    case kCGenRng: return read_text(in, c.gen_rng);
-    case kCMainRng: return read_text(in, c.main_rng);
-    case kCAuxRng: return read_text(in, c.aux_rng);
+    case kCGenRng: return read_rng(in, c.gen_rng, "gen_rng");
+    case kCMainRng: return read_rng(in, c.main_rng, "main_rng");
+    case kCAuxRng: return read_rng(in, c.aux_rng, "aux_rng", true);
     case kCTsc: return in.integer(c.tsc);
     case kCMem: {
       if (!in.punct('[')) return false;
@@ -396,9 +406,15 @@ std::string rng_state_string(const std::mt19937_64& rng) {
 }
 
 bool rng_state_from_string(std::mt19937_64& rng, const std::string& state) {
+  // The stream operator stops after the state's last word and wraps a
+  // negative word, so only a state that prints back to its own bytes is
+  // the one it reads as.
   std::istringstream is(state);
-  is >> rng;
-  return !is.fail();
+  std::mt19937_64 loaded;
+  is >> loaded;
+  if (is.fail() || rng_state_string(loaded) != state) return false;
+  rng = loaded;
+  return true;
 }
 
 }  // namespace xentry::fault

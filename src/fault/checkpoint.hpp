@@ -125,10 +125,11 @@ struct JournalContents {
 };
 
 /// Reads a journal strictly (obs::LineScanner::members): an unknown,
-/// duplicate or missing key, a value of the wrong type or range, a shard
-/// index past the header's shard count, or trailing bytes make a line
-/// corrupt.  A final line with no newline is torn and ignored.  `valid` is
-/// false for a missing file, a torn header line, or a set `error`.
+/// duplicate or missing key, a value of the wrong type or range, an RNG
+/// state rng_state_from_string refuses, a shard index past the header's
+/// shard count, or trailing bytes make a line corrupt.  A final line with
+/// no newline is torn and ignored.  `valid` is false for a missing file, a
+/// torn header line, or a set `error`.
 JournalContents read_journal(const std::string& path);
 
 /// Captures the machine's resumable state (memory words + TSC) into `out`.
@@ -140,6 +141,8 @@ void capture_machine(const hv::Machine& machine, ShardCheckpoint& out);
 void restore_machine(hv::Machine& machine, const ShardCheckpoint& ckpt);
 
 /// mt19937_64 state round-trip (textual, the stream-operator encoding).
+/// The reader loads `state` into `rng` only when printing it back gives
+/// the same bytes; otherwise it returns false and leaves `rng` alone.
 std::string rng_state_string(const std::mt19937_64& rng);
 bool rng_state_from_string(std::mt19937_64& rng, const std::string& state);
 

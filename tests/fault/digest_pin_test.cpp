@@ -49,6 +49,23 @@ TEST(DigestPinTest, UniformFourShards) {
   EXPECT_EQ(records_digest(res.records), 0x93cbe61a5fef0188ull);
 }
 
+// More shards than a typical host has cores: shards queue for the worker
+// threads, and the records still equal the one-thread-per-shard run's.
+TEST(DigestPinTest, UniformSixteenShards) {
+  const auto res = run_campaign(micro_campaign_cfg(2000, 16));
+  ASSERT_EQ(res.records.size(), 2000u);
+  EXPECT_EQ(records_digest(res.records), 0x6cd4dbf1048d547eull);
+}
+
+// The default stream count is a constant, so a campaign that leaves it
+// alone prints the same records on every host.
+TEST(DigestPinTest, DefaultStreamCount) {
+  const auto res =
+      run_campaign(micro_campaign_cfg(2000, CampaignConfig{}.shards));
+  ASSERT_EQ(res.records.size(), 2000u);
+  EXPECT_EQ(records_digest(res.records), 0x93cbe61a5fef0188ull);
+}
+
 TEST(DigestPinTest, ImportanceSampled) {
   // `micro_campaign 2000 1 7 --sampling`.
   CampaignConfig cfg = micro_campaign_cfg(2000, 1);

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -546,8 +547,8 @@ std::string write_journal(const std::string& path, int shards) {
     c.records_written = 15;
     c.digest = 0xfeedu + static_cast<unsigned>(s);
     c.effective = 15.5;
-    c.gen_rng = "1 2 3";
-    c.main_rng = "4 5 6";
+    c.gen_rng = rng_state_string(std::mt19937_64(1));
+    c.main_rng = rng_state_string(std::mt19937_64(2));
     c.tsc = 99;
     c.memory = {{0, 0, 7, 0xdeadbeefull, 0}, {}, {1}};
     journal->append(c);
@@ -612,6 +613,20 @@ TEST_F(ResumeTest, JournalReaderRefusesCorruptLines) {
   EXPECT_EQ(refusal("deadbeef", "deadbeefdeadbeef0"),
             ":2: corrupt memory image in 'mem'");
   EXPECT_EQ(refusal("]}\n", "]}}\n"), ":2: trailing bytes");
+  // An RNG state must print back to its own bytes: the stream operator
+  // alone would take the state before trailing words, wrap a negative
+  // word to 2^64-1, and only a missing word makes it fail.
+  const std::string gen = rng_state_string(std::mt19937_64(1));
+  const std::string first_word = gen.substr(0, gen.find(' '));
+  EXPECT_EQ(refusal(gen, gen + " 17 garbage"),
+            ":2: corrupt RNG state in 'gen_rng'");
+  EXPECT_EQ(refusal("\"gen_rng\":\"" + first_word + " ",
+                    "\"gen_rng\":\"-1 "),
+            ":2: corrupt RNG state in 'gen_rng'");
+  EXPECT_EQ(refusal(gen, gen.substr(0, gen.rfind(' '))),
+            ":2: corrupt RNG state in 'gen_rng'");
+  EXPECT_EQ(refusal("\"aux_rng\":\"\"", "\"aux_rng\":\"1 2 3\""),
+            ":2: corrupt RNG state in 'aux_rng'");
   EXPECT_EQ(refusal("\n{", "\n\n{"), ":2: not an object");
 
   // A torn final line is not an error; intact_bytes stops before it.
@@ -640,8 +655,8 @@ class SnapshotTest : public ResumeTest {
     auto journal = CheckpointJournal::create(path, h);
     ShardCheckpoint c;
     c.shard = 0;
-    c.gen_rng = "1 2 3";
-    c.main_rng = "4 5 6";
+    c.gen_rng = rng_state_string(std::mt19937_64(1));
+    c.main_rng = rng_state_string(std::mt19937_64(2));
     c.memory = {{1}};
     for (int i = 1; i <= 3; ++i) {
       c.iterations = static_cast<std::uint64_t>(16 * i);
