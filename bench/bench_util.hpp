@@ -1,6 +1,6 @@
-// Shared plumbing for the experiment-reproduction binaries.
+// Shared plumbing for the bench binaries.
 //
-// Every bench prints the rows/series of one paper table or figure.  Scale
+// `paper` prints the rows/series of every paper table and figure.  Scale
 // knobs default to paper scale but honour XENTRY_BENCH_SCALE (a positive
 // fraction, e.g. 0.1 for a quick pass; anything else exits 2).
 #pragma once
@@ -91,35 +91,6 @@ inline wl::WorkloadProfile pooled_benchmark_profile() {
     for (const auto& [r, w] : p.mix) pooled.mix.emplace_back(r, w / total);
   }
   return pooled;
-}
-
-/// Trains the deployable transition-detection model the way the paper
-/// does: a dedicated injection campaign (~23,400 runs at full scale) over
-/// the benchmark workloads, feeding a RandomTree.  Deterministic; shared
-/// by the detection benches.
-inline fault::TrainedDetector train_paper_model(std::uint64_t seed = 101) {
-  fault::CampaignConfig cfg;
-  cfg.injections = scaled(23400);
-  cfg.seed = seed;
-  cfg.collect_dataset = true;
-  cfg.workload = pooled_benchmark_profile();
-  fault::CampaignResult res = fault::run_campaign(cfg);
-  fault::TrainingOptions opt;
-  opt.incorrect_target_fraction = 0.20;
-  return fault::train_detector(res.dataset, opt);
-}
-
-/// Runs the paper's 30,000-injection evaluation campaign with the given
-/// model installed.
-inline fault::CampaignResult run_eval_campaign(const ml::RuleSet& model,
-                                               std::uint64_t seed = 202,
-                                               int injections = 30000) {
-  fault::CampaignConfig cfg;
-  cfg.injections = scaled(injections);
-  cfg.seed = seed;
-  cfg.model = model;
-  cfg.workload = pooled_benchmark_profile();
-  return fault::run_campaign(cfg);
 }
 
 inline void print_header(const std::string& title) {

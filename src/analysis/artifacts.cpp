@@ -211,19 +211,12 @@ AnalysisArtifacts analyze_program(const Program& program,
   art.facts = std::move(df.facts);
   art.block_in = std::move(df.in_state);
   art.stack_warnings = std::move(df.stack_warnings);
-  if (options.derive_assertions) {
-    derive_assertions(program, art, options.max_derived);
-    for (std::size_t i = 0; i < art.derived.size(); ++i) {
-      art.derived[i].id = kDerivedAssertBase + static_cast<std::uint32_t>(i);
-    }
+  derive_assertions(program, art, options.max_derived);
+  for (std::size_t i = 0; i < art.derived.size(); ++i) {
+    art.derived[i].id = kDerivedAssertBase + static_cast<std::uint32_t>(i);
   }
-  if (options.bit_liveness) {
-    art.vuln = compute_bit_liveness(program, art.cfg, art.derived);
-  }
-  if (options.timing_envelopes) {
-    art.timing = compute_timing_envelopes(program, art.cfg,
-                                          options.timing_model);
-  }
+  art.vuln = compute_bit_liveness(program, art.cfg, art.derived);
+  art.timing = compute_timing_envelopes(program, art.cfg);
   art.verifier = verify_with_cfg(program, art.cfg, art.facts, options.verifier);
   return art;
 }

@@ -43,16 +43,8 @@ struct DerivedAssertion {
 struct AnalyzeOptions {
   CfgOptions cfg;
   sim::VerifierOptions verifier;
-  bool derive_assertions = true;
   /// Cap on derived assertions (first by address, then register).
   std::size_t max_derived = 64;
-  /// Compute the per-bit vulnerability map (importance-sampling input).
-  bool bit_liveness = true;
-  /// Compute static [BCET, WCET] timing envelopes per entry point
-  /// (Technique::Timing input).
-  bool timing_envelopes = true;
-  /// Cycle weights for the timing analysis.
-  TimingCostModel timing_model;
 };
 
 struct AnalysisArtifacts {
@@ -66,12 +58,13 @@ struct AnalysisArtifacts {
   std::vector<RegState> block_in;  ///< interval state at block entry
   std::vector<StackWarning> stack_warnings;
   std::vector<DerivedAssertion> derived;  ///< sorted by (addr, reg)
-  /// Per-bit liveness map (empty when AnalyzeOptions::bit_liveness is
-  /// off).  Computed after assertion derivation so gate-time consumers
-  /// are part of the liveness roots.
+  /// Per-bit liveness map (the importance sampler's input).  Computed
+  /// after assertion derivation so gate-time consumers are part of the
+  /// liveness roots.
   VulnerabilityMap vuln;
-  /// Per-entry-point timing envelopes (empty map when
-  /// AnalyzeOptions::timing_envelopes is off or nothing was provable).
+  /// Per-entry-point static [BCET, WCET] timing envelopes under
+  /// TimingCostModel{} (Technique::Timing input; empty when nothing was
+  /// provable).
   TimingEnvelopes timing;
   sim::VerifierReport verifier;
 

@@ -87,8 +87,8 @@ void validate_campaign_config(const CampaignConfig& cfg) {
     }
     if (cfg.analysis->timing.valid_count() == 0) {
       fail("timing detection is enabled but the analysis artifacts carry "
-           "no finite timing envelopes — re-run analyze_program with "
-           "AnalyzeOptions::timing_envelopes enabled");
+           "no finite timing envelopes — install analyze_program(...) "
+           "output for this machine");
     }
   }
   if (cfg.sampling.importance) {
@@ -104,8 +104,8 @@ void validate_campaign_config(const CampaignConfig& cfg) {
     }
     if (cfg.analysis->vuln.empty()) {
       fail("sampling.importance is enabled but the analysis artifacts "
-           "carry no vulnerability map — re-run analyze_program with "
-           "AnalyzeOptions::bit_liveness enabled");
+           "carry no vulnerability map — install analyze_program(...) "
+           "output for this machine");
     }
   }
   const CampaignConfig::StreamingConfig& st = cfg.streaming;

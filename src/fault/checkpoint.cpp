@@ -1,8 +1,8 @@
 #include "fault/checkpoint.hpp"
 
+#include <bit>
 #include <charconv>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -241,6 +241,42 @@ bool read_type(obs::LineScanner& in, std::string_view want) {
   return in.string(type) && type == want;
 }
 
+/// mt19937_64's state as libstdc++ holds it and its stream operator
+/// prints it: the 312 words, then the index of the next word to temper.
+/// The engine is bit_cast to and from it; RngStateTest's oracle against
+/// the stream operators pins the layout.
+struct RngState {
+  std::uint64_t words[std::mt19937_64::state_size];
+  std::size_t index;
+};
+static_assert(sizeof(RngState) == sizeof(std::mt19937_64));
+
+/// The widest state text: 313 twenty-digit words and a space after each.
+constexpr std::size_t kMaxRngStateChars =
+    (std::mt19937_64::state_size + 1) *
+    (obs::kMaxDecimalChars<std::uint64_t> + 1);
+
+/// Parses the text the stream operator prints, and no other: exactly 313
+/// decimal words separated by single spaces, each within 64 bits, with no
+/// sign, no leading zero (but `0` itself) and no other byte.  These are
+/// exactly the texts that `operator>>` reads back to themselves.
+bool parse_rng_state(std::string_view text, RngState& out) {
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  for (std::size_t i = 0; i <= std::mt19937_64::state_size; ++i) {
+    if (i > 0) {
+      if (p == end || *p != ' ') return false;
+      ++p;
+    }
+    std::uint64_t word = 0;
+    const auto [next, ec] = std::from_chars(p, end, word);
+    if (ec != std::errc{} || (*p == '0' && next - p > 1)) return false;
+    (i < std::mt19937_64::state_size ? out.words[i] : out.index) = word;
+    p = next;
+  }
+  return p == end;
+}
+
 bool read_text(obs::LineScanner& in, std::string& out) {
   std::string_view s;
   if (!in.string(s)) return false;
@@ -253,8 +289,8 @@ bool read_text(obs::LineScanner& in, std::string& out) {
 bool read_rng(obs::LineScanner& in, std::string& out, std::string_view key,
               bool optional = false) {
   if (!read_text(in, out)) return false;
-  std::mt19937_64 probe;
-  return (optional && out.empty()) || rng_state_from_string(probe, out) ||
+  RngState parsed;
+  return (optional && out.empty()) || parse_rng_state(out, parsed) ||
          in.fail("corrupt RNG state in", key);
 }
 
@@ -400,20 +436,21 @@ void restore_machine(hv::Machine& machine, const ShardCheckpoint& ckpt) {
 }
 
 std::string rng_state_string(const std::mt19937_64& rng) {
-  std::ostringstream os;
-  os << rng;
-  return os.str();
+  const auto state = std::bit_cast<RngState>(rng);
+  char buf[kMaxRngStateChars];
+  obs::BufferWriter w(buf);
+  for (const std::uint64_t word : state.words) {
+    w.integer(word);
+    w.put(' ');
+  }
+  w.integer(state.index);
+  return std::string(w.view());
 }
 
 bool rng_state_from_string(std::mt19937_64& rng, const std::string& state) {
-  // The stream operator stops after the state's last word and wraps a
-  // negative word, so only a state that prints back to its own bytes is
-  // the one it reads as.
-  std::istringstream is(state);
-  std::mt19937_64 loaded;
-  is >> loaded;
-  if (is.fail() || rng_state_string(loaded) != state) return false;
-  rng = loaded;
+  RngState parsed;
+  if (!parse_rng_state(state, parsed)) return false;
+  rng = std::bit_cast<std::mt19937_64>(parsed);
   return true;
 }
 

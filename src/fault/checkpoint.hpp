@@ -140,9 +140,12 @@ void capture_machine(const hv::Machine& machine, ShardCheckpoint& out);
 /// from a different machine configuration).
 void restore_machine(hv::Machine& machine, const ShardCheckpoint& ckpt);
 
-/// mt19937_64 state round-trip (textual, the stream-operator encoding).
-/// The reader loads `state` into `rng` only when printing it back gives
-/// the same bytes; otherwise it returns false and leaves `rng` alone.
+/// mt19937_64 state round-trip in the stream operators' text:
+/// rng_state_string prints what `os << rng` prints, and
+/// rng_state_from_string loads `state` into `rng` only when it is such a
+/// text (313 canonical decimal words joined by single spaces, the texts
+/// `is >> rng` reads back to themselves); otherwise it returns false and
+/// leaves `rng` alone.
 std::string rng_state_string(const std::mt19937_64& rng);
 bool rng_state_from_string(std::mt19937_64& rng, const std::string& state);
 

@@ -13,6 +13,16 @@ namespace L = hv::layout;
 
 namespace {
 
+/// Compare interval; a dirty chunk costs ~log2(chunk) bisection probes of
+/// at most chunk steps each.
+constexpr std::uint64_t kChunkSteps = 64;
+/// Per-side instruction budget after the injection point (a hung faulty
+/// run has no natural end).
+constexpr std::uint64_t kMaxReplaySteps = 1u << 17;
+/// Taint-map sample cap (exponentially spaced, so the covered window is
+/// ~2^cap boundaries before the budget cuts in).
+constexpr std::size_t kMaxTaintSamples = 24;
+
 /// One replay side: the CPU plus whether it has reached its natural end
 /// (VM-entry halt or trap).  A done side parks; the other may continue.
 struct Side {
@@ -137,14 +147,10 @@ void fill_location(obs::FirstDivergence& d, const Side& g, const Side& f,
 
 DivergenceScan find_first_divergence(sim::Cpu& golden, sim::Cpu& faulty,
                                      sim::Reg seed_reg, sim::Word seed_mask,
-                                     std::uint64_t start_step,
-                                     const LockstepParams& params) {
+                                     std::uint64_t start_step) {
   DivergenceScan out;
   Side g{&golden};
   Side f{&faulty};
-  const std::uint64_t chunk =
-      params.chunk_steps > 0 ? static_cast<std::uint64_t>(params.chunk_steps)
-                             : 1;
   Checkpoint chk;
   std::uint64_t boundary = 0;  // steps executed past start_step
 
@@ -158,14 +164,13 @@ DivergenceScan find_first_divergence(sim::Cpu& golden, sim::Cpu& faulty,
   };
 
   while (true) {
-    if ((g.done && f.done) || boundary >= params.max_replay_steps) {
+    if ((g.done && f.done) || boundary >= kMaxReplaySteps) {
       // Window exhausted with no propagation: the flip either converged
       // away entirely (masked) or stayed latent in the seed register.
       finish(compare(g, f, seed_reg, seed_mask).identical);
       return out;
     }
-    const std::uint64_t n =
-        std::min(chunk, params.max_replay_steps - boundary);
+    const std::uint64_t n = std::min(kChunkSteps, kMaxReplaySteps - boundary);
     capture(chk, g, f);
     out.steps_replayed += advance(g, n) + advance(f, n);
     boundary += n;
@@ -248,8 +253,7 @@ obs::ForensicsRecord run_lockstep_forensics(hv::Machine& golden,
                                             hv::Machine& faulty,
                                             const hv::Activation& activation,
                                             const hv::Injection& injection,
-                                            const hv::Machine::Snapshot& pre,
-                                            const LockstepParams& params) {
+                                            const hv::Machine::Snapshot& pre) {
   obs::ForensicsRecord fx;
   golden.restore(pre);
   faulty.restore(pre);
@@ -276,7 +280,7 @@ obs::ForensicsRecord run_lockstep_forensics(hv::Machine& golden,
   const sim::Word seed_mask = sim::Word{1} << injection.bit;
 
   const DivergenceScan scan = find_first_divergence(
-      gc, fc, injection.reg, seed_mask, injection.at_step, params);
+      gc, fc, injection.reg, seed_mask, injection.at_step);
   fx.replay_steps += scan.steps_replayed;
   fx.diverged = scan.diverged;
   fx.masked = scan.masked;
@@ -292,15 +296,14 @@ obs::ForensicsRecord run_lockstep_forensics(hv::Machine& golden,
     const int nv = golden.num_vcpus() + 1;  // include the idle vcpu
     std::vector<sim::WordDiff> diffs;
     std::vector<sim::RegDiff> rdiffs;
-    const std::uint64_t budget_end =
-        injection.at_step + params.max_replay_steps;
+    const std::uint64_t budget_end = injection.at_step + kMaxReplaySteps;
     std::uint64_t boundary = scan.boundary;
     std::uint64_t interval = 1;
     while (true) {
       fx.taint.push_back(make_sample(boundary, g, f, injection.reg, seed_mask,
                                      nd, nv, diffs, rdiffs));
       if (g.done && f.done) break;
-      if (static_cast<int>(fx.taint.size()) >= params.max_taint_samples) break;
+      if (fx.taint.size() >= kMaxTaintSamples) break;
       if (boundary >= budget_end) break;
       const std::uint64_t n = std::min(interval, budget_end - boundary);
       const std::uint64_t adv_g = advance(g, n);

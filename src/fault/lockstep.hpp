@@ -4,7 +4,7 @@
 // A qualifying injection (SDC, app crash, undetected escape) is re-run
 // from the golden probe's pre-run snapshot with both machines advancing
 // in bounded-step lockstep on the reference engine.  State is compared
-// every `chunk_steps` instructions; the first dirty chunk is bisected by
+// every 64 instructions; the first dirty chunk is bisected by
 // restoring the chunk-entry checkpoint and replaying prefixes, so the
 // first architectural divergence — the instruction whose execution
 // propagated the corruption beyond the seeded (register, bit) flip — is
@@ -23,18 +23,6 @@
 #include "sim/cpu.hpp"
 
 namespace xentry::fault {
-
-struct LockstepParams {
-  /// Compare interval; a dirty chunk costs ~log2(chunk) bisection probes
-  /// of at most chunk steps each.
-  int chunk_steps = 64;
-  /// Per-side instruction budget after the injection point (a hung faulty
-  /// run has no natural end).
-  std::uint64_t max_replay_steps = 1u << 17;
-  /// Taint-map sample cap (exponentially spaced, so the covered window is
-  /// ~2^cap boundaries before the budget cuts in).
-  int max_taint_samples = 24;
-};
 
 /// Outcome of the divergence scan alone (unit-testable at the CPU level).
 struct DivergenceScan {
@@ -59,8 +47,7 @@ struct DivergenceScan {
 /// ready for taint sampling.
 DivergenceScan find_first_divergence(sim::Cpu& golden, sim::Cpu& faulty,
                                      sim::Reg seed_reg, sim::Word seed_mask,
-                                     std::uint64_t start_step,
-                                     const LockstepParams& params = {});
+                                     std::uint64_t start_step);
 
 /// Full machine-level replay: restores both machines from `pre`, re-enters
 /// the activation, advances to the injection point, applies the flip, runs
@@ -73,7 +60,6 @@ obs::ForensicsRecord run_lockstep_forensics(hv::Machine& golden,
                                             hv::Machine& faulty,
                                             const hv::Activation& activation,
                                             const hv::Injection& injection,
-                                            const hv::Machine::Snapshot& pre,
-                                            const LockstepParams& params = {});
+                                            const hv::Machine::Snapshot& pre);
 
 }  // namespace xentry::fault

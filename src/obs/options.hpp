@@ -40,7 +40,8 @@ struct Options {
   /// Replay 1-in-N of the *undetected-escape* qualifiers (deterministic
   /// per-shard counter).  AppSdc/AppCrash records always replay — the
   /// forensics contract promises every SDC a first-divergence entry.
-  /// The replay itself runs with fault::LockstepParams' defaults.
+  /// The replay's chunk, step budget and taint-sample cap are constants
+  /// of fault/lockstep.cpp.
   int forensics_sample_every = 1;
 
   /// True when any collection layer is live.

@@ -431,11 +431,10 @@ TEST(CampaignTest, TimingDetectionRequiresArtifactsWithEnvelopes) {
   EXPECT_THROW(validate_campaign_config(c), std::invalid_argument);
   // Artifacts without timing envelopes are equally useless: the detector
   // could never fire, so the config must be rejected up front.
-  const hv::Microvisor mv = hv::build_microvisor(c.machine);
-  analysis::AnalyzeOptions no_timing = hv::analyze_options(mv);
-  no_timing.timing_envelopes = false;
-  c.analysis = std::make_shared<const analysis::AnalysisArtifacts>(
-      analysis::analyze_program(mv.program, no_timing));
+  auto no_timing =
+      std::make_shared<analysis::AnalysisArtifacts>(*analyze_machine(c.machine));
+  no_timing->timing.by_entry.clear();
+  c.analysis = no_timing;
   EXPECT_THROW(validate_campaign_config(c), std::invalid_argument);
   c.analysis = analyze_machine(c.machine);
   EXPECT_NO_THROW(validate_campaign_config(c));

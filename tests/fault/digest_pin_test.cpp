@@ -22,6 +22,7 @@
 #include "fault/record_io.hpp"
 #include "fault/report.hpp"
 #include "hv/microvisor.hpp"
+#include "test_dir.hpp"
 
 namespace xentry::fault {
 namespace {
@@ -83,7 +84,7 @@ TEST(DigestPinTest, ImportanceSampled) {
 /// decoded back from the persisted shard file.
 void expect_streamed_pin(obs::RecordFormat format, const std::string& tag,
                          std::uint64_t pin) {
-  const std::string dir = ::testing::TempDir() + "digest_pin_" + tag;
+  const std::string dir = test::scratch_path("digest_pin_" + tag);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   CampaignConfig cfg = micro_campaign_cfg(2000, 1);

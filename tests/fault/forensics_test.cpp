@@ -190,11 +190,10 @@ TEST(LockstepScan, BisectsToThePropagatingInstruction) {
   Pair p(as);
   p.faulty.flip_bit(sim::Reg::rbx, 3);
 
-  LockstepParams params;
-  params.chunk_steps = 16;  // whole program in one chunk: bisection does
-                            // the localization work
+  // The whole program fits in one chunk: bisection does the localization
+  // work.
   const DivergenceScan scan = find_first_divergence(
-      p.golden, p.faulty, sim::Reg::rbx, sim::Word{1} << 3, 0, params);
+      p.golden, p.faulty, sim::Reg::rbx, sim::Word{1} << 3, 0);
 
   ASSERT_TRUE(scan.diverged);
   EXPECT_FALSE(scan.masked);

@@ -22,6 +22,7 @@
 
 #include "fault/campaign.hpp"
 #include "fault/checkpoint.hpp"
+#include "test_dir.hpp"
 
 namespace xentry::fault {
 namespace {
@@ -46,7 +47,7 @@ class PersistedMutationTest : public ::testing::TestWithParam<Persisted> {
     std::string name =
         ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::replace(name.begin(), name.end(), '/', '_');
-    dir_ = ::testing::TempDir() + "persisted_" + name;
+    dir_ = test::scratch_path("persisted_" + name);
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     CampaignConfig cfg;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fault/outcome.hpp"
+#include "test_dir.hpp"
 
 namespace xentry::fault {
 namespace {
@@ -618,7 +619,7 @@ TEST(RecordIoTest, DecodeShardFileNamesTheFileAndTheFirstBadRecord) {
 }
 
 TEST(RecordIoTest, ReadShardStreamTellsTheFormatByExtension) {
-  const std::string dir = ::testing::TempDir() + "read_shard_stream";
+  const std::string dir = test::scratch_path("read_shard_stream");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string base = dir + "/run";

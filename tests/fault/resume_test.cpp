@@ -24,6 +24,7 @@
 #include "hv/machine.hpp"
 #include "hv/microvisor.hpp"
 #include "obs/metrics.hpp"
+#include "test_dir.hpp"
 
 namespace xentry::fault {
 namespace {
@@ -86,8 +87,9 @@ std::shared_ptr<const analysis::AnalysisArtifacts> analyze_machine(
 class ResumeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "resume_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = test::scratch_path(
+        std::string("resume_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }
@@ -627,6 +629,17 @@ TEST_F(ResumeTest, JournalReaderRefusesCorruptLines) {
             ":2: corrupt RNG state in 'gen_rng'");
   EXPECT_EQ(refusal("\"aux_rng\":\"\"", "\"aux_rng\":\"1 2 3\""),
             ":2: corrupt RNG state in 'aux_rng'");
+  // Nor may it spell a word any way the stream operator does not print
+  // it: with a leading zero, after a doubled space, or past 64 bits.
+  EXPECT_EQ(refusal("\"gen_rng\":\"" + first_word + " ",
+                    "\"gen_rng\":\"0" + first_word + " "),
+            ":2: corrupt RNG state in 'gen_rng'");
+  EXPECT_EQ(refusal("\"gen_rng\":\"" + first_word + " ",
+                    "\"gen_rng\":\"" + first_word + "  "),
+            ":2: corrupt RNG state in 'gen_rng'");
+  EXPECT_EQ(refusal("\"gen_rng\":\"" + first_word + " ",
+                    "\"gen_rng\":\"18446744073709551616 "),
+            ":2: corrupt RNG state in 'gen_rng'");
   EXPECT_EQ(refusal("\n{", "\n\n{"), ":2: not an object");
 
   // A torn final line is not an error; intact_bytes stops before it.
@@ -638,6 +651,25 @@ TEST_F(ResumeTest, JournalReaderRefusesCorruptLines) {
   EXPECT_EQ(torn.intact_bytes, last);
   EXPECT_TRUE(torn.shards[0].has_value());
   EXPECT_FALSE(torn.shards[1].has_value());
+}
+
+// rng_state_string prints what the stream operator prints, byte for byte,
+// and rng_state_from_string loads that text back to the same engine, at
+// every index the engine's state can be at.
+TEST(RngStateTest, TextMatchesTheStreamOperators) {
+  std::mt19937_64 draws(17);
+  for (int i = 0; i < 64; ++i) {
+    std::mt19937_64 engine(draws());
+    engine.discard(i == 0 ? 0 : draws() % 2000);
+    std::ostringstream os;
+    os << engine;
+    const std::string text = rng_state_string(engine);
+    ASSERT_EQ(text, os.str());
+    std::mt19937_64 loaded;
+    ASSERT_TRUE(rng_state_from_string(loaded, text));
+    EXPECT_EQ(loaded, engine);
+    EXPECT_EQ(loaded(), engine());
+  }
 }
 
 // A shard's registry snapshot rides in its journal line.  These read a

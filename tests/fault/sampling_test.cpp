@@ -93,11 +93,10 @@ TEST(CampaignSamplingTest, ValidateRejectsBadSamplingConfigs) {
   EXPECT_THROW(validate_campaign_config(cfg), std::invalid_argument);
 
   // Artifacts without a vulnerability map.
-  analysis::AnalyzeOptions no_bits;
-  no_bits.bit_liveness = false;
-  cfg.analysis = std::make_shared<analysis::AnalysisArtifacts>(
-      analysis::analyze_program(hv::build_microvisor(cfg.machine).program,
-                                no_bits));
+  auto no_bits = std::make_shared<analysis::AnalysisArtifacts>(
+      *microvisor_artifacts(cfg.machine));
+  no_bits->vuln = {};
+  cfg.analysis = no_bits;
   EXPECT_THROW(validate_campaign_config(cfg), std::invalid_argument);
 
   cfg.analysis = microvisor_artifacts(cfg.machine);

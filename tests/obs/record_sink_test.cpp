@@ -8,6 +8,7 @@
 #include <string>
 
 #include "obs/atomic_file.hpp"
+#include "test_dir.hpp"
 
 namespace xentry::obs {
 namespace {
@@ -30,9 +31,9 @@ TEST(RecordFormatTest, NamesRoundTrip) {
 class ShardedFileSinkTest : public ::testing::Test {
  protected:
   // One path per test: ctest runs the fixture's tests in parallel.
-  std::string base_ =
-      ::testing::TempDir() + "record_sink_" +
-      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::string base_ = test::scratch_path(
+      std::string("record_sink_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name());
 
   std::string sink_path(std::size_t shard,
                         RecordFormat f = RecordFormat::kJsonl) const {
@@ -182,8 +183,9 @@ TEST_F(ShardedFileSinkTest, ResumeOfMissingFileFailsSafely) {
 class AtomicFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "atomic_file_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = test::scratch_path(
+        std::string("atomic_file_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }
